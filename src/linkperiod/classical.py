@@ -155,15 +155,3 @@ def murasugi_candidates(delta: LaurentPoly, p: int, r: int = 1) -> frozenset[int
                 break
     return frozenset(feasible)
 
-
-def homfly_symmetry_check(*args, **kwargs):
-    """Disabled: the a <-> a^-1 HOMFLY symmetry test mod (p, z^p).
-
-    As transcribed, the check misclassifies the 3-periodic right-handed
-    trefoil (the a^2 z^2 term breaks the symmetry mod (3, z^3)), which
-    points at an unresolved variable-normalization mismatch with the
-    original statement.  Until that is settled this criterion stays off.
-    """
-    raise NotImplementedError(
-        "homfly symmetry criterion disabled: known to misclassify a "
-        "3-periodic control knot under the conventions used here")

@@ -9,32 +9,36 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__, classical, criteria, skein, statemodel
-from .diagram import (BraidWord, ParseError, PlanarDiagram, linking_tuple,
-                      parse_braid, parse_pd, pd_from_braid, writhe)
-from .laurent import (IdealVariant, LaurentPoly, format_bilaurent, format_poly,
-                      is_prime)
-
-ALL_CRITERIA = ("quantum-minus", "quantum-plus", "jones", "p0", "alexander")
-KNOT_ONLY = frozenset({"quantum-plus", "p0", "alexander"})
+from .diagram import ParseError, parse_braid, parse_pd, pd_from_braid
+from .laurent import (BiLaurent, IdealVariant, LaurentPoly, format_bilaurent,
+                      format_poly, is_prime)
 
 
 class UsageError(ValueError):
     pass
 
 
-def _parse_input(braid_text, pd_text):
-    """Returns (kind, echo, braid_or_none, diagram)."""
-    if (braid_text is None) == (pd_text is None):
+def _cli_input(args) -> tuple[str, str]:
+    """(kind, text) of the one --braid / --pd option given."""
+    if (args.braid is None) == (args.pd is None):
         raise UsageError("exactly one of --braid and --pd is required")
-    if braid_text is not None:
-        b = parse_braid(braid_text)
-        return "braid", braid_text, b, pd_from_braid(b)
-    d = parse_pd(pd_text)
-    return "pd", pd_text, None, d
+    return ("braid", args.braid) if args.pd is None else ("pd", args.pd)
+
+
+def _parse_input(kind, text):
+    """Returns (braid_or_none, diagram) for an input of kind braid or pd."""
+    if kind == "braid":
+        b = parse_braid(text)
+        return b, pd_from_braid(b)
+    if kind == "pd":
+        return None, parse_pd(text)
+    raise UsageError(f"input_type must be braid or pd: {kind!r}")
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -47,17 +51,14 @@ def _parse_n_list(text: str) -> list[int]:
     return ns
 
 
-def _poly_json(f: LaurentPoly):
-    return f.serialize()
-
-
-def build_invariant_report(kind, echo, braid, diagram, n_list, oracle=False,
+def build_invariant_report(kind, text, n_list, oracle=False,
                            max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
+    braid, diagram = _parse_input(kind, text)
     P = skein.homfly(diagram, max_crossings=max_crossings)
     m = diagram.component_count()
     report = {
         "tool": {"name": "linkperiod", "version": __version__},
-        "input": {"type": kind, "value": echo},
+        "input": {"type": kind, "value": text},
         "components": m,
         "writhe": diagram.writhe(),
         "homfly": P.serialize(),
@@ -65,129 +66,157 @@ def build_invariant_report(kind, echo, braid, diagram, n_list, oracle=False,
     }
     for N in n_list:
         inv = skein.quantum_sln(P, N, m)
-        report["quantum"][str(N)] = _poly_json(inv)
-        if oracle:
-            if braid is None:
-                raise UsageError("--oracle needs a braid input")
-            other = statemodel.invariant_statesum(braid, N)
-            if other != inv:
-                raise RuntimeError(
-                    f"internal inconsistency: state-sum and skein routes "
-                    f"disagree at N={N}")
+        report["quantum"][str(N)] = inv.serialize()
+        if oracle and statemodel.invariant_statesum(braid, N) != inv:
+            raise RuntimeError(
+                f"internal inconsistency: state-sum and skein routes "
+                f"disagree at N={N}")
     V = skein.jones(P)
-    report["jones"] = {"variable": V.var, "coeffs": _poly_json(V)}
+    report["jones"] = {"variable": V.var, "coeffs": V.serialize()}
     if m == 1:
-        report["alexander"] = _poly_json(skein.alexander(P))
-        report["p0"] = _poly_json(skein.p0_part(P))
+        report["alexander"] = skein.alexander(P).serialize()
+        report["p0"] = skein.p0_part(P).serialize()
     return report
 
 
-def _pm_closure(entries: frozenset[int], p: int) -> list[int]:
-    out = set()
-    for k in entries:
-        out.add(k % p)
-        out.add((-k) % p)
-    return sorted(out)
+# -- periodicity criteria ---------------------------------------------------
+#
+# Each criterion maps a Context to (report entry, residue sets).  The
+# residue sets are None when the criterion narrows nothing; a list holding
+# an empty set when it certifies "not p-periodic" (nothing is merged); and
+# otherwise +-closed sets of residues mod p that the linking number with
+# the axis may take, intersected in order into the combined candidates.
+# Criteria call the layer functions through their modules at call time,
+# so anything that patches a module attribute sees every call.
+
+class Context(NamedTuple):
+    P: BiLaurent
+    quantum: dict[int, LaurentPoly]     # N -> quantum SL(N) invariant
+    p: int
+    m: int                              # component count
+    r: int
+    notes: list[str]
 
 
-def build_check_report(kind, echo, braid, diagram, p, n_list, criteria_list,
-                       r=1, max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
-    if not is_prime(p):
-        raise UsageError(f"p must be prime: {p}")
+def _pm(residues, p: int) -> frozenset[int]:
+    """The residues and their negatives mod p."""
+    return frozenset(x for k in residues for x in (k % p, -k % p))
+
+
+def _quantum_minus(ctx: Context):
+    if ctx.m == 1:
+        per_n = {N: criteria.knot_candidates(f, ctx.p, N, IdealVariant.QP_MINUS)
+                 for N, f in ctx.quantum.items()}
+        linking = criteria.possible_linking(per_n)
+        entry = {"per_n": {str(N): sorted(c.entries) for N, c in per_n.items()},
+                 "possible_linking": sorted(linking)}
+        return entry, [linking]
+    per_n = {N: criteria.link_candidates(f, ctx.p, N, ctx.m)
+             for N, f in ctx.quantum.items()}
+    entry = {"per_n": {str(N): sorted(list(t) for t in s)
+                       for N, s in per_n.items()}}
+    return entry, [frozenset()] if not all(per_n.values()) else None
+
+
+def _quantum_plus(ctx: Context):
+    per_n = {N: criteria.knot_candidates(f, ctx.p, N, IdealVariant.QP_PLUS)
+             for N, f in ctx.quantum.items()}
+    entry = {"per_n": {str(N): [[k, s] for k, s in c.sorted_entries()]
+                       for N, c in per_n.items()}}
+    return entry, [_pm(c.residues(), ctx.p) for c in per_n.values()]
+
+
+def _jones(ctx: Context):
+    ok = classical.traczyk_jones_check(skein.jones(ctx.P), ctx.p)
+    return {"passes": ok}, None if ok else [frozenset()]
+
+
+def _p0(ctx: Context):
+    c = classical.traczyk_p0_candidates(skein.p0_part(ctx.P), ctx.p)
+    return {"candidates": sorted(c.entries)}, [_pm(c.entries, ctx.p)]
+
+
+def _alexander(ctx: Context):
+    lams = classical.murasugi_candidates(skein.alexander(ctx.P), ctx.p, ctx.r)
+    if lams is None:
+        ctx.notes.append(
+            "alexander criterion inconclusive: polynomial vanishes mod p")
+        return {"inconclusive": True}, None
+    return {"r": ctx.r, "candidates": sorted(lams)}, [_pm(lams, ctx.p)]
+
+
+class Criterion(NamedTuple):
+    knots_only: bool
+    odd_p_only: bool
+    run: Callable[[Context], tuple[dict, list[frozenset] | None]]
+
+
+#: Every criterion, in the default order of `--criteria`.
+CRITERIA = {
+    "quantum-minus": Criterion(False, False, _quantum_minus),
+    "quantum-plus": Criterion(True, True, _quantum_plus),
+    "jones": Criterion(False, False, _jones),
+    "p0": Criterion(True, True, _p0),
+    "alexander": Criterion(True, False, _alexander),
+}
+ALL_CRITERIA = tuple(CRITERIA)
+
+
+def _check_options(args) -> tuple[list[int], list[str]]:
+    """Validates the options `check` and `batch` share; returns the N list
+    and the criteria to run."""
+    n_list = _parse_n_list(args.n)
+    names = [c.strip() for c in args.criteria.split(",") if c.strip()]
+    for name in names:
+        if name not in CRITERIA:
+            raise UsageError(f"unknown criterion: {name}")
+    if not is_prime(args.p):
+        raise UsageError(f"p must be prime: {args.p}")
+    if args.r < 1:
+        raise UsageError(f"--r must be >= 1: {args.r}")
+    return n_list, names
+
+
+def build_check_report(kind, text, p, n_list, names, r=1,
+                       max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
+    """Parses one input and runs the named criteria on it in order; p, the
+    names and r must have passed `_check_options`."""
+    _, diagram = _parse_input(kind, text)
     P = skein.homfly(diagram, max_crossings=max_crossings)
     m = diagram.component_count()
-    is_knot = m == 1
+    quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
     report = {
         "tool": {"name": "linkperiod", "version": __version__},
-        "input": {"type": kind, "value": echo},
+        "input": {"type": kind, "value": text},
         "p": p,
         "n_list": n_list,
         "components": m,
         "criteria": {},
         "notes": [],
+        "quantum": {str(N): f.serialize() for N, f in quantum.items()},
     }
-    quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
-    report["quantum"] = {str(N): _poly_json(f) for N, f in quantum.items()}
-
+    ctx = Context(P, quantum, p, m, r, report["notes"])
     excluded = False          # some criterion certified non-periodicity
-    combined: set[int] | None = None   # running +-closed residue intersection
-
-    def merge(residues: list[int]):
-        nonlocal combined, excluded
-        if combined is None:
-            combined = set(residues)
-        else:
-            combined &= set(residues)
-        if not combined:
-            excluded = True
-
-    for crit in criteria_list:
-        if crit in KNOT_ONLY and not is_knot:
-            report["notes"].append(f"criterion {crit} skipped: knots only")
+    combined: frozenset[int] | None = None
+    for name in names:
+        crit = CRITERIA[name]
+        if crit.knots_only and m != 1:
+            ctx.notes.append(f"criterion {name} skipped: knots only")
             continue
-        if crit == "quantum-minus":
-            if is_knot:
-                per_n = {N: criteria.knot_candidates(quantum[N], p, N,
-                                                     IdealVariant.QP_MINUS)
-                         for N in n_list}
-                linking = criteria.possible_linking(per_n)
-                entry = {
-                    "per_n": {str(N): sorted(c.entries) for N, c in per_n.items()},
-                    "possible_linking": sorted(linking),
-                }
-                if any(c.is_empty() for c in per_n.values()) or not linking:
-                    excluded = True
-                else:
-                    merge(sorted(linking))
-            else:
-                per_n = {N: criteria.link_candidates(quantum[N], p, N, m)
-                         for N in n_list}
-                entry = {"per_n": {str(N): sorted(list(t) for t in s)
-                                   for N, s in per_n.items()}}
-                if any(not s for s in per_n.values()):
-                    excluded = True
-        elif crit == "quantum-plus":
-            per_n = {N: criteria.knot_candidates(quantum[N], p, N,
-                                                 IdealVariant.QP_PLUS)
-                     for N in n_list}
-            entry = {"per_n": {str(N): [[k, s] for k, s in c.sorted_entries()]
-                               for N, c in per_n.items()}}
-            if any(c.is_empty() for c in per_n.values()):
-                excluded = True
-            else:
-                for N, c in per_n.items():
-                    merge(_pm_closure(c.residues(), p))
-        elif crit == "jones":
-            V = skein.jones(P)
-            ok = classical.traczyk_jones_check(V, p)
-            entry = {"passes": ok}
-            if not ok:
-                excluded = True
-        elif crit == "p0":
-            c = classical.traczyk_p0_candidates(skein.p0_part(P), p)
-            entry = {"candidates": sorted(c.entries)}
-            if c.is_empty():
-                excluded = True
-            else:
-                merge(_pm_closure(c.entries, p))
-        elif crit == "alexander":
-            lams = classical.murasugi_candidates(skein.alexander(P), p, r)
-            if lams is None:
-                entry = {"inconclusive": True}
-                report["notes"].append(
-                    "alexander criterion inconclusive: polynomial vanishes mod p")
-            else:
-                entry = {"r": r, "candidates": sorted(lams)}
-                if not lams:
-                    excluded = True
-                else:
-                    merge(_pm_closure(lams, p))
-        else:
-            raise UsageError(f"unknown criterion: {crit}")
-        report["criteria"][crit] = entry
-
+        if crit.odd_p_only and p == 2:
+            ctx.notes.append(f"criterion {name} skipped: odd p only")
+            continue
+        report["criteria"][name], residue_sets = crit.run(ctx)
+        if residue_sets is None:
+            continue
+        if not all(residue_sets):
+            excluded = True
+            continue
+        for s in residue_sets:
+            combined = s if combined is None else combined & s
     if combined is not None:
         report["combined_candidates"] = sorted(combined)
+        excluded = excluded or not combined
     report["verdict"] = f"not-{p}-periodic" if excluded else "undecided"
     return report
 
@@ -198,7 +227,7 @@ def _render_text(report: dict, out) -> None:
 
     print(f"input ({report['input']['type']}): {report['input']['value']}", file=out)
     if "homfly" in report:
-        P = skein.BiLaurent.deserialize(report["homfly"])
+        P = BiLaurent.deserialize(report["homfly"])
         print(f"components: {report['components']}  writhe: {report['writhe']}", file=out)
         print(f"homfly: {format_bilaurent(P)}", file=out)
     for N, pairs in sorted(report.get("quantum", {}).items(), key=lambda kv: int(kv[0])):
@@ -220,50 +249,41 @@ def _render_text(report: dict, out) -> None:
         print(f"note: {note}", file=out)
 
 
-def _emit(report: dict, fmt: str, out_path: str | None) -> None:
+def _emit(report, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
     else:
-        out = open(out_path, "w") if out_path else sys.stdout
-        try:
-            _render_text(report, out)
-        finally:
-            if out_path:
-                out.close()
+        buf = io.StringIO()
+        _render_text(report, buf)
+        payload = buf.getvalue()
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
 
 
 def cmd_invariant(args) -> int:
-    kind, echo, braid, diagram = _parse_input(args.braid, args.pd)
-    n_list = _parse_n_list(args.n)
-    report = build_invariant_report(kind, echo, braid, diagram, n_list,
-                                    oracle=args.oracle,
-                                    max_crossings=args.max_crossings)
+    kind, text = _cli_input(args)
+    if args.oracle and kind != "braid":
+        raise UsageError("--oracle needs a braid input")
+    report = build_invariant_report(kind, text, _parse_n_list(args.n),
+                                    args.oracle, args.max_crossings)
     _emit(report, args.format, args.out)
     return 0
 
 
 def cmd_check(args) -> int:
-    kind, echo, braid, diagram = _parse_input(args.braid, args.pd)
-    n_list = _parse_n_list(args.n)
-    crits = [c.strip() for c in args.criteria.split(",") if c.strip()]
-    for c in crits:
-        if c not in ALL_CRITERIA:
-            raise UsageError(f"unknown criterion: {c}")
-    report = build_check_report(kind, echo, braid, diagram, args.p, n_list,
-                                crits, r=args.r,
-                                max_crossings=args.max_crossings)
+    kind, text = _cli_input(args)
+    n_list, names = _check_options(args)
+    report = build_check_report(kind, text, args.p, n_list, names, args.r,
+                                args.max_crossings)
     _emit(report, args.format, args.out)
     return 0
 
 
 def cmd_batch(args) -> int:
-    n_list = _parse_n_list(args.n)
-    crits = [c.strip() for c in args.criteria.split(",") if c.strip()]
+    n_list, names = _check_options(args)
     try:
         fh = open(args.csv, newline="")
     except OSError as exc:
@@ -279,20 +299,9 @@ def cmd_batch(args) -> int:
     for row in rows:
         name = row.get("name", "")
         try:
-            kind = row["input_type"].strip()
-            if kind == "braid":
-                rep = build_check_report(
-                    "braid", row["input"], parse_braid(row["input"]),
-                    pd_from_braid(parse_braid(row["input"])),
-                    args.p, n_list, crits, r=args.r,
-                    max_crossings=args.max_crossings)
-            elif kind == "pd":
-                rep = build_check_report(
-                    "pd", row["input"], None, parse_pd(row["input"]),
-                    args.p, n_list, crits, r=args.r,
-                    max_crossings=args.max_crossings)
-            else:
-                raise UsageError(f"input_type must be braid or pd: {kind!r}")
+            rep = build_check_report(row["input_type"].strip(), row["input"],
+                                     args.p, n_list, names, args.r,
+                                     args.max_crossings)
             rep["name"] = name
             reports.append(rep)
         except Exception as exc:
@@ -302,19 +311,13 @@ def cmd_batch(args) -> int:
                           "value": row.get("input", "")},
                 "error": f"{type(exc).__name__}: {exc}",
             })
-    payload = json.dumps(reports, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as out:
-            out.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(reports, "json", args.out)
     return 0
 
 
 def cmd_selftest(args) -> int:
     from . import selftest
     results = selftest.run(name_filter=args.filter)
-    failed = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
         line = f"[{status}] {name}"
@@ -331,47 +334,39 @@ def build_parser() -> argparse.ArgumentParser:
         prog="linkperiod",
         description="Quantum-invariant periodicity criteria for links")
     sub = ap.add_subparsers(dest="command", required=True)
+    options = {
+        "--braid": dict(help='braid word, e.g. "1 1 1" or "n=3; 1 -2"'),
+        "--pd": dict(help='PD code, e.g. "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"'),
+        "--n": dict(default="2,3", help="comma list of N values (default 2,3)"),
+        "-p": dict(type=int, required=True, help="prime period to test"),
+        "--criteria": dict(default=",".join(ALL_CRITERIA),
+                           help="comma list of criteria to run"),
+        "--r": dict(type=int, default=1,
+                    help="prime-power exponent for the alexander criterion"),
+        "--max-crossings": dict(type=int, default=skein.DEFAULT_MAX_CROSSINGS),
+        "--out": dict(help="write the report to this path"),
+        "--format": dict(choices=("json", "text"), default="text"),
+        "--oracle": dict(action="store_true", help="cross-check the quantum "
+                         "invariant against the state sum"),
+        "csv": dict(help='CSV with header "name,input_type,input"'),
+        "--filter": dict(default="",
+                         help="run only checks whose name contains this"),
+    }
 
-    def add_common(sp, with_p):
-        sp.add_argument("--braid", help='braid word, e.g. "1 1 1" or "n=3; 1 -2"')
-        sp.add_argument("--pd", help='PD code, e.g. "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"')
-        sp.add_argument("--n", default="2,3", help="comma list of N values (default 2,3)")
-        if with_p:
-            sp.add_argument("-p", type=int, required=True, help="prime period to test")
-            sp.add_argument("--criteria", default=",".join(ALL_CRITERIA),
-                            help="comma list of criteria to run")
-            sp.add_argument("--r", type=int, default=1,
-                            help="prime-power exponent for the alexander criterion")
-        sp.add_argument("--max-crossings", type=int,
-                        default=skein.DEFAULT_MAX_CROSSINGS)
-        sp.add_argument("--out", help="write the report to this path")
-        sp.add_argument("--format", choices=("json", "text"), default="text")
+    def add(command, func, help, *names):
+        sp = sub.add_parser(command, help=help)
+        for name in names:
+            sp.add_argument(name, **options[name])
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("invariant", help="compute link invariants")
-    add_common(sp, with_p=False)
-    sp.add_argument("--oracle", action="store_true",
-                    help="cross-check the quantum invariant against the state sum")
-    sp.set_defaults(func=cmd_invariant)
-
-    sp = sub.add_parser("check", help="run periodicity criteria")
-    add_common(sp, with_p=True)
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("batch", help="run checks over a CSV of links")
-    sp.add_argument("csv", help='CSV with header "name,input_type,input"')
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("--n", default="2,3")
-    sp.add_argument("--criteria", default=",".join(ALL_CRITERIA))
-    sp.add_argument("--r", type=int, default=1)
-    sp.add_argument("--max-crossings", type=int,
-                    default=skein.DEFAULT_MAX_CROSSINGS)
-    sp.add_argument("--out", help="write the JSON report array to this path")
-    sp.set_defaults(func=cmd_batch)
-
-    sp = sub.add_parser("selftest", help="run the built-in fixture suite")
-    sp.add_argument("--filter", default="", help="run only checks whose name contains this")
-    sp.set_defaults(func=cmd_selftest)
-
+    add("invariant", cmd_invariant, "compute link invariants", "--braid",
+        "--pd", "--n", "--max-crossings", "--out", "--format", "--oracle")
+    add("check", cmd_check, "run periodicity criteria", "--braid", "--pd",
+        "--n", "-p", "--criteria", "--r", "--max-crossings", "--out",
+        "--format")
+    add("batch", cmd_batch, "run checks over a CSV of links", "csv", "-p",
+        "--n", "--criteria", "--r", "--max-crossings", "--out")
+    add("selftest", cmd_selftest, "run the built-in fixture suite", "--filter")
     return ap
 
 

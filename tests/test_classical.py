@@ -3,7 +3,7 @@ import pytest
 from linkperiod import classical, skein
 from linkperiod.diagram import BraidWord, power
 from linkperiod.laurent import LaurentPoly
-from linkperiod.selftest import FIG8_HOMFLY, TREFOIL_HOMFLY
+from linkperiod.selftest import FIG8_HOMFLY
 
 TREFOIL_JONES = LaurentPoly({1: 1, 3: 1, 4: -1}, "t")
 TREFOIL_DELTA = LaurentPoly({2: 1, 1: -1, 0: 1}, "t")
@@ -98,7 +98,3 @@ class TestMurasugi:
         with pytest.raises(ValueError):
             classical.murasugi_candidates(TREFOIL_DELTA, 3, r=0)
 
-
-def test_homfly_symmetry_disabled():
-    with pytest.raises(NotImplementedError):
-        classical.homfly_symmetry_check(TREFOIL_HOMFLY, 3)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from linkperiod import cli
+from linkperiod import cli, skein
 
 TREFOIL = "1 1 1"
 
@@ -47,7 +47,10 @@ class TestInvariant:
             ["invariant", "--braid", TREFOIL, "--oracle"], capsys)
         assert code == 0
 
-    def test_oracle_requires_braid(self, capsys):
+    def test_oracle_requires_braid(self, capsys, monkeypatch):
+        def no_homfly(*args, **kwargs):
+            raise AssertionError("HOMFLY computed before the usage check")
+        monkeypatch.setattr(skein, "homfly", no_homfly)
         code, _, err = run_main(
             ["invariant", "--pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
              "--oracle"], capsys)
@@ -125,6 +128,25 @@ class TestCheck:
             capsys)
         assert code == 1
 
+    def test_p2_skips_odd_only(self, capsys):
+        # The trefoil T(2,3) has period 2 as well as period 3.
+        code, out, _ = run_main(
+            ["check", "--braid", TREFOIL, "-p", "2", "--format", "json"],
+            capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["verdict"] != "not-2-periodic"
+        assert sorted(rep["criteria"]) == ["alexander", "jones", "quantum-minus"]
+        assert rep["notes"] == ["criterion quantum-plus skipped: odd p only",
+                                "criterion p0 skipped: odd p only"]
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_bad_r_is_usage_error(self, capsys, r):
+        code, _, err = run_main(
+            ["check", "--braid", TREFOIL, "-p", "3", "--r", r], capsys)
+        assert code == 1
+        assert "--r" in err
+
 
 class TestBatch:
     CSV = "name,input_type,input\ntrefoil,braid,1 1 1\nhopf,braid,1 1\nbad,braid,1 x\n"
@@ -151,6 +173,25 @@ class TestBatch:
         path.write_text("a,b,c\n1,2,3\n")
         code, _, _ = run_main(["batch", str(path), "-p", "3"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("opts", [["-p", "6"],
+                                      ["-p", "3", "--criteria", "nope"]])
+    def test_bad_options_exit_before_rows(self, capsys, tmp_path, opts):
+        path = tmp_path / "links.csv"
+        path.write_text(self.CSV)
+        code, out, err = run_main(["batch", str(path), *opts], capsys)
+        assert code == 1
+        assert out == "" and "error" in err
+
+    def test_bad_input_type_is_row_error(self, capsys, tmp_path):
+        path = tmp_path / "links.csv"
+        path.write_text("name,input_type,input\nodd,knot,1 1 1\n"
+                        "trefoil,braid,1 1 1\n")
+        code, out, _ = run_main(["batch", str(path), "-p", "3"], capsys)
+        assert code == 0
+        odd, trefoil = json.loads(out)
+        assert odd["error"].startswith("UsageError: input_type")
+        assert trefoil["verdict"] == "undecided"
 
     def test_missing_file(self, capsys):
         code, _, _ = run_main(["batch", "/nonexistent.csv", "-p", "3"], capsys)
