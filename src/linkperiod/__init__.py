@@ -16,8 +16,7 @@ from .laurent import (BiLaurent, IdealVariant, InexactDivisionError,
                       parity_split, quantum_integer, reduce)
 from .skein import alexander, homfly, jones, p0_part, quantum_sln
 from .statemodel import (NState, bracket, enumerate_states,
-                         invariant_statesum, is_proper, loops, norm,
-                         state_weight)
+                         invariant_statesum, is_proper)
 from .criteria import (CandidateSet, combine, expected_sign, knot_candidates,
                        link_candidates, lower_bound, parity_profile,
                        possible_linking, rhs_sum)
@@ -34,7 +33,7 @@ __all__ = [
     "quantum_integer", "reduce",
     "alexander", "homfly", "jones", "p0_part", "quantum_sln",
     "NState", "bracket", "enumerate_states", "invariant_statesum",
-    "is_proper", "loops", "norm", "state_weight",
+    "is_proper",
     "CandidateSet", "combine", "expected_sign", "knot_candidates",
     "link_candidates", "lower_bound", "parity_profile", "possible_linking",
     "rhs_sum",

@@ -167,20 +167,20 @@ def _check_options(args) -> tuple[list[int], list[str]]:
     and the criteria to run."""
     n_list = _parse_n_list(args.n)
     names = [c.strip() for c in args.criteria.split(",") if c.strip()]
+    if not names:
+        raise UsageError(f"--criteria names no criterion: {args.criteria!r}")
     for name in names:
         if name not in CRITERIA:
             raise UsageError(f"unknown criterion: {name}")
     if not is_prime(args.p):
         raise UsageError(f"p must be prime: {args.p}")
-    if args.r < 1:
-        raise UsageError(f"--r must be >= 1: {args.r}")
     return n_list, names
 
 
 def build_check_report(kind, text, p, n_list, names, r=1,
                        max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
-    """Parses one input and runs the named criteria on it in order; p, the
-    names and r must have passed `_check_options`."""
+    """Parses one input and runs the named criteria on it in order; p and
+    the names must have passed `_check_options`, and r must be >= 1."""
     _, diagram = _parse_input(kind, text)
     P = skein.homfly(diagram, max_crossings=max_crossings)
     m = diagram.component_count()
@@ -282,6 +282,10 @@ def cmd_check(args) -> int:
     return 0
 
 
+#: The header of a batch CSV; a row short of fields reads None for the rest.
+BATCH_FIELDS = ("name", "input_type", "input")
+
+
 def cmd_batch(args) -> int:
     n_list, names = _check_options(args)
     try:
@@ -291,14 +295,18 @@ def cmd_batch(args) -> int:
     with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or \
-                [f.strip() for f in reader.fieldnames] != ["name", "input_type", "input"]:
+                [f.strip() for f in reader.fieldnames] != list(BATCH_FIELDS):
             raise UsageError(
                 'batch CSV needs the header "name,input_type,input"')
+        reader.fieldnames = list(BATCH_FIELDS)
         rows = list(reader)
     reports = []
     for row in rows:
-        name = row.get("name", "")
+        name = row["name"]
         try:
+            missing = [f for f in BATCH_FIELDS if row[f] is None]
+            if missing:
+                raise UsageError(f"row has no {' or '.join(missing)} field")
             rep = build_check_report(row["input_type"].strip(), row["input"],
                                      args.p, n_list, names, args.r,
                                      args.max_crossings)
@@ -307,8 +315,7 @@ def cmd_batch(args) -> int:
         except Exception as exc:
             reports.append({
                 "name": name,
-                "input": {"type": row.get("input_type", ""),
-                          "value": row.get("input", "")},
+                "input": {"type": row["input_type"], "value": row["input"]},
                 "error": f"{type(exc).__name__}: {exc}",
             })
     _emit(reports, "json", args.out)
@@ -329,6 +336,16 @@ def cmd_selftest(args) -> int:
     return 3 if failed else 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="linkperiod",
@@ -341,9 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
         "-p": dict(type=int, required=True, help="prime period to test"),
         "--criteria": dict(default=",".join(ALL_CRITERIA),
                            help="comma list of criteria to run"),
-        "--r": dict(type=int, default=1,
+        "--r": dict(type=_positive_int, default=1,
                     help="prime-power exponent for the alexander criterion"),
-        "--max-crossings": dict(type=int, default=skein.DEFAULT_MAX_CROSSINGS),
+        "--max-crossings": dict(type=_positive_int,
+                                default=skein.DEFAULT_MAX_CROSSINGS),
         "--out": dict(help="write the report to this path"),
         "--format": dict(choices=("json", "text"), default="text"),
         "--oracle": dict(action="store_true", help="cross-check the quantum "

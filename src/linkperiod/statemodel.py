@@ -14,12 +14,28 @@ labels (a, b) (left, right above), exactly one of six local rules holds:
 Splice reconnects the strands in parallel (left-in to left-out), a flat
 crossing passes them straight through.  In a trace closure every spliced
 loop winds counterclockwise around the braid axis, so rot = +1 for all
-loops.  The resulting invariant q^(-writhe*N) <D> equals the skein-route
-quantum invariant and serves as its independent oracle.
+loops and the norm of a state is the sum of its loop labels.  The
+resulting invariant q^(-writhe*N) <D> equals the skein-route quantum
+invariant and serves as its independent oracle.
+
+`bracket` sums the states with one transfer pass over the braid letters
+(Turaev's vertex model, Invent. Math. 92, 1988).  A splice keeps the two
+labels in their slots and a flat crossing swaps them, so a partial state
+is determined, as far as the rest of the braid can tell, by the labels
+it gives the bottom slots and the slot permutation made by its flat
+crossings.  The table holds one summed weight per such pair: at most
+N^n * n! entries on n strands, whatever the braid length, and each
+letter maps every entry to at most two.  At the top, the closure keeps
+the entries whose labels are back in their starting slots; the cycles of
+the permutation are then the spliced loops.
+
+`enumerate_states` is the small reference enumerator of whole states,
+kept for the proper-state tests.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .diagram import BraidWord, braid_segments, strand_component, writhe
@@ -27,14 +43,9 @@ from .laurent import LaurentPoly
 
 DEFAULT_MAX_STATES = 2_000_000
 
-QMINUS = LaurentPoly({1: 1, -1: -1})   # q - q^-1
-
-SPLICE_RULES = frozenset({1, 2, 4, 5})
-FLAT_RULES = frozenset({3, 6})
-
 
 class StateResourceError(RuntimeError):
-    """State enumeration guard tripped."""
+    """A state-sum size guard (`max_states`) tripped."""
 
 
 def labels_range(N: int) -> list[int]:
@@ -43,6 +54,89 @@ def labels_range(N: int) -> list[int]:
     return list(range(-N + 1, N, 2))
 
 
+# -- transfer pass ------------------------------------------------------------
+
+def _add(acc: dict[int, int], w: dict[int, int], d: int, k: int = 1) -> None:
+    """acc += k * q^d * w, both as exponent -> coefficient maps."""
+    for x, c in w.items():
+        acc[x + d] = acc.get(x + d, 0) + k * c
+
+
+def _loop_norm(L0: tuple[int, ...], pos: tuple[int, ...]) -> int:
+    """Sum of the labels of the cycles of pos: the norm of a closed state."""
+    seen = [False] * len(pos)
+    total = 0
+    for s in range(len(pos)):
+        if not seen[s]:
+            total += L0[s]
+            t = s
+            while not seen[t]:
+                seen[t] = True
+                t = pos[t]
+    return total
+
+
+def _transfer(table: dict, e: int) -> dict:
+    """The table after letter e: every entry moves to at most two."""
+    j = abs(e) - 1
+    sign = 1 if e > 0 else -1
+    nxt: dict = {}
+    for key, w in table.items():
+        L0, pos = key
+        lc, ld = L0[pos[j]], L0[pos[j + 1]]
+        if lc == ld:                                      # rule 2 / 5
+            _add(nxt.setdefault(key, {}), w, sign)
+            continue
+        if (lc > ld) == (sign > 0):                       # rule 1 / 4
+            acc = nxt.setdefault(key, {})
+            _add(acc, w, 1, sign)
+            _add(acc, w, -1, -sign)
+        flat = pos[:j] + (pos[j + 1], pos[j]) + pos[j + 2:]
+        _add(nxt.setdefault((L0, flat), {}), w, 0)        # rule 3 / 6
+    return nxt
+
+
+def bracket(b: BraidWord, N: int,
+            max_states: int = DEFAULT_MAX_STATES) -> LaurentPoly:
+    """Sum over all states of the vertex weights times q^norm.
+
+    A table key is (L0, pos): L0[s] is the label the state gives bottom
+    slot s, and pos[s] is the bottom slot whose strand fills slot s after
+    the flat crossings read so far, so slot s carries L0[pos[s]].  Its
+    value maps exponents of q to coefficients.  Raises StateResourceError
+    when the table holds more than max_states entries, which cannot
+    happen when N^n * n! <= max_states.
+    """
+    def guard(size):
+        if size > max_states:
+            raise StateResourceError(
+                f"more than {max_states} state-sum table entries on "
+                f"{b.text()!r} at N={N}")
+
+    values = labels_range(N)
+    guard(len(values) ** b.n)
+    ident = tuple(range(b.n))
+    table = {(L0, ident): {0: 1}
+             for L0 in itertools.product(values, repeat=b.n)}
+    for e in b.letters:
+        table = _transfer(table, e)
+        guard(len(table))
+    total: dict[int, int] = {}
+    for (L0, pos), w in table.items():
+        if all(L0[t] == L0[s] for s, t in enumerate(pos)):
+            _add(total, w, _loop_norm(L0, pos))
+    return LaurentPoly(total)
+
+
+def invariant_statesum(b: BraidWord, N: int,
+                       max_states: int = DEFAULT_MAX_STATES) -> LaurentPoly:
+    """q^(-writhe * N) * bracket: the state-sum route to the quantum
+    invariant of the braid closure."""
+    return bracket(b, N, max_states).shift(-writhe(b) * N)
+
+
+# -- reference enumerator -----------------------------------------------------
+
 @dataclass(frozen=True)
 class NState:
     """An arc labeling together with the rule tag at every crossing."""
@@ -50,21 +144,6 @@ class NState:
     braid: BraidWord
     labels: tuple[int, ...]        # arc id -> label
     rules: tuple[int, ...]         # crossing index -> rule 1..6
-
-    def label_of_arc(self, arc: int) -> int:
-        return self.labels[arc]
-
-
-@dataclass(frozen=True)
-class Loop:
-    arcs: frozenset[int]
-    label: int
-    rot: int = 1
-
-
-@dataclass(frozen=True)
-class LoopDecomposition:
-    loops: tuple[Loop, ...]
 
 
 def _arc_structure(b: BraidWord):
@@ -177,150 +256,15 @@ def _enumerate_raw(b: BraidWord, N: int, max_states: int):
 
 def enumerate_states(b: BraidWord, N: int,
                      max_states: int = DEFAULT_MAX_STATES) -> list[NState]:
-    """All valid states on the closure of b, deterministically ordered."""
+    """All valid states on the closure of b, deterministically ordered.
+    Exponential in the crossing count: a reference for small braids."""
     return [NState(b, labels, rules)
             for labels, rules in _enumerate_raw(b, N, max_states)]
-
-
-def state_weight(state: NState) -> LaurentPoly:
-    """Product of vertex weights of the state."""
-    q_exp = 0
-    qm_pow = 0
-    sign = 1
-    for r in state.rules:
-        if r == 2:
-            q_exp += 1
-        elif r == 5:
-            q_exp -= 1
-        elif r == 1:
-            qm_pow += 1
-        elif r == 4:
-            qm_pow += 1
-            sign = -sign
-    w = LaurentPoly.monomial(q_exp, sign)
-    if qm_pow:
-        w = w * (QMINUS ** qm_pow)
-    return w
-
-
-def loops(state: NState) -> LoopDecomposition:
-    """Spliced loop decomposition of a state; rot = +1 throughout."""
-    b = state.braid
-    num_arcs, quads, _, _ = _arc_structure(b)
-    parent = list(range(num_arcs))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for ci, (c_arc, d_arc, a_arc, b_arc) in enumerate(quads):
-        if state.rules[ci] in SPLICE_RULES:
-            union(c_arc, a_arc)
-            union(d_arc, b_arc)
-        else:
-            union(c_arc, b_arc)
-            union(d_arc, a_arc)
-    groups: dict[int, list[int]] = {}
-    for a in range(num_arcs):
-        groups.setdefault(find(a), []).append(a)
-    out = []
-    for root in sorted(groups):
-        members = groups[root]
-        lab = {state.labels[a] for a in members}
-        if len(lab) != 1:
-            raise RuntimeError("incoherent loop labels: invalid state")
-        out.append(Loop(frozenset(members), lab.pop(), 1))
-    return LoopDecomposition(tuple(out))
-
-
-def norm(state: NState) -> int:
-    """Sum of label * rot over the loops of the state."""
-    return sum(l.label * l.rot for l in loops(state).loops)
 
 
 def is_proper(state: NState) -> bool:
     """True iff no vertex carries weight +-(q - q^-1)."""
     return all(r not in (1, 4) for r in state.rules)
-
-
-def _splice_perm_cycles(b: BraidWord, rules) -> list[list[int]]:
-    """Slot cycles of the permutation induced by flat crossings plus the
-    closure; each cycle is one spliced loop."""
-    pos = list(range(1, b.n + 1))
-    for i, e in enumerate(b.letters):
-        if rules[i] in FLAT_RULES:
-            j = abs(e) - 1
-            pos[j], pos[j + 1] = pos[j + 1], pos[j]
-    perm = {}
-    for slot, start in enumerate(pos, start=1):
-        perm[start] = slot
-    seen = set()
-    cycles = []
-    for s in range(1, b.n + 1):
-        if s in seen:
-            continue
-        cyc = []
-        t = s
-        while t not in seen:
-            seen.add(t)
-            cyc.append(t)
-            t = perm[t]
-        cycles.append(cyc)
-    return cycles
-
-
-def bracket(b: BraidWord, N: int,
-            max_states: int = DEFAULT_MAX_STATES) -> LaurentPoly:
-    """Sum over all states of state_weight * q^norm.
-
-    Uses a lightweight path over raw states: the norm is read off the
-    slot-permutation cycles induced by the flat crossings, avoiding a
-    full loop trace per state.
-    """
-    num_arcs, quads, signs, free = _arc_structure(b)
-    total = LaurentPoly.zero()
-    arc_of, _ = braid_segments(b)
-    slot0_arc = {s: arc_of[(0, s)] for s in range(1, b.n + 1)} if b.letters else {}
-    for labels, rules in _enumerate_raw(b, N, max_states):
-        q_exp = 0
-        qm_pow = 0
-        sign = 1
-        for r in rules:
-            if r == 2:
-                q_exp += 1
-            elif r == 5:
-                q_exp -= 1
-            elif r == 1:
-                qm_pow += 1
-            elif r == 4:
-                qm_pow += 1
-                sign = -sign
-        if b.letters:
-            # Free arcs occupy full slots and show up as fixed points of
-            # the slot permutation, so every loop is covered once here.
-            nrm = sum(labels[slot0_arc[cyc[0]]]
-                      for cyc in _splice_perm_cycles(b, rules))
-        else:
-            nrm = sum(labels)
-        w = LaurentPoly.monomial(q_exp + nrm, sign)
-        if qm_pow:
-            w = w * (QMINUS ** qm_pow)
-        total = total + w
-    return total
-
-
-def invariant_statesum(b: BraidWord, N: int,
-                       max_states: int = DEFAULT_MAX_STATES) -> LaurentPoly:
-    """q^(-writhe * N) * bracket: the state-sum route to the quantum
-    invariant of the braid closure."""
-    return bracket(b, N, max_states).shift(-writhe(b) * N)
 
 
 def self_crossing_indices(b: BraidWord) -> list[int]:

@@ -66,6 +66,23 @@ class TestInvariant:
         code, _, err = run_main(["invariant", "--braid", "1 x"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("command", [
+        ["invariant", "--braid", TREFOIL],
+        ["check", "--braid", TREFOIL, "-p", "3"],
+        ["batch", "links.csv", "-p", "3"]], ids=["invariant", "check", "batch"])
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_max_crossings_below_one_is_usage_error(self, capsys, monkeypatch,
+                                                    tmp_path, command, limit):
+        (tmp_path / "links.csv").write_text(TestBatch.CSV)
+        monkeypatch.chdir(tmp_path)
+
+        def no_homfly(*args, **kwargs):
+            raise AssertionError("HOMFLY computed before the usage check")
+        monkeypatch.setattr(skein, "homfly", no_homfly)
+        code, out, err = run_main([*command, "--max-crossings", limit], capsys)
+        assert code == 1
+        assert out == "" and "--max-crossings" in err
+
     def test_crossing_limit_is_computation_error(self, capsys):
         code, _, err = run_main(
             ["invariant", "--braid", TREFOIL, "--max-crossings", "2"], capsys)
@@ -140,6 +157,14 @@ class TestCheck:
         assert rep["notes"] == ["criterion quantum-plus skipped: odd p only",
                                 "criterion p0 skipped: odd p only"]
 
+    @pytest.mark.parametrize("criteria", [",,", " "])
+    def test_empty_criteria_is_usage_error(self, capsys, criteria):
+        code, out, err = run_main(
+            ["check", "--braid", TREFOIL, "-p", "3", "--criteria", criteria],
+            capsys)
+        assert code == 1
+        assert out == "" and "--criteria" in err
+
     @pytest.mark.parametrize("r", ["0", "-1"])
     def test_bad_r_is_usage_error(self, capsys, r):
         code, _, err = run_main(
@@ -175,7 +200,8 @@ class TestBatch:
         assert code == 1
 
     @pytest.mark.parametrize("opts", [["-p", "6"],
-                                      ["-p", "3", "--criteria", "nope"]])
+                                      ["-p", "3", "--criteria", "nope"],
+                                      ["-p", "3", "--criteria", ",,"]])
     def test_bad_options_exit_before_rows(self, capsys, tmp_path, opts):
         path = tmp_path / "links.csv"
         path.write_text(self.CSV)
@@ -192,6 +218,25 @@ class TestBatch:
         odd, trefoil = json.loads(out)
         assert odd["error"].startswith("UsageError: input_type")
         assert trefoil["verdict"] == "undecided"
+
+    def test_short_row_is_row_error(self, capsys, tmp_path):
+        path = tmp_path / "links.csv"
+        path.write_text("name,input_type,input\nshort,braid\nbare\n"
+                        "trefoil,braid,1 1 1\n")
+        code, out, _ = run_main(["batch", str(path), "-p", "3"], capsys)
+        assert code == 0
+        short, bare, trefoil = json.loads(out)
+        assert short["error"] == "UsageError: row has no input field"
+        assert bare["error"] == \
+            "UsageError: row has no input_type or input field"
+        assert trefoil["verdict"] == "undecided"
+
+    def test_header_spaces_are_ignored(self, capsys, tmp_path):
+        path = tmp_path / "links.csv"
+        path.write_text("name, input_type, input\ntrefoil,braid,1 1 1\n")
+        code, out, _ = run_main(["batch", str(path), "-p", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)[0]["verdict"] == "undecided"
 
     def test_missing_file(self, capsys):
         code, _, _ = run_main(["batch", "/nonexistent.csv", "-p", "3"], capsys)

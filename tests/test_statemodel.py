@@ -3,7 +3,8 @@ import random
 import pytest
 
 from linkperiod import skein, statemodel
-from linkperiod.diagram import BraidWord, linking_tuple, writhe
+from linkperiod.diagram import (BraidWord, braid_segments, linking_tuple,
+                                power, writhe)
 from linkperiod.laurent import LaurentPoly
 from linkperiod.selftest import FIGURE_EIGHT, HOPF, TREFOIL
 
@@ -59,51 +60,99 @@ class TestEnumeration:
                                         max_states=5)
 
 
+Q = LaurentPoly({1: 1})
+QMINUS = LaurentPoly({1: 1, -1: -1})   # q - q^-1
+
+#: Vertex weight of each local rule (see the statemodel docstring).
+RULE_WEIGHT = {1: QMINUS, 2: Q, 3: LaurentPoly.one(),
+               4: -QMINUS, 5: LaurentPoly({-1: 1}), 6: LaurentPoly.one()}
+
+
+def state_weight(state):
+    w = LaurentPoly.one()
+    for r in state.rules:
+        w = w * RULE_WEIGHT[r]
+    return w
+
+
+def spliced_loops(state):
+    """The loops of a state as (arc set, label set) pairs, traced over the
+    arcs of the closure: a splice joins each input arc to the output arc
+    on its own side, a flat crossing to the one on the other side."""
+    b = state.braid
+    k = len(b.letters)
+    parent = list(range(len(state.labels)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    if k:
+        arc_of, slots = braid_segments(b)
+        for i, (j, r) in enumerate(zip(slots, state.rules)):
+            c, d = arc_of[(i, j)], arc_of[(i, j + 1)]
+            a, bb = arc_of[((i + 1) % k, j)], arc_of[((i + 1) % k, j + 1)]
+            for x, y in ((c, bb), (d, a)) if r in (3, 6) else ((c, a), (d, bb)):
+                parent[find(x)] = find(y)
+    groups = {}
+    for arc, label in enumerate(state.labels):
+        arcs, labels = groups.setdefault(find(arc), (set(), set()))
+        arcs.add(arc)
+        labels.add(label)
+    return list(groups.values())
+
+
+def brute_bracket(b, N):
+    """Sum over enumerate_states of the vertex weights times q^norm, the
+    norm read from the loop trace rather than from a slot permutation."""
+    total = LaurentPoly.zero()
+    for s in statemodel.enumerate_states(b, N):
+        norm = sum(next(iter(labels)) for _, labels in spliced_loops(s))
+        total = total + state_weight(s).shift(norm)
+    return total
+
+
 class TestWeightsAndLoops:
     def test_weights(self):
         b = BraidWord(2, (1,))
         by_rule = {}
         for s in statemodel.enumerate_states(b, 2):
             by_rule.setdefault(s.rules[0], s)
-        assert statemodel.state_weight(by_rule[1]) == statemodel.QMINUS
-        assert statemodel.state_weight(by_rule[2]) == LaurentPoly({1: 1})
+        assert state_weight(by_rule[1]) == QMINUS
+        assert state_weight(by_rule[2]) == LaurentPoly({1: 1})
         # Flat rules appear on the two-crossing closure, where loop
         # consistency forces both crossings to carry the same rule.
-        weights = {s.rules: statemodel.state_weight(s)
+        weights = {s.rules: state_weight(s)
                    for s in statemodel.enumerate_states(HOPF, 2)}
+        assert set(weights) == {(1, 1), (2, 2), (3, 3)}
         assert weights[(3, 3)] == LaurentPoly({0: 1})
-        assert weights[(1, 1)] == statemodel.QMINUS * statemodel.QMINUS
+        assert weights[(1, 1)] == QMINUS * QMINUS
         assert weights[(2, 2)] == LaurentPoly({2: 1})
-        neg = {s.rules: statemodel.state_weight(s)
+        neg = {s.rules: state_weight(s)
                for s in statemodel.enumerate_states(BraidWord(2, (-1, -1)), 2)}
+        assert set(neg) == {(4, 4), (5, 5), (6, 6)}
         assert neg[(6, 6)] == LaurentPoly({0: 1})
-        assert neg[(4, 4)] == statemodel.QMINUS * statemodel.QMINUS
+        assert neg[(4, 4)] == QMINUS * QMINUS
         assert neg[(5, 5)] == LaurentPoly({-2: 1})
 
     def test_loop_labels_coherent(self):
+        # Every loop of a valid state carries one label.
         rng = random.Random(67)
         for _ in range(10):
             b = random_word(rng, len_max=5)
             for s in statemodel.enumerate_states(b, 2):
-                dec = statemodel.loops(s)
-                assert all(l.rot == 1 for l in dec.loops)
-                seen = set()
-                for l in dec.loops:
-                    assert not (l.arcs & seen)
-                    seen |= l.arcs
+                assert all(len(labels) == 1 for _, labels in spliced_loops(s))
 
     def test_norm_matches_slot_cycles(self):
-        # The slot-permutation fast path and the full loop trace agree.
+        # The transfer pass, which reads the norm off the cycles of the
+        # slot permutation, equals the brute-force sum over whole states.
         rng = random.Random(71)
-        for _ in range(10):
-            b = random_word(rng, len_max=4)
-            if not b.letters:
-                continue
-            total = LaurentPoly.zero()
-            for s in statemodel.enumerate_states(b, 2):
-                w = statemodel.state_weight(s)
-                total = total + w.shift(statemodel.norm(s))
-            assert total == statemodel.bracket(b, 2)
+        for N, len_max in ((2, 5), (3, 5), (4, 4)):
+            for _ in range(10):
+                b = random_word(rng, len_max=len_max)
+                assert statemodel.bracket(b, N) == brute_bracket(b, N), \
+                    (b.text(), N)
 
 
 class TestBracket:
@@ -150,6 +199,52 @@ class TestOracle:
                 stab = BraidWord(b.n + 1, b.letters + (s * b.n,))
                 assert statemodel.invariant_statesum(stab, 2) == \
                     statemodel.invariant_statesum(b, 2)
+
+
+def random_long_word(seed, n=3, length=40):
+    rng = random.Random(seed)
+    letters = [s * k for k in range(1, n) for s in (1, -1)]
+    return BraidWord(n, tuple(rng.choice(letters) for _ in range(length)))
+
+
+class TestLongBraids:
+    """Words of 40 letters, far beyond the reference enumerator."""
+
+    WORDS = (power(BraidWord(3, (1, 2)), 20), random_long_word(101))
+
+    @pytest.mark.parametrize("b", WORDS, ids=("T(3,20)", "random"))
+    def test_conjugation(self, b):
+        inv = statemodel.invariant_statesum(b, 3)
+        for r in (1, 7, 23):
+            rotated = BraidWord(b.n, b.letters[r:] + b.letters[:r])
+            assert statemodel.invariant_statesum(rotated, 3) == inv
+
+    @pytest.mark.parametrize("b", WORDS, ids=("T(3,20)", "random"))
+    def test_stabilization(self, b):
+        inv = statemodel.invariant_statesum(b, 3)
+        for s in (1, -1):
+            stab = BraidWord(b.n + 1, b.letters + (s * b.n,))
+            assert statemodel.invariant_statesum(stab, 3) == inv
+
+    @pytest.mark.parametrize("b", WORDS, ids=("T(3,20)", "random"))
+    def test_mirror_inverts_q(self, b):
+        mirror = BraidWord(b.n, tuple(-e for e in b.letters))
+        assert statemodel.invariant_statesum(mirror, 3) == \
+            statemodel.invariant_statesum(b, 3).compose_power(-1)
+
+    def test_resource_guard(self):
+        # The table starts with N^n entries, grows inside the pass and
+        # never holds more than N^n * n!.
+        b = self.WORDS[0]
+        with pytest.raises(statemodel.StateResourceError):
+            statemodel.bracket(b, 3, max_states=26)
+        with pytest.raises(statemodel.StateResourceError):
+            statemodel.bracket(b, 3, max_states=30)
+        assert statemodel.bracket(b, 3, max_states=3 ** 3 * 6) == \
+            statemodel.bracket(b, 3)
+        # The starting table is refused before it is built.
+        with pytest.raises(statemodel.StateResourceError):
+            statemodel.bracket(BraidWord(60, (1,)), 2)
 
 
 class TestProperStates:
