@@ -32,7 +32,8 @@ def _cli_input(args) -> tuple[str, str]:
 
 
 def _parse_input(kind, text):
-    """Returns (braid_or_none, diagram) for an input of kind braid or pd."""
+    """Returns (braid_or_none, diagram) for an input of kind braid or pd.
+    HOMFLY takes the braid when there is one (an empty word is falsy)."""
     if kind == "braid":
         b = parse_braid(text)
         return b, pd_from_braid(b)
@@ -54,7 +55,8 @@ def _parse_n_list(text: str) -> list[int]:
 def build_invariant_report(kind, text, n_list, oracle=False,
                            max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
     braid, diagram = _parse_input(kind, text)
-    P = skein.homfly(diagram, max_crossings=max_crossings)
+    P = skein.homfly(diagram if braid is None else braid,
+                     max_crossings=max_crossings)
     m = diagram.component_count()
     report = {
         "tool": {"name": "linkperiod", "version": __version__},
@@ -69,7 +71,7 @@ def build_invariant_report(kind, text, n_list, oracle=False,
         report["quantum"][str(N)] = inv.serialize()
         if oracle and statemodel.invariant_statesum(braid, N) != inv:
             raise RuntimeError(
-                f"internal inconsistency: state-sum and skein routes "
+                f"internal inconsistency: state-sum and Hecke-trace routes "
                 f"disagree at N={N}")
     V = skein.jones(P)
     report["jones"] = {"variable": V.var, "coeffs": V.serialize()}
@@ -181,8 +183,9 @@ def build_check_report(kind, text, p, n_list, names, r=1,
                        max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
     """Parses one input and runs the named criteria on it in order; p and
     the names must have passed `_check_options`, and r must be >= 1."""
-    _, diagram = _parse_input(kind, text)
-    P = skein.homfly(diagram, max_crossings=max_crossings)
+    braid, diagram = _parse_input(kind, text)
+    P = skein.homfly(diagram if braid is None else braid,
+                     max_crossings=max_crossings)
     m = diagram.component_count()
     quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
     report = {
@@ -365,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out": dict(help="write the report to this path"),
         "--format": dict(choices=("json", "text"), default="text"),
         "--oracle": dict(action="store_true", help="cross-check the quantum "
-                         "invariant against the state sum"),
+                         "invariant of the Hecke-trace HOMFLY against the "
+                         "state sum"),
         "csv": dict(help='CSV with header "name,input_type,input"'),
         "--filter": dict(default="",
                          help="run only checks whose name contains this"),

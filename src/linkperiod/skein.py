@@ -1,19 +1,34 @@
-"""HOMFLY polynomial by skein recursion, and its one-variable
-specializations.
+"""HOMFLY polynomial, by one of two routes chosen by the input type, and
+its one-variable specializations.
 
-The recursion resolves diagrams toward descending ones: traverse the
-closure from fixed base points in component order; the first crossing
-first reached on its under-strand is either switched (strictly enlarging
-the descending prefix) or smoothed (dropping a crossing).  A descending
-diagram is an unlink and evaluates to delta^(m-1) with
-delta = (a^-1 - a)/z.
+Convention: a^-1 P(L+) - a P(L-) = z P(L0), P(unknot) = 1, so a
+split union with an unknot multiplies by delta = (a^-1 - a)/z.
+
+Braid words take the Hecke-algebra route (Jones, Ann. Math. 126, 1987;
+Morton & Short, J. Algorithms 11, 1990): one pass over the letters
+multiplies out the braid in H_n, with T_i^2 = z T_i + 1, as a dict from
+permutation w to the coefficient of the basis element T_w; only the
+permutations the braid reaches are stored, at most n! of them.  The
+Ocneanu trace F then descends the tower H_n -> ... -> H_1: for x, y in
+H_(m-1), F(x T_(m-1) y) = a^-1 F(x y) and F(x) = delta F(x), each
+right-hand side taken in H_(m-1).  Then P = a^writhe F.  The cost is
+linear in the braid length.
+
+Planar diagrams take the skein route: the recursion resolves diagrams
+toward descending ones.  Traverse the closure from fixed base points in
+component order; the first crossing first reached on its under-strand is
+either switched (strictly enlarging the descending prefix) or smoothed
+(dropping a crossing).  A descending diagram is an unlink and evaluates
+to delta^(m-1).  Each call memoizes its own subdiagrams; nothing is kept
+between calls.  The skein route is also the independent reference the
+tests compare the Hecke route against.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .diagram import BraidWord, PlanarDiagram, pd_from_braid
+from .diagram import BraidWord, PlanarDiagram, writhe
 from .laurent import BiLaurent, InexactDivisionError, LaurentPoly, exact_divide, quantum_integer
 
 DEFAULT_MAX_CROSSINGS = 24
@@ -25,17 +40,12 @@ _A2 = BiLaurent.monomial(2, 0)       # a^2
 _AZ = BiLaurent.monomial(1, 1)       # a z
 _AM2 = BiLaurent.monomial(-2, 0)     # a^-2
 _AMZ = BiLaurent.monomial(-1, 1)     # a^-1 z
+_AM1 = BiLaurent.monomial(-1, 0)     # a^-1
+_Z = BiLaurent.monomial(0, 1)        # z
 
 
 class ResourceLimitError(RuntimeError):
-    """Crossing limit exceeded before the computation could finish."""
-
-
-_cache: dict[tuple, BiLaurent] = {}
-
-
-def clear_cache() -> None:
-    _cache.clear()
+    """The input has more crossings (braid letters) than the limit."""
 
 
 # Internal diagram state for the recursion: a dict arc -> role per
@@ -132,17 +142,14 @@ def _smooth(crossings, idx, free_loops):
     return remapped, free_loops + len(vanished)
 
 
-def _homfly_rec(crossings, free_loops, limit):
-    if len(crossings) > limit:
-        raise ResourceLimitError(
-            f"{len(crossings)} crossings exceed the limit of {limit}")
+def _homfly_rec(crossings, free_loops, memo):
     if not crossings:
         m = free_loops
         if m == 0:
             raise ValueError("empty diagram has no components")
         return DELTA ** (m - 1)
     key = _canonical_key(crossings, free_loops)
-    hit = _cache.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
 
@@ -151,33 +158,91 @@ def _homfly_rec(crossings, free_loops, limit):
         value = DELTA ** (comps + free_loops - 1)
     else:
         sign = crossings[bad][0]
-        switched = _homfly_rec(_switch(crossings, bad), free_loops, limit)
+        switched = _homfly_rec(_switch(crossings, bad), free_loops, memo)
         sm_cr, sm_free = _smooth(crossings, bad, free_loops)
-        smoothed = _homfly_rec(sm_cr, sm_free, limit)
+        smoothed = _homfly_rec(sm_cr, sm_free, memo)
         if sign > 0:
             # D = L+:  P(L+) = a^2 P(L-) + a z P(L0)
             value = _A2 * switched + _AZ * smoothed
         else:
             # D = L-:  P(L-) = a^-2 P(L+) - a^-1 z P(L0)
             value = _AM2 * switched - _AMZ * smoothed
-    _cache[key] = value
+    memo[key] = value
     return value
+
+
+def _add(element, key, value: BiLaurent) -> None:
+    """element[key] += value, dropping the key if its coefficient cancels."""
+    old = element.get(key)
+    total = value if old is None else old + value
+    if total.is_zero():
+        element.pop(key, None)
+    else:
+        element[key] = total
+
+
+def _times_generator(element: dict, i: int, sign: int) -> dict:
+    """element * T_i^sign in the basis T_w.  Right multiplication by s_i
+    swaps the entries i-1 and i of w (one-line form, 0-based); it lowers
+    the length exactly when w[i-1] > w[i].  Then T_w = T_ws T_i, so
+    T_w T_i = T_ws + z T_w and T_w T_i^-1 = T_ws; otherwise
+    T_w T_i = T_ws and T_w T_i^-1 = T_ws - z T_w, as T_i^-1 = T_i - z."""
+    out: dict = {}
+    for w, c in element.items():
+        _add(out, w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:], c)
+        if (w[i - 1] > w[i]) == (sign > 0):
+            _add(out, w, _Z * c if sign > 0 else -(_Z * c))
+    return out
+
+
+def _ocneanu_trace(element: dict, n: int) -> BiLaurent:
+    """F of an element of H_n, descending one level at a time.  With the
+    largest entry m-1 of w at index p, w = u s_(m-1) s_(m-2) ... s_(p+1)
+    with lengths adding, u in S_(m-1); so F(T_w) = a^-1 F(T_u T_(m-2) ...
+    T_(p+1)), or delta F(T_u) when p = m-1."""
+    for m in range(n, 1, -1):
+        lower: dict = {}
+        by_index: dict[int, dict] = {}
+        for w, c in element.items():
+            p = w.index(m - 1)
+            u = w[:p] + w[p + 1:]
+            if p == m - 1:
+                _add(lower, u, DELTA * c)
+            else:
+                _add(by_index.setdefault(p, {}), u, _AM1 * c)
+        for p, part in by_index.items():
+            for g in range(m - 2, p, -1):
+                part = _times_generator(part, g, 1)
+            for u, c in part.items():
+                _add(lower, u, c)
+        element = lower
+    return element.get((0,), BiLaurent.zero())
+
+
+def _homfly_braid(b: BraidWord) -> BiLaurent:
+    element = {tuple(range(b.n)): BiLaurent.one()}
+    for e in b.letters:
+        element = _times_generator(element, abs(e), e)
+    return BiLaurent.monomial(writhe(b), 0) * _ocneanu_trace(element, b.n)
 
 
 def homfly(d: "PlanarDiagram | BraidWord",
            max_crossings: int = DEFAULT_MAX_CROSSINGS) -> BiLaurent:
-    """HOMFLY polynomial of an oriented link diagram (or braid closure)."""
-    if isinstance(d, BraidWord):
-        d = pd_from_braid(d)
-    crossings, free_loops = _from_planar(d)
-    if len(crossings) > max_crossings:
+    """HOMFLY polynomial of a braid closure (Hecke-algebra route) or of an
+    oriented link diagram (skein route)."""
+    braid = isinstance(d, BraidWord)
+    size = len(d.letters) if braid else len(d.crossings)
+    if size > max_crossings:
         raise ResourceLimitError(
-            f"{len(crossings)} crossings exceed the limit of {max_crossings}")
+            f"{size} crossings exceed the limit of {max_crossings}")
+    if braid:
+        return _homfly_braid(d)
+    crossings, free_loops = _from_planar(d)
     depth = sys.getrecursionlimit()
     want = 4 * max(len(crossings), 1) ** 2 + 1000
     if depth < want:
         sys.setrecursionlimit(want)
-    return _homfly_rec(crossings, free_loops, max_crossings)
+    return _homfly_rec(crossings, free_loops, {})
 
 
 def _specialize(P: BiLaurent, a_image: LaurentPoly, z_image: LaurentPoly,

@@ -11,7 +11,8 @@ import pytest
 
 from linkperiod import classical, cli, criteria, skein, statemodel
 from linkperiod.diagram import (BraidWord, braid_segments, closure_components,
-                                linking_tuple, power, strand_component)
+                                linking_tuple, pd_from_braid, power,
+                                strand_component)
 from linkperiod.laurent import (IdealVariant, LaurentPoly, congruent,
                                 parity_split, quantum_integer, reduce)
 from linkperiod.selftest import (FIGURE_EIGHT, TREFOIL, TREFOIL_HOMFLY,
@@ -32,12 +33,14 @@ def sweep_words():
 @pytest.fixture(scope="module")
 def sweep():
     """Criterion-2 sweep, shared with criteria 9 and 10: for every word,
-    the HOMFLY polynomial, component count, and both routes to the
-    quantum invariant at N in {2,3}."""
+    the HOMFLY polynomial (the Hecke-trace route, checked against the
+    skein route on the word's diagram), component count, and both routes
+    to the quantum invariant at N in {2,3}."""
     t0 = time.monotonic()
     rows = []
     for b in sweep_words():
         P = skein.homfly(b)
+        assert skein.homfly(pd_from_braid(b)) == P, b.text()
         m = len(linking_tuple(b))
         invs = {}
         for N in (2, 3):
@@ -266,20 +269,22 @@ def test_criterion_11_ideal_algebra_randomized():
 def test_criterion_12_markov_invariance():
     t0 = time.monotonic()
     rng = random.Random(20240918)
+    routes = (skein.homfly, lambda b: skein.homfly(pd_from_braid(b)))
     for _ in range(50):
         n = rng.randint(2, 3)
         letters = tuple(rng.choice([e for e in LETTERS if abs(e) < n])
                         for _ in range(rng.randint(1, 6)))
         b = BraidWord(n, letters)
-        P = skein.homfly(b)
-        # Cyclic rotation (Markov conjugation by the first letter).
         k = rng.randrange(len(letters))
-        rotated = BraidWord(n, letters[k:] + letters[:k])
-        assert skein.homfly(rotated) == P, b.text()
-        # Stabilization by sigma_n^+-1 on n+1 strands.
-        for s in (1, -1):
-            stab = BraidWord(n + 1, letters + (s * n,))
-            assert skein.homfly(stab) == P, (b.text(), s)
+        for homfly in routes:
+            P = homfly(b)
+            # Cyclic rotation (Markov conjugation by the first letter).
+            rotated = BraidWord(n, letters[k:] + letters[:k])
+            assert homfly(rotated) == P, b.text()
+            # Stabilization by sigma_n^+-1 on n+1 strands.
+            for s in (1, -1):
+                stab = BraidWord(n + 1, letters + (s * n,))
+                assert homfly(stab) == P, (b.text(), s)
     assert time.monotonic() - t0 < 30
 
 

@@ -97,6 +97,25 @@ class TestInvariant:
         assert json.loads(path.read_text())["writhe"] == 3
 
 
+@pytest.mark.parametrize("command", [["invariant"], ["check", "-p", "3"]],
+                         ids=["invariant", "check"])
+@pytest.mark.parametrize("given, route", [
+    (["--braid", TREFOIL], "BraidWord"),
+    (["--braid", "n=3;"], "BraidWord"),      # an empty word is falsy
+    (["--pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"], "PlanarDiagram")],
+    ids=["braid", "empty-braid", "pd"])
+def test_homfly_route_follows_input_type(capsys, monkeypatch, command, given,
+                                         route):
+    homfly, seen = skein.homfly, []
+
+    def spy(d, **kwargs):
+        seen.append(type(d).__name__)
+        return homfly(d, **kwargs)
+    monkeypatch.setattr(skein, "homfly", spy)
+    code, _, _ = run_main([*command, *given], capsys)
+    assert code == 0 and seen == [route]
+
+
 class TestCheck:
     def test_trefoil_p5_excluded(self, capsys):
         code, out, _ = run_main(

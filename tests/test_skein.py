@@ -12,26 +12,36 @@ from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
 UNKNOT = BraidWord(1)
 
 
+def homfly_of_diagram(b, **kwargs):
+    """The skein route on the diagram of a braid closure."""
+    return skein.homfly(pd_from_braid(b), **kwargs)
+
+
 class TestHomfly:
+    """Braid cases run on the Hecke-trace route here and on the skein
+    route in the subclass below."""
+
+    homfly = staticmethod(skein.homfly)
+
     def test_unknot(self):
-        assert skein.homfly(UNKNOT) == BiLaurent.one()
+        assert self.homfly(UNKNOT) == BiLaurent.one()
 
     def test_two_unlink(self):
-        assert skein.homfly(BraidWord(2)) == skein.DELTA
+        assert self.homfly(BraidWord(2)) == skein.DELTA
 
     def test_trefoil(self):
-        assert skein.homfly(TREFOIL) == TREFOIL_HOMFLY
+        assert self.homfly(TREFOIL) == TREFOIL_HOMFLY
 
     def test_mirror_trefoil(self):
-        mirror = skein.homfly(BraidWord(2, (-1, -1, -1)))
+        mirror = self.homfly(BraidWord(2, (-1, -1, -1)))
         # Mirroring inverts a.
         assert mirror == BiLaurent({(-2, 0): 2, (-4, 0): -1, (-2, 2): 1})
 
     def test_hopf(self):
-        assert skein.homfly(HOPF) == HOPF_HOMFLY
+        assert self.homfly(HOPF) == HOPF_HOMFLY
 
     def test_figure_eight(self):
-        assert skein.homfly(FIGURE_EIGHT) == FIG8_HOMFLY
+        assert self.homfly(FIGURE_EIGHT) == FIG8_HOMFLY
 
     def test_pd_input(self):
         d = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
@@ -40,9 +50,9 @@ class TestHomfly:
     def test_reidemeister_invariance_samples(self):
         # sigma1 sigma1^-1 closes to the 2-unlink, sigma1 sigma2 sigma1 =
         # sigma2 sigma1 sigma2 (braid relation) closes to the same link.
-        assert skein.homfly(BraidWord(2, (1, -1))) == skein.DELTA
-        assert skein.homfly(BraidWord(3, (1, 2, 1))) == \
-            skein.homfly(BraidWord(3, (2, 1, 2)))
+        assert self.homfly(BraidWord(2, (1, -1))) == skein.DELTA
+        assert self.homfly(BraidWord(3, (1, 2, 1))) == \
+            self.homfly(BraidWord(3, (2, 1, 2)))
 
     def test_distant_unknot_multiplies_delta(self):
         rng = random.Random(41)
@@ -50,11 +60,11 @@ class TestHomfly:
             letters = tuple(rng.choice((1, -1)) for _ in range(rng.randint(0, 4)))
             inner = BraidWord(2, letters)
             padded = BraidWord(3, letters)  # strand 3 untouched
-            assert skein.homfly(padded) == skein.homfly(inner) * skein.DELTA
+            assert self.homfly(padded) == self.homfly(inner) * skein.DELTA
 
     def test_crossing_limit(self):
         with pytest.raises(skein.ResourceLimitError):
-            skein.homfly(BraidWord(2, (1,) * 5), max_crossings=4)
+            self.homfly(BraidWord(2, (1,) * 5), max_crossings=4)
 
     def test_skein_relation_random(self):
         # a^-1 P(L+) - a P(L-) = z P(L0) at a random positive-crossing site.
@@ -71,10 +81,96 @@ class TestHomfly:
             minus = list(letters)
             minus[i] = -j
             zero = letters[:i] + letters[i + 1:]
-            Pp = skein.homfly(BraidWord(3, tuple(plus)))
-            Pm = skein.homfly(BraidWord(3, tuple(minus)))
-            P0 = skein.homfly(BraidWord(3, tuple(zero)))
+            Pp = self.homfly(BraidWord(3, tuple(plus)))
+            Pm = self.homfly(BraidWord(3, tuple(minus)))
+            P0 = self.homfly(BraidWord(3, tuple(zero)))
             assert a_inv * Pp - a_pos * Pm == z * P0
+
+
+class TestHomflyOnDiagram(TestHomfly):
+    homfly = staticmethod(homfly_of_diagram)
+
+
+def long_braid(seed):
+    """A seeded random braid of 16-24 letters on 3-6 strands."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    return BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                              for _ in range(rng.randint(16, 24))))
+
+
+def shifted(b, k):
+    """The letters of b moved k strands to the right."""
+    return tuple(e + k if e > 0 else e - k for e in b.letters)
+
+
+def mirror_image(P):
+    """P(a^-1, -z)."""
+    return BiLaurent({(-r, s): v * (-1) ** s for (r, s), v in P.terms()})
+
+
+LONG_SEEDS = range(300, 308)
+
+
+class TestLongBraids:
+    """Properties of the Hecke-trace route at sizes the exhaustive sweep
+    cannot reach.  Words that grow past 24 letters lift the limit."""
+
+    @staticmethod
+    def homfly(b):
+        return skein.homfly(b, max_crossings=100)
+
+    @pytest.mark.parametrize("seed", LONG_SEEDS)
+    def test_conjugation_and_stabilization(self, seed):
+        b = long_braid(seed)
+        P = self.homfly(b)
+        for r in (1, len(b) // 2, len(b) - 1):
+            rotated = BraidWord(b.n, b.letters[r:] + b.letters[:r])
+            assert self.homfly(rotated) == P
+        for s in (1, -1):
+            stab = BraidWord(b.n + 1, b.letters + (s * b.n,))
+            assert self.homfly(stab) == P
+
+    @pytest.mark.parametrize("seed", LONG_SEEDS)
+    def test_braid_relations(self, seed):
+        b = long_braid(seed)
+        n = max(b.n, 4)          # room for two far-apart generators
+        rng = random.Random(seed)
+        k = rng.randrange(len(b) + 1)
+        i = rng.randint(1, n - 2)
+        s = rng.choice((1, -1))
+
+        def spliced(*extra):
+            return self.homfly(BraidWord(
+                n, b.letters[:k] + tuple(s * e for e in extra) + b.letters[k:]))
+
+        assert spliced(i, i + 1, i) == spliced(i + 1, i, i + 1)
+        j = rng.randint(1, n - 3)
+        assert spliced(j, j + 2) == spliced(j + 2, j)
+
+    @pytest.mark.parametrize("seed", LONG_SEEDS)
+    def test_mirror_and_reversal(self, seed):
+        b = long_braid(seed)
+        P = self.homfly(b)
+        mirror = BraidWord(b.n, tuple(-e for e in b.letters))
+        assert self.homfly(mirror) == mirror_image(P)
+        assert self.homfly(BraidWord(b.n, b.letters[::-1])) == P
+
+    @pytest.mark.parametrize("seed", LONG_SEEDS)
+    def test_split_union_and_connected_sum(self, seed):
+        b1, b2 = long_braid(seed), long_braid(seed + 1000)
+        P1, P2 = self.homfly(b1), self.homfly(b2)
+        split = BraidWord(b1.n + b2.n, b1.letters + shifted(b2, b1.n))
+        assert self.homfly(split) == P1 * P2 * skein.DELTA
+        # Strand b1.n closes up through both braids.
+        joined = BraidWord(b1.n + b2.n - 1,
+                           b1.letters + shifted(b2, b1.n - 1))
+        assert self.homfly(joined) == P1 * P2
+
+    @pytest.mark.parametrize("seed", (300, 302, 305))
+    def test_matches_skein_route(self, seed):
+        b = long_braid(seed)
+        assert skein.homfly(b) == homfly_of_diagram(b)
 
 
 class TestQuantumSln:
@@ -183,7 +279,8 @@ class TestP0:
 
 
 def test_cache_reuse_is_consistent():
-    skein.clear_cache()
-    first = skein.homfly(TREFOIL)
-    second = skein.homfly(TREFOIL)
+    # Each skein call memoizes on its own; a repeat call starts afresh.
+    d = pd_from_braid(TREFOIL)
+    first = skein.homfly(d)
+    second = skein.homfly(d)
     assert first == second == TREFOIL_HOMFLY
