@@ -7,12 +7,19 @@ split union with an unknot multiplies by delta = (a^-1 - a)/z.
 Braid words take the Hecke-algebra route (Jones, Ann. Math. 126, 1987;
 Morton & Short, J. Algorithms 11, 1990): one pass over the letters
 multiplies out the braid in H_n, with T_i^2 = z T_i + 1, as a dict from
-permutation w to the coefficient of the basis element T_w; only the
-permutations the braid reaches are stored, at most n! of them.  The
-Ocneanu trace F then descends the tower H_n -> ... -> H_1: for x, y in
-H_(m-1), F(x T_(m-1) y) = a^-1 F(x y) and F(x) = delta F(x), each
-right-hand side taken in H_(m-1).  Then P = a^writhe F.  The cost is
-linear in the braid length.
+permutation w to the coefficient of the basis element T_w.  Only the
+permutations the braid reaches are stored, at most min(n!, 2^k) of them
+for k letters on n strands, so the cost is linear in the braid length
+while that count stays small.  A positive letter adds a second basis
+element only where w descends at the letter, a negative one only where w
+ascends, and the pass starts at the identity, which ascends everywhere;
+so a braid with more negative than positive letters is multiplied out as
+its mirror, and P(a, z) is read back as P(a^-1, -z).  The Ocneanu trace F
+then descends the tower H_n -> ... -> H_1: for x, y in H_(m-1),
+F(x T_(m-1) y) = a^-1 F(x y) and F(x) = delta F(x), each right-hand side
+taken in H_(m-1).  Then P = a^writhe F.  A braid that needs more than
+HECKE_MAX_TERMS basis elements at once (never one on at most 7 strands)
+goes through the skein route on its diagram instead.
 
 Planar diagrams take the skein route: the recursion resolves diagrams
 toward descending ones.  Traverse the closure from fixed base points in
@@ -28,10 +35,14 @@ from __future__ import annotations
 
 import sys
 
-from .diagram import BraidWord, PlanarDiagram, writhe
+from .diagram import BraidWord, PlanarDiagram, pd_from_braid, writhe
 from .laurent import BiLaurent, InexactDivisionError, LaurentPoly, exact_divide, quantum_integer
 
 DEFAULT_MAX_CROSSINGS = 24
+
+#: The most basis elements the Hecke route holds at once; 7! = 5040 keeps
+#: every braid on at most 7 strands on that route.
+HECKE_MAX_TERMS = 5040
 
 #: delta = (a^-1 - a) z^-1, the value of a 2-component unlink.
 DELTA = BiLaurent({(-1, -1): 1, (1, -1): -1})
@@ -46,6 +57,16 @@ _Z = BiLaurent.monomial(0, 1)        # z
 
 class ResourceLimitError(RuntimeError):
     """The input has more crossings (braid letters) than the limit."""
+
+
+class _TooManyTerms(Exception):
+    """The Hecke route went past HECKE_MAX_TERMS basis elements."""
+
+
+def _check_size(element: dict) -> dict:
+    if len(element) > HECKE_MAX_TERMS:
+        raise _TooManyTerms
+    return element
 
 
 # Internal diagram state for the recursion: a dict arc -> role per
@@ -192,7 +213,7 @@ def _times_generator(element: dict, i: int, sign: int) -> dict:
         _add(out, w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:], c)
         if (w[i - 1] > w[i]) == (sign > 0):
             _add(out, w, _Z * c if sign > 0 else -(_Z * c))
-    return out
+    return _check_size(out)
 
 
 def _ocneanu_trace(element: dict, n: int) -> BiLaurent:
@@ -215,28 +236,38 @@ def _ocneanu_trace(element: dict, n: int) -> BiLaurent:
                 part = _times_generator(part, g, 1)
             for u, c in part.items():
                 _add(lower, u, c)
+            _check_size(lower)
         element = lower
     return element.get((0,), BiLaurent.zero())
 
 
 def _homfly_braid(b: BraidWord) -> BiLaurent:
+    mirrored = 2 * sum(e < 0 for e in b.letters) > len(b.letters)
+    sign = -1 if mirrored else 1
     element = {tuple(range(b.n)): BiLaurent.one()}
     for e in b.letters:
-        element = _times_generator(element, abs(e), e)
-    return BiLaurent.monomial(writhe(b), 0) * _ocneanu_trace(element, b.n)
+        element = _times_generator(element, abs(e), sign * e)
+    P = BiLaurent.monomial(sign * writhe(b), 0) * _ocneanu_trace(element, b.n)
+    if mirrored:
+        P = BiLaurent({(-r, s): v * (-1) ** s for (r, s), v in P.terms()})
+    return P
 
 
 def homfly(d: "PlanarDiagram | BraidWord",
            max_crossings: int = DEFAULT_MAX_CROSSINGS) -> BiLaurent:
     """HOMFLY polynomial of a braid closure (Hecke-algebra route) or of an
-    oriented link diagram (skein route)."""
+    oriented link diagram (skein route).  A braid the Hecke route cannot
+    hold in HECKE_MAX_TERMS basis elements takes the skein route."""
     braid = isinstance(d, BraidWord)
     size = len(d.letters) if braid else len(d.crossings)
     if size > max_crossings:
         raise ResourceLimitError(
             f"{size} crossings exceed the limit of {max_crossings}")
     if braid:
-        return _homfly_braid(d)
+        try:
+            return _homfly_braid(d)
+        except _TooManyTerms:
+            d = pd_from_braid(d)
     crossings, free_loops = _from_planar(d)
     depth = sys.getrecursionlimit()
     want = 4 * max(len(crossings), 1) ** 2 + 1000

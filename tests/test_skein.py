@@ -173,6 +173,66 @@ class TestLongBraids:
         assert skein.homfly(b) == homfly_of_diagram(b)
 
 
+def kinks(n, signs):
+    """Letters 1, 3, 5, ... with the given signs on n strands: each closes
+    to an unknot, split from the others."""
+    return BraidWord(n, tuple(s * i for s, i in zip(signs, range(1, n, 2))))
+
+
+class TestHeckeTermLimit:
+    """Braids whose Hecke element can reach min(n!, 2^k) basis elements for
+    k letters on n strands.  No wall-clock asserts: each case counts the
+    braids that left the Hecke route for the skein route."""
+
+    @staticmethod
+    def fallbacks(monkeypatch):
+        seen = []
+        real = skein.pd_from_braid
+
+        def spy(b):
+            seen.append(b)
+            return real(b)
+
+        monkeypatch.setattr(skein, "pd_from_braid", spy)
+        return seen
+
+    def test_far_apart_negative_letters(self, monkeypatch):
+        # 2^24 basis elements as given; its positive mirror needs one.
+        b = kinks(48, [-1] * 24)
+        seen = self.fallbacks(monkeypatch)
+        assert skein.homfly(b) == skein.DELTA ** 23
+        assert seen == []
+        assert homfly_of_diagram(b) == skein.DELTA ** 23
+
+    def test_negative_coxeter_word(self, monkeypatch):
+        # 2^23 basis elements as given; the closure is an unknot.
+        b = BraidWord(24, tuple(range(-1, -24, -1)))
+        seen = self.fallbacks(monkeypatch)
+        assert skein.homfly(b) == BiLaurent.one()
+        assert skein.homfly(BraidWord(24, tuple(-e for e in b.letters))) == \
+            BiLaurent.one()
+        assert seen == []
+
+    def test_mixed_signs_take_the_skein_route(self, monkeypatch):
+        # 2^16 basis elements either way round, past HECKE_MAX_TERMS.
+        b = kinks(64, [-1, 1] * 16)
+        seen = self.fallbacks(monkeypatch)
+        assert skein.homfly(b, max_crossings=100) == skein.DELTA ** 31
+        assert seen == [b]
+
+    @pytest.mark.parametrize("limit", (1, 2, 8))
+    def test_any_limit_gives_the_same_polynomial(self, monkeypatch, limit):
+        rng = random.Random(59)
+        words = [BraidWord(4, tuple(rng.choice((1, -1)) * rng.randint(1, 3)
+                                    for _ in range(rng.randint(0, 8))))
+                 for _ in range(30)]
+        expected = [skein.homfly(b) for b in words]
+        monkeypatch.setattr(skein, "HECKE_MAX_TERMS", limit)
+        seen = self.fallbacks(monkeypatch)
+        assert [skein.homfly(b) for b in words] == expected
+        assert seen
+
+
 class TestQuantumSln:
     def test_unknot_all_n(self):
         one = skein.homfly(UNKNOT)
