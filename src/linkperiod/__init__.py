@@ -18,8 +18,7 @@ from .laurent import (BiLaurent, IdealVariant, InexactDivisionError,
 from .skein import alexander, homfly, jones, p0_part, quantum_sln
 from .statemodel import (NState, bracket, enumerate_states,
                          invariant_statesum, is_proper)
-from .criteria import (CandidateSet, combine, expected_sign, knot_candidates,
-                       link_candidates, lower_bound, parity_profile,
+from .criteria import (knot_candidates, link_candidates, lower_bound,
                        possible_linking, rhs_sum)
 from .classical import (murasugi_candidates, traczyk_jones_check,
                         traczyk_p0_candidates)
@@ -35,8 +34,7 @@ __all__ = [
     "alexander", "homfly", "jones", "p0_part", "quantum_sln",
     "NState", "bracket", "enumerate_states", "invariant_statesum",
     "is_proper",
-    "CandidateSet", "combine", "expected_sign", "knot_candidates",
-    "link_candidates", "lower_bound", "parity_profile", "possible_linking",
+    "knot_candidates", "link_candidates", "lower_bound", "possible_linking",
     "rhs_sum",
     "murasugi_candidates", "traczyk_jones_check", "traczyk_p0_candidates",
 ]

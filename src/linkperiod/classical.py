@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .criteria import CandidateSet
-from .laurent import IdealVariant, LaurentPoly, is_prime
+from .laurent import LaurentPoly, is_prime
 
 __all__ = [
     "traczyk_jones_check",
@@ -40,7 +39,7 @@ def traczyk_jones_check(V: LaurentPoly, p: int) -> bool:
     return _fold_zero(diff, p, exp_mod)
 
 
-def traczyk_p0_candidates(P0: LaurentPoly, p: int) -> CandidateSet:
+def traczyk_p0_candidates(P0: LaurentPoly, p: int) -> frozenset[int]:
     """Coefficient-jump test on the z-degree-zero part of a knot HOMFLY.
 
     Consecutive even-exponent coefficients c_2i, c_2i+2 must agree mod p
@@ -53,18 +52,16 @@ def traczyk_p0_candidates(P0: LaurentPoly, p: int) -> CandidateSet:
     if any(e % 2 != 0 for e in P0.exponents()):
         raise ValueError("odd exponent in the z-degree-zero part")
     if P0.is_zero():
-        return CandidateSet(p, IdealVariant.QP_MINUS, frozenset(range(p)),
-                            provenance="p0-jumps")
+        return frozenset(range(p))
     lo = P0.min_exponent() - 2
     hi = P0.max_exponent()
     jumps = set()
     for e in range(lo, hi + 1, 2):
         if (P0.coeff(e) - P0.coeff(e + 2)) % p != 0:
             jumps.add((e + 1) % p)
-    hits = frozenset(
+    return frozenset(
         lam for lam in range(p)
         if jumps <= {lam % p, (-lam) % p})
-    return CandidateSet(p, IdealVariant.QP_MINUS, hits, provenance="p0-jumps")
 
 
 # -- dense polynomial helpers over the field of p elements ---------------

@@ -109,8 +109,8 @@ def _quantum_minus(ctx: Context):
     if ctx.m == 1:
         per_n = {N: criteria.knot_candidates(f, ctx.p, N, IdealVariant.QP_MINUS)
                  for N, f in ctx.quantum.items()}
-        linking = criteria.possible_linking(per_n)
-        entry = {"per_n": {str(N): sorted(c.entries) for N, c in per_n.items()},
+        linking = criteria.possible_linking(list(per_n.values()), ctx.p)
+        entry = {"per_n": {str(N): sorted(s) for N, s in per_n.items()},
                  "possible_linking": sorted(linking)}
         return entry, [linking]
     per_n = {N: criteria.link_candidates(f, ctx.p, N, ctx.m)
@@ -123,9 +123,9 @@ def _quantum_minus(ctx: Context):
 def _quantum_plus(ctx: Context):
     per_n = {N: criteria.knot_candidates(f, ctx.p, N, IdealVariant.QP_PLUS)
              for N, f in ctx.quantum.items()}
-    entry = {"per_n": {str(N): [[k, s] for k, s in c.sorted_entries()]
-                       for N, c in per_n.items()}}
-    return entry, [_pm(c.residues(), ctx.p) for c in per_n.values()]
+    entry = {"per_n": {str(N): sorted(list(e) for e in s)
+                       for N, s in per_n.items()}}
+    return entry, [_pm((k for k, _ in s), ctx.p) for s in per_n.values()]
 
 
 def _jones(ctx: Context):
@@ -134,8 +134,8 @@ def _jones(ctx: Context):
 
 
 def _p0(ctx: Context):
-    c = classical.traczyk_p0_candidates(skein.p0_part(ctx.P), ctx.p)
-    return {"candidates": sorted(c.entries)}, [_pm(c.entries, ctx.p)]
+    lams = classical.traczyk_p0_candidates(skein.p0_part(ctx.P), ctx.p)
+    return {"candidates": sorted(lams)}, [_pm(lams, ctx.p)]
 
 
 def _alexander(ctx: Context):

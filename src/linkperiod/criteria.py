@@ -5,44 +5,20 @@ A p-periodic link forces its quantum invariant to be congruent, modulo
 its components with the rotation axis; modulo (p, q^p + 1) the same
 holds up to sign.  Checking every candidate and finding none certifies
 non-periodicity.
+
+Every candidate function returns a plain frozenset: residues k mod p
+(QP_MINUS knots), (k, sign) pairs (QP_PLUS knots) or psi-tuples of
+residues (links).  The empty set reads "not p-periodic".
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
-from .laurent import (IdealVariant, LaurentPoly, congruent, is_odd_prime,
-                      is_prime, parity_split, quantum_integer, reduce)
+from .laurent import (IdealVariant, LaurentPoly, is_odd_prime, is_prime,
+                      quantum_integer, reduce)
 
 DEFAULT_MAX_LINK_COMPONENTS = 4
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Linking-number candidates surviving a congruence test.
-
-    For QP_MINUS the entries are residues k in 0..p-1; for QP_PLUS they
-    are (k, sign) pairs with k in 0..2p-1 and sign in {"+", "-"}.  An
-    empty set certifies that the link is not p-periodic.
-    """
-
-    p: int
-    variant: IdealVariant
-    entries: frozenset
-    provenance: str = ""
-
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def residues(self) -> frozenset:
-        """Entries as bare residues (signs dropped for QP_PLUS)."""
-        if self.variant is IdealVariant.QP_PLUS:
-            return frozenset(k for k, _ in self.entries)
-        return frozenset(self.entries)
-
-    def sorted_entries(self) -> list:
-        return sorted(self.entries, key=lambda e: (e,) if isinstance(e, int) else e)
 
 
 def rhs_sum(N: int, lambdas: tuple[int, ...]) -> LaurentPoly:
@@ -59,69 +35,54 @@ def rhs_sum(N: int, lambdas: tuple[int, ...]) -> LaurentPoly:
 
 
 def knot_candidates(inv: LaurentPoly, p: int, N: int,
-                    variant: IdealVariant = IdealVariant.QP_MINUS) -> CandidateSet:
-    """Residues k whose candidate sum is congruent to the knot invariant.
+                    variant: IdealVariant = IdealVariant.QP_MINUS) -> frozenset:
+    """Linking numbers whose candidate sum is congruent to the knot invariant.
 
-    QP_MINUS tests k in 0..p-1 (p = 2 allowed); QP_PLUS tests k in
-    0..2p-1 against both signs.  An empty result reads "not p-periodic".
+    QP_MINUS gives residues k in 0..p-1 (p = 2 allowed); QP_PLUS gives
+    (k, sign) pairs, k in 0..2p-1 and sign "+" or "-".  An empty result
+    reads "not p-periodic".
     """
     if variant is IdealVariant.QP_MINUS:
-        if not is_prime(p):
-            raise ValueError(f"p must be prime: {p}")
-        hits = frozenset(
-            k for k in range(p)
-            if congruent(inv, rhs_sum(N, (k,)), p, variant))
-    elif variant is IdealVariant.QP_PLUS:
-        if not is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime: {p}")
-        target = reduce(inv, p, variant)
-        found = set()
-        for k in range(2 * p):
-            rhs = rhs_sum(N, (k,))
-            if reduce(rhs, p, variant) == target:
-                found.add((k, "+"))
-            if reduce(-rhs, p, variant) == target:
-                found.add((k, "-"))
-        hits = frozenset(found)
-    else:
+        return frozenset(k for (k,) in link_candidates(inv, p, N, 1))
+    if variant is not IdealVariant.QP_PLUS:
         raise ValueError("knot candidates are defined for QP_MINUS and QP_PLUS")
-    return CandidateSet(p, variant, hits, provenance=f"quantum N={N}")
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime: {p}")
+    target = reduce(inv, p, variant)
+    hits = set()
+    for k in range(2 * p):
+        rhs = rhs_sum(N, (k,))
+        if reduce(rhs, p, variant) == target:
+            hits.add((k, "+"))
+        if reduce(-rhs, p, variant) == target:
+            hits.add((k, "-"))
+    return frozenset(hits)
 
 
-def link_candidates(inv: LaurentPoly, p: int, N: int, m: int,
-                    max_components: int = DEFAULT_MAX_LINK_COMPONENTS) -> frozenset:
+def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
     """All tuples psi in {0..p-1}^m whose candidate sum matches the link
     invariant mod (p, q^p - 1); empty means "not p-periodic"."""
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
-    if m > max_components:
+    if m > DEFAULT_MAX_LINK_COMPONENTS:
         raise ValueError(
             f"psi enumeration over p^{m} tuples exceeds the guard "
-            f"(m <= {max_components})")
+            f"(m <= {DEFAULT_MAX_LINK_COMPONENTS})")
     target = reduce(inv, p, IdealVariant.QP_MINUS)
-    hits = set()
-    for psi in itertools.product(range(p), repeat=m):
-        if reduce(rhs_sum(N, psi), p, IdealVariant.QP_MINUS) == target:
-            hits.add(psi)
-    return frozenset(hits)
+    return frozenset(
+        psi for psi in itertools.product(range(p), repeat=m)
+        if reduce(rhs_sum(N, psi), p, IdealVariant.QP_MINUS) == target)
 
 
-def possible_linking(per_N: dict[int, CandidateSet]) -> frozenset[int]:
-    """Residues k whose +-class lies in the QP_MINUS candidate set for
-    every tested N.  Empty means "not p-periodic"."""
-    if not per_N:
+def possible_linking(sets: list[frozenset], p: int) -> frozenset[int]:
+    """Residues k whose +-class lies in every given QP_MINUS candidate
+    set (one per tested N).  Empty means "not p-periodic"."""
+    if not sets:
         raise ValueError("need candidate sets for at least one N")
-    ps = {c.p for c in per_N.values()}
-    if len(ps) != 1:
-        raise ValueError("mismatched moduli across candidate sets")
-    p = ps.pop()
-    for c in per_N.values():
-        if c.variant is not IdealVariant.QP_MINUS:
-            raise ValueError("possible_linking expects QP_MINUS candidate sets")
     out = set()
     for k in range(p):
         cls = {k % p, (-k) % p}
-        if all(cls <= c.residues() for c in per_N.values()):
+        if all(cls <= s for s in sets):
             out.update(cls)
     return frozenset(out)
 
@@ -151,43 +112,3 @@ def lower_bound(inv: LaurentPoly, N: int) -> int | None:
         if c > 1:
             primes.add(c)
     return 1 + max(primes | {2 * inv.max_abs_exponent()})
-
-
-def parity_profile(inv: LaurentPoly) -> str:
-    """Classify the exponent support: "even", "odd", or "mixed"."""
-    even, odd = parity_split(inv)
-    if odd.is_zero() and not even.is_zero():
-        return "even"
-    if even.is_zero() and not odd.is_zero():
-        return "odd"
-    if inv.is_zero():
-        return "even"
-    return "mixed"
-
-
-def expected_sign(N: int, lambdas_parity: str) -> str:
-    """Predicted sign of the QP_PLUS congruence for even N.
-
-    lambdas_parity is "odd" or "even" (all linking numbers of one
-    parity); mixed parities leave the sign undetermined.
-    """
-    if N % 2 != 0:
-        raise ValueError("sign prediction applies to even N only")
-    if lambdas_parity == "odd":
-        return "+"
-    if lambdas_parity == "even":
-        return "-"
-    return "undetermined"
-
-
-def combine(c1: CandidateSet, c2: CandidateSet) -> tuple[CandidateSet, str]:
-    """Intersect two candidate sets over the same modulus; an empty
-    intersection yields the verdict "not p-periodic"."""
-    if c1.p != c2.p:
-        raise ValueError(f"modulus mismatch: {c1.p} vs {c2.p}")
-    if c1.variant is not c2.variant:
-        raise ValueError("cannot intersect candidate sets of different ideals")
-    both = CandidateSet(c1.p, c1.variant, c1.entries & c2.entries,
-                        provenance=f"({c1.provenance}) & ({c2.provenance})")
-    verdict = "not-periodic" if both.is_empty() else "undecided"
-    return both, verdict

@@ -9,7 +9,7 @@ the right-handed trefoil.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ParseError(ValueError):
@@ -359,44 +359,51 @@ def parse_pd(text: str) -> PlanarDiagram:
     # a is the incoming under-arc, c the outgoing one.  Of the over pair
     # (b_, d) the incoming arc is normally the numeric predecessor
     # (larger arc incoming on wraparound), but short components make the
-    # local rule ambiguous, so the preferred choice is backtracked
-    # against the global constraint that every arc has exactly one head
-    # and one tail.
-    heads: dict[int, int] = {a: 0 for a in counts}
-    tails: dict[int, int] = {a: 0 for a in counts}
+    # local rule ambiguous.  Every arc is an end of exactly two strands
+    # (under a -> c, over b_ - d), so the strands form cycles, and a
+    # diagram orients each cycle one way round.  A cycle through an
+    # under strand takes the direction that strand forces; an over-only
+    # cycle takes the preferred choice of its first crossing.
     options = []
     for (a, b_, c, d) in tuples:
-        heads[a] += 1
-        tails[c] += 1
         pos = Crossing(1, under_in=a, over_in=b_, under_out=c, over_out=d)
         neg = Crossing(-1, under_in=a, over_in=d, under_out=c, over_out=b_)
         if d == b_ + 1 or (b_ != d + 1 and b_ > d):
             options.append((pos, neg))
         else:
             options.append((neg, pos))
-    if any(v > 1 for v in heads.values()) or any(v > 1 for v in tails.values()):
+    if len({t[0] for t in tuples}) < len(tuples) or \
+            len({t[2] for t in tuples}) < len(tuples):
         raise ParseError("inconsistent under-strand orientation")
 
-    chosen: list[Crossing] = []
-
-    def solve(i: int) -> bool:
-        if i == len(options):
-            return True
-        for cand in options[i]:
-            heads[cand.over_in] += 1
-            tails[cand.over_out] += 1
-            if heads[cand.over_in] <= 1 and tails[cand.over_out] <= 1:
-                chosen.append(cand)
-                if solve(i + 1):
-                    return True
-                chosen.pop()
-            heads[cand.over_in] -= 1
-            tails[cand.over_out] -= 1
-        return False
-
-    if not solve(0):
-        raise ParseError("no consistent over-strand orientation: "
-                         "arcs are not numbered along components")
+    # Strand 2i is crossing i's under strand, 2i + 1 its over strand in
+    # the preferred direction; ends[arc] lists (strand, arc is its head).
+    strands = []
+    for t, (pref, _) in zip(tuples, options):
+        strands += [(t[0], t[2]), (pref.over_in, pref.over_out)]
+    ends: dict[int, list[tuple[int, bool]]] = {a: [] for a in counts}
+    for s, (x, y) in enumerate(strands):
+        ends[x].append((s, False))
+        ends[y].append((s, True))
+    chosen: list[Crossing | None] = [None] * len(tuples)
+    for i in range(len(tuples)):
+        if chosen[i] is not None:
+            continue
+        walk = []                       # (strand, traversed tail to head)
+        s, forward = 2 * i + 1, True
+        while not walk or s != 2 * i + 1:
+            walk.append((s, forward))
+            e0, e1 = ends[strands[s][forward]]
+            s, head = e1 if e0 == (s, forward) else e0
+            forward = not head
+        under = {fwd for s, fwd in walk if s % 2 == 0}
+        if len(under) > 1:
+            raise ParseError("no consistent over-strand orientation: "
+                             "arcs are not numbered along components")
+        reverse = under == {False}
+        for s, fwd in walk:
+            if s % 2:
+                chosen[s // 2] = options[s // 2][fwd == reverse]
     try:
         return PlanarDiagram(tuple(chosen), 0)
     except DiagramError as exc:

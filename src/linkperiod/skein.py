@@ -36,7 +36,7 @@ from __future__ import annotations
 import sys
 
 from .diagram import BraidWord, PlanarDiagram, pd_from_braid, writhe
-from .laurent import BiLaurent, InexactDivisionError, LaurentPoly, exact_divide, quantum_integer
+from .laurent import BiLaurent, LaurentPoly, exact_divide, quantum_integer
 
 DEFAULT_MAX_CROSSINGS = 24
 

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from linkperiod import criteria, skein
+from linkperiod import cli, criteria, skein
 from linkperiod.diagram import BraidWord, linking_tuple, power
-from linkperiod.laurent import IdealVariant, LaurentPoly, congruent, quantum_integer
+from linkperiod.laurent import IdealVariant, LaurentPoly, quantum_integer
 from linkperiod.selftest import HOPF_Q2, TREFOIL_Q2, TREFOIL_Q3
 
 UNKNOT_Q2 = LaurentPoly({1: 1, -1: 1})
@@ -29,23 +29,20 @@ class TestRhsSum:
 
 class TestKnotCandidates:
     def test_trefoil_p3(self):
-        c = criteria.knot_candidates(TREFOIL_Q2, 3, 2)
-        assert c.entries == frozenset({1, 2})
-        assert not c.is_empty()
+        assert criteria.knot_candidates(TREFOIL_Q2, 3, 2) == frozenset({1, 2})
 
     def test_trefoil_p5_empty(self):
-        c = criteria.knot_candidates(TREFOIL_Q2, 5, 2)
-        assert c.is_empty()
+        assert criteria.knot_candidates(TREFOIL_Q2, 5, 2) == frozenset()
 
     def test_unknot_matches_k1(self):
         # The unknot invariant is the k=1 candidate sum on the nose.
         for p in (3, 5, 7):
             c = criteria.knot_candidates(UNKNOT_Q2, p, 2)
-            assert {1, p - 1} <= c.entries
+            assert {1, p - 1} <= c
 
     def test_plus_variant_trefoil(self):
         c = criteria.knot_candidates(TREFOIL_Q2, 3, 2, IdealVariant.QP_PLUS)
-        assert c.entries == frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
+        assert c == frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
 
     def test_plus_rejects_p2(self):
         with pytest.raises(ValueError):
@@ -56,19 +53,25 @@ class TestKnotCandidates:
 
     def test_periodic_word_always_has_candidates(self):
         # Closure of w^p with a knot closure must keep its true axis
-        # residue among the candidates.
+        # residue among the candidates of every criterion.
         rng = random.Random(101)
-        for _ in range(8):
-            p = rng.choice((3, 5))
-            letters = tuple(rng.choice((1, -1)) for _ in range(rng.randint(1, 2)))
-            w = BraidWord(2, letters)
-            wp = power(w, p)
-            lams = linking_tuple(wp)
-            if len(lams) != 1:
-                continue
-            inv = skein.quantum_sln(skein.homfly(wp), 2, 1)
-            c = criteria.knot_candidates(inv, p, 2)
-            assert lams[0] % p in c.entries
+        for p in (3, 5, 7, 11, 13):
+            controls = 0
+            while controls < 4:
+                n = rng.randint(2, 4)
+                gens = [e for e in range(1 - n, n) if e]
+                w = BraidWord(n, tuple(rng.choice(gens)
+                                       for _ in range(rng.randint(n - 1, n + 1))))
+                wp = power(w, p)
+                lams = linking_tuple(wp)
+                if len(lams) != 1:
+                    continue
+                controls += 1
+                rep = cli.build_check_report("braid", wp.text(), p, [2, 3],
+                                             list(cli.ALL_CRITERIA),
+                                             max_crossings=len(wp))
+                assert rep["verdict"] == "undecided", (wp.text(), p)
+                assert lams[0] % p in rep["combined_candidates"], (wp.text(), p)
 
 
 class TestLinkCandidates:
@@ -95,31 +98,14 @@ class TestLinkCandidates:
 
 class TestPossibleLinking:
     def test_trefoil(self):
-        per_n = {
-            2: criteria.knot_candidates(TREFOIL_Q2, 3, 2),
-            3: criteria.knot_candidates(TREFOIL_Q3, 3, 3),
-        }
-        assert criteria.possible_linking(per_n) == frozenset({1, 2})
+        sets = [criteria.knot_candidates(TREFOIL_Q2, 3, 2),
+                criteria.knot_candidates(TREFOIL_Q3, 3, 3)]
+        assert criteria.possible_linking(sets, 3) == frozenset({1, 2})
 
     def test_empty_propagates(self):
-        per_n = {
-            2: criteria.knot_candidates(TREFOIL_Q2, 5, 2),
-            3: criteria.knot_candidates(TREFOIL_Q3, 5, 3),
-        }
-        assert criteria.possible_linking(per_n) == frozenset()
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            criteria.possible_linking({
-                2: criteria.knot_candidates(TREFOIL_Q2, 3, 2),
-                3: criteria.knot_candidates(TREFOIL_Q3, 5, 3),
-            })
-
-    def test_requires_minus_variant(self):
-        with pytest.raises(ValueError):
-            criteria.possible_linking({
-                2: criteria.knot_candidates(TREFOIL_Q2, 3, 2,
-                                            IdealVariant.QP_PLUS)})
+        sets = [criteria.knot_candidates(TREFOIL_Q2, 5, 2),
+                criteria.knot_candidates(TREFOIL_Q3, 5, 3)]
+        assert criteria.possible_linking(sets, 5) == frozenset()
 
 
 class TestLowerBound:
@@ -134,7 +120,7 @@ class TestLowerBound:
         n = criteria.lower_bound(TREFOIL_Q2, 2)
         for p in (19, 23, 29):
             assert p >= n
-            assert criteria.knot_candidates(TREFOIL_Q2, p, 2).is_empty()
+            assert criteria.knot_candidates(TREFOIL_Q2, p, 2) == frozenset()
 
     def test_consistent_with_exhaustion(self):
         # Below the bound candidates may exist; above they never do.
@@ -150,16 +136,10 @@ class TestLowerBound:
                 continue
             for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
                 if p >= n:
-                    assert criteria.knot_candidates(inv, p, 2).is_empty(), (b, p)
+                    assert criteria.knot_candidates(inv, p, 2) == frozenset(), (b, p)
 
 
 class TestParityAndSign:
-    def test_parity_profile(self):
-        assert criteria.parity_profile(LaurentPoly({2: 1, -4: 1})) == "even"
-        assert criteria.parity_profile(TREFOIL_Q2) == "odd"
-        assert criteria.parity_profile(LaurentPoly({0: 1, 1: 1})) == "mixed"
-        assert criteria.parity_profile(LaurentPoly.zero()) == "even"
-
     def test_invariant_parity_matches_components(self):
         # Knots on N=2 give odd support; 2-component links even support.
         rng = random.Random(107)
@@ -168,35 +148,4 @@ class TestParityAndSign:
             b = BraidWord(2, letters)
             m = len(linking_tuple(b))
             inv = skein.quantum_sln(skein.homfly(b), 2, m)
-            want = "odd" if m == 1 else "even"
-            assert criteria.parity_profile(inv) == want
-
-    def test_expected_sign(self):
-        assert criteria.expected_sign(2, "odd") == "+"
-        assert criteria.expected_sign(2, "even") == "-"
-        assert criteria.expected_sign(4, "mixed") == "undetermined"
-        with pytest.raises(ValueError):
-            criteria.expected_sign(3, "odd")
-
-
-class TestCombine:
-    def test_intersection(self):
-        a = criteria.CandidateSet(3, IdealVariant.QP_MINUS,
-                                  frozenset({1, 2}), "x")
-        b = criteria.CandidateSet(3, IdealVariant.QP_MINUS,
-                                  frozenset({2}), "y")
-        both, verdict = criteria.combine(a, b)
-        assert both.entries == frozenset({2})
-        assert verdict == "undecided"
-
-    def test_empty_verdict(self):
-        a = criteria.CandidateSet(3, IdealVariant.QP_MINUS, frozenset({1}), "x")
-        b = criteria.CandidateSet(3, IdealVariant.QP_MINUS, frozenset({2}), "y")
-        both, verdict = criteria.combine(a, b)
-        assert both.is_empty() and verdict == "not-periodic"
-
-    def test_mismatch_raises(self):
-        a = criteria.CandidateSet(3, IdealVariant.QP_MINUS, frozenset(), "x")
-        b = criteria.CandidateSet(5, IdealVariant.QP_MINUS, frozenset(), "y")
-        with pytest.raises(ValueError):
-            criteria.combine(a, b)
+            assert {e % 2 for e in inv.exponents()} == {1 if m == 1 else 0}

@@ -163,6 +163,23 @@ class TestParsePd:
         with pytest.raises(ParseError):
             parse_pd("X[1,4,2,5] nonsense")
 
+    def test_over_only_cycle_follows_first_crossing(self):
+        # Arcs 2 and 4 are over at both crossings, so either direction
+        # fits; the first crossing's preferred choice (4 -> 2) decides.
+        d = parse_pd("X[1,2,3,4] X[3,4,1,2]")
+        assert [c.sign for c in d.crossings] == [-1, -1]
+        assert d.component_count() == 2
+
+    def test_unsatisfiable_orientation_fails_fast(self):
+        # Each pair below closes an over-only cycle with two orientations,
+        # and the last four crossings admit none; a search over the
+        # choices would take 2^30 steps.
+        pairs = " ".join(
+            f"X[{a},{a + 1},{a + 2},{a + 3}] X[{a + 2},{a + 3},{a},{a + 1}]"
+            for a in range(9, 9 + 4 * 30, 4))
+        with pytest.raises(ParseError, match="no consistent over-strand"):
+            parse_pd(pairs + " X[5,2,6,4] X[6,4,8,8] X[3,7,1,2] X[1,3,7,5]")
+
 
 def test_braidword_validation():
     with pytest.raises(DiagramError):
