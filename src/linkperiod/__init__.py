@@ -9,15 +9,14 @@ emit candidate linking numbers.
 
 __version__ = "0.1.0"
 
-from .diagram import (BraidWord, PlanarDiagram, axis_linking,
-                      closure_components, linking_tuple, parse_braid,
-                      parse_pd, pd_from_braid, power, writhe)
+from .diagram import (BraidWord, PlanarDiagram, closure_components,
+                      linking_tuple, parse_braid, parse_pd, pd_from_braid,
+                      power, writhe)
 from .laurent import (BiLaurent, IdealVariant, InexactDivisionError,
-                      LaurentPoly, ResidueClassForm, congruent, exact_divide,
-                      parity_split, quantum_integer, reduce)
+                      LaurentPoly, congruent, exact_divide, quantum_integer,
+                      reduce)
 from .skein import alexander, homfly, jones, p0_part, quantum_sln
-from .statemodel import (NState, bracket, enumerate_states,
-                         invariant_statesum, is_proper)
+from .statemodel import bracket, invariant_statesum
 from .criteria import (knot_candidates, link_candidates, lower_bound,
                        possible_linking, rhs_sum)
 from .classical import (murasugi_candidates, traczyk_jones_check,
@@ -25,15 +24,12 @@ from .classical import (murasugi_candidates, traczyk_jones_check,
 
 __all__ = [
     "__version__",
-    "BraidWord", "PlanarDiagram", "axis_linking", "closure_components",
-    "linking_tuple", "parse_braid", "parse_pd", "pd_from_braid", "power",
-    "writhe",
+    "BraidWord", "PlanarDiagram", "closure_components", "linking_tuple",
+    "parse_braid", "parse_pd", "pd_from_braid", "power", "writhe",
     "BiLaurent", "IdealVariant", "InexactDivisionError", "LaurentPoly",
-    "ResidueClassForm", "congruent", "exact_divide", "parity_split",
-    "quantum_integer", "reduce",
+    "congruent", "exact_divide", "quantum_integer", "reduce",
     "alexander", "homfly", "jones", "p0_part", "quantum_sln",
-    "NState", "bracket", "enumerate_states", "invariant_statesum",
-    "is_proper",
+    "bracket", "invariant_statesum",
     "knot_candidates", "link_candidates", "lower_bound", "possible_linking",
     "rhs_sum",
     "murasugi_candidates", "traczyk_jones_check", "traczyk_p0_candidates",

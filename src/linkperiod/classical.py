@@ -1,28 +1,19 @@
 """Classical non-periodicity criteria used for cross-validation: the
-Jones self-symmetry test, the coefficient-jump test on the z-degree-zero
-HOMFLY part, and the Alexander-polynomial factorization test over a
-prime field."""
+Jones self-symmetry test (a zero test by `laurent.reduce`), the
+coefficient-jump test on the z-degree-zero HOMFLY part, and the
+Alexander-polynomial factorization test over a prime field."""
 
 from __future__ import annotations
 
 import math
 
-from .laurent import LaurentPoly, is_prime
+from .laurent import IdealVariant, LaurentPoly, is_prime, reduce
 
 __all__ = [
     "traczyk_jones_check",
     "traczyk_p0_candidates",
     "murasugi_candidates",
 ]
-
-
-def _fold_zero(f: LaurentPoly, p: int, exp_mod: int) -> bool:
-    """True iff f reduces to zero mod (p, q^exp_mod - 1)."""
-    folded: dict[int, int] = {}
-    for e, c in f.terms():
-        j = e % exp_mod
-        folded[j] = (folded.get(j, 0) + c) % p
-    return all(v == 0 for v in folded.values())
 
 
 def traczyk_jones_check(V: LaurentPoly, p: int) -> bool:
@@ -32,11 +23,8 @@ def traczyk_jones_check(V: LaurentPoly, p: int) -> bool:
     s-variable the ideal becomes (p, s^2p - 1).  A p-periodic link
     always passes, so failure certifies non-periodicity.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime: {p}")
-    diff = V - V.compose_power(-1)
-    exp_mod = p if V.var == "t" else 2 * p
-    return _fold_zero(diff, p, exp_mod)
+    variant = IdealVariant.QP_MINUS if V.var == "t" else IdealVariant.Q2P_MINUS
+    return reduce(V - V.compose_power(-1), p, variant).is_zero()
 
 
 def traczyk_p0_candidates(P0: LaurentPoly, p: int) -> frozenset[int]:

@@ -260,7 +260,11 @@ def _emit(report, fmt: str, out_path: str | None) -> None:
         _render_text(report, buf)
         payload = buf.getvalue()
     if out_path:
-        with open(out_path, "w") as fh:
+        try:
+            fh = open(out_path, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc}") from None
+        with fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)

@@ -60,7 +60,6 @@ def parse_braid(text: str) -> BraidWord:
             raise ParseError("braid letter 0 is not allowed")
         letters.append(e)
     n = n_declared if n_declared is not None else (1 + max((abs(e) for e in letters), default=0))
-    n = max(n, 1)
     try:
         return BraidWord(n, tuple(letters))
     except DiagramError as exc:
@@ -101,24 +100,6 @@ def closure_components(b: BraidWord) -> list[tuple[int, ...]]:
         comps.append(tuple(sorted(cyc)))
     comps.sort(key=lambda c: c[0])
     return comps
-
-
-def strand_component(b: BraidWord) -> dict[int, int]:
-    """Map 1-based strand index -> component index (into closure_components)."""
-    out = {}
-    for ci, comp in enumerate(closure_components(b)):
-        for s in comp:
-            out[s] = ci
-    return out
-
-
-def axis_linking(b: BraidWord, j: int) -> int:
-    """Linking number of closure component j (0-based) with the braid axis:
-    the number of strands in that component."""
-    comps = closure_components(b)
-    if not 0 <= j < len(comps):
-        raise IndexError(f"component index {j} out of range (m={len(comps)})")
-    return len(comps[j])
 
 
 def linking_tuple(b: BraidWord) -> tuple[int, ...]:

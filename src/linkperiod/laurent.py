@@ -272,95 +272,39 @@ class IdealVariant(enum.Enum):
     Q2P_MINUS = "q2p-minus"
 
 
-class ResidueClassForm:
-    """Canonical representative of a Laurent polynomial modulo an ideal.
+def reduce(f: LaurentPoly, p: int, variant: IdealVariant) -> LaurentPoly:
+    """Canonical representative of f modulo the chosen ideal.
 
-    Coefficients lie in {0, ..., p-1}; exponent windows are
-    (-p/2, p/2) for QP_MINUS and QP_PLUS, (-p, p] for Q2P_MINUS.
-    Equal inputs always reduce to identical forms.
+    QP_MINUS folds exponents mod p into the window (-p/2, p/2).  QP_PLUS
+    folds mod 2p into the same window, negating the coefficient for each
+    fold across an odd multiple of p (q^p = -1).  Q2P_MINUS folds mod 2p
+    into (-p, p].  Coefficients are reduced to {0, ..., p-1}, so f and g
+    are congruent exactly when their representatives are equal.  QP_PLUS
+    needs an odd prime; the other two accept p = 2.
     """
-
-    __slots__ = ("p", "variant", "_c")
-
-    def __init__(self, p: int, variant: IdealVariant, coeffs: Mapping[int, int]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "_c", {e: v for e, v in coeffs.items() if v != 0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResidueClassForm is immutable")
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def terms(self) -> list[tuple[int, int]]:
-        return sorted(self._c.items())
-
-    def as_poly(self) -> LaurentPoly:
-        return LaurentPoly(self._c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ResidueClassForm):
-            return NotImplemented
-        return (self.p, self.variant, self._c) == (other.p, other.variant, other._c)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.variant, frozenset(self._c.items())))
-
-    def __repr__(self) -> str:
-        return f"ResidueClassForm(p={self.p}, {self.variant.value}, {self.terms()})"
-
-
-def _fold_exponent_centered(i: int, p: int) -> int:
-    """Representative of i mod p in the window (-p/2, p/2), p odd."""
-    half = (p - 1) // 2
-    return ((i + half) % p) - half
-
-
-def reduce(f: LaurentPoly, p: int, variant: IdealVariant) -> ResidueClassForm:
-    """Normal form of f modulo the chosen ideal.
-
-    QP_MINUS folds exponents mod p into (-p/2, p/2).  QP_PLUS folds mod 2p
-    into the same window, negating the coefficient for each fold across an
-    odd multiple of p (q^p = -1).  Q2P_MINUS folds mod 2p into (-p, p].
-    Coefficients are reduced to {0, ..., p-1}; p = 2 is accepted for
-    QP_MINUS only.
-    """
-    if variant is IdealVariant.QP_MINUS:
-        if not (p == 2 or is_odd_prime(p)):
-            raise ValueError(f"modulus must be prime (p=2 allowed here): {p}")
-    else:
-        if not is_odd_prime(p):
-            raise ValueError(f"modulus must be an odd prime: {p}")
+    plus = variant is IdealVariant.QP_PLUS
+    if not is_prime(p) or (plus and p == 2):
+        raise ValueError(
+            f"modulus must be {'an odd prime' if plus else 'prime'}: {p}")
 
     c: dict[int, int] = {}
-    if variant is IdealVariant.QP_MINUS:
-        half = (p - 1) // 2
-        for i, v in f._c.items():
-            j = ((i + half) % p) - half if p > 2 else i % p
-            c[j] = c.get(j, 0) + v
-    elif variant is IdealVariant.QP_PLUS:
-        for i, v in f._c.items():
-            j = _fold_exponent_centered(i, p)
-            t = (i - j) // p
-            c[j] = c.get(j, 0) + (v if t % 2 == 0 else -v)
-    else:  # Q2P_MINUS
+    if variant is IdealVariant.Q2P_MINUS:
         for i, v in f._c.items():
             j = ((i + p - 1) % (2 * p)) - p + 1
             c[j] = c.get(j, 0) + v
-    return ResidueClassForm(p, variant, {e: v % p for e, v in c.items()})
+    else:
+        half = (p - 1) // 2
+        for i, v in f._c.items():
+            j = ((i + half) % p) - half
+            if plus and (i - j) // p % 2:
+                v = -v
+            c[j] = c.get(j, 0) + v
+    return LaurentPoly({e: v % p for e, v in c.items()}, f.var)
 
 
 def congruent(f: LaurentPoly, g: LaurentPoly, p: int, variant: IdealVariant) -> bool:
     """True iff f and g have the same normal form modulo the ideal."""
     return reduce(f, p, variant) == reduce(g, p, variant)
-
-
-def parity_split(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Split f into its even-exponent and odd-exponent parts."""
-    even = {e: v for e, v in f._c.items() if e % 2 == 0}
-    odd = {e: v for e, v in f._c.items() if e % 2 != 0}
-    return LaurentPoly(even, f.var), LaurentPoly(odd, f.var)
 
 
 def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -28,17 +28,13 @@ N^n * n! entries on n strands, whatever the braid length, and each
 letter maps every entry to at most two.  At the top, the closure keeps
 the entries whose labels are back in their starting slots; the cycles of
 the permutation are then the spliced loops.
-
-`enumerate_states` is the small reference enumerator of whole states,
-kept for the proper-state tests.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .diagram import BraidWord, braid_segments, strand_component, writhe
+from .diagram import BraidWord, writhe
 from .laurent import LaurentPoly
 
 DEFAULT_MAX_STATES = 2_000_000
@@ -133,148 +129,3 @@ def invariant_statesum(b: BraidWord, N: int,
     """q^(-writhe * N) * bracket: the state-sum route to the quantum
     invariant of the braid closure."""
     return bracket(b, N, max_states).shift(-writhe(b) * N)
-
-
-# -- reference enumerator -----------------------------------------------------
-
-@dataclass(frozen=True)
-class NState:
-    """An arc labeling together with the rule tag at every crossing."""
-
-    braid: BraidWord
-    labels: tuple[int, ...]        # arc id -> label
-    rules: tuple[int, ...]         # crossing index -> rule 1..6
-
-
-def _arc_structure(b: BraidWord):
-    """(number of arcs, crossing arc tuples (c, d, a, b), crossing signs,
-    free arcs untouched by any crossing)."""
-    k = len(b.letters)
-    arc_of, slots = braid_segments(b)
-    if k == 0:
-        return b.n, [], [], list(range(b.n))
-    num_arcs = max(arc_of.values()) + 1
-    quads = []
-    signs = []
-    for i, e in enumerate(b.letters):
-        j = slots[i]
-        quads.append((arc_of[(i, j)], arc_of[(i, j + 1)],
-                      arc_of[((i + 1) % k, j)], arc_of[((i + 1) % k, j + 1)]))
-        signs.append(1 if e > 0 else -1)
-    touched = {a for q in quads for a in q}
-    free = [a for a in range(num_arcs) if a not in touched]
-    return num_arcs, quads, signs, free
-
-
-def _rule_for(sign: int, lc: int, ld: int, la: int, lb: int) -> int | None:
-    """Rule tag for a fully labeled crossing, or None if invalid."""
-    if lc == ld == la == lb:
-        return 2 if sign > 0 else 5
-    if la == lc and lb == ld:
-        if sign > 0 and la > lb:
-            return 1
-        if sign < 0 and la < lb:
-            return 4
-        return None
-    if la == ld and lb == lc and la != lb:
-        return 3 if sign > 0 else 6
-    return None
-
-
-def _enumerate_raw(b: BraidWord, N: int, max_states: int):
-    """Yield (labels tuple, rules tuple) for every valid state, in a
-    deterministic order (labels tried ascending, splice before flat)."""
-    num_arcs, quads, signs, free = _arc_structure(b)
-    values = labels_range(N)
-    labels: list[int | None] = [None] * num_arcs
-    rules: list[int] = [0] * len(quads)
-    produced = 0
-
-    def fill_free(fi: int):
-        nonlocal produced
-        if fi == len(free):
-            produced += 1
-            if produced > max_states:
-                raise StateResourceError(
-                    f"more than {max_states} states on {b.text()!r}")
-            yield tuple(labels), tuple(rules)
-            return
-        for v in values:
-            labels[free[fi]] = v
-            yield from fill_free(fi + 1)
-        labels[free[fi]] = None
-
-    def out_options(sign, lc, ld):
-        # Candidate (a, b) label pairs, ordered by rule number.
-        if lc == ld:
-            return [(lc, ld)]
-        opts = []
-        if (sign > 0 and lc > ld) or (sign < 0 and lc < ld):
-            opts.append((lc, ld))     # rule 1 / 4
-        opts.append((ld, lc))         # rule 3 / 6
-        return opts
-
-    def assign(arc, value):
-        if labels[arc] is None:
-            labels[arc] = value
-            return True, True
-        return labels[arc] == value, False
-
-    def search(ci: int):
-        if ci == len(quads):
-            yield from fill_free(0)
-            return
-        c_arc, d_arc, a_arc, b_arc = quads[ci]
-        in_choices_c = [labels[c_arc]] if labels[c_arc] is not None else values
-        for lc in in_choices_c:
-            set_c = labels[c_arc] is None
-            if set_c:
-                labels[c_arc] = lc
-            in_choices_d = [labels[d_arc]] if labels[d_arc] is not None else values
-            for ld in in_choices_d:
-                set_d = labels[d_arc] is None
-                if set_d:
-                    labels[d_arc] = ld
-                for la, lb in out_options(signs[ci], lc, ld):
-                    ok_a, new_a = assign(a_arc, la)
-                    if ok_a:
-                        ok_b, new_b = assign(b_arc, lb)
-                        if ok_b:
-                            rules[ci] = _rule_for(signs[ci], lc, ld, la, lb)
-                            yield from search(ci + 1)
-                        if new_b:
-                            labels[b_arc] = None
-                    if new_a:
-                        labels[a_arc] = None
-                if set_d:
-                    labels[d_arc] = None
-            if set_c:
-                labels[c_arc] = None
-
-    yield from search(0)
-
-
-def enumerate_states(b: BraidWord, N: int,
-                     max_states: int = DEFAULT_MAX_STATES) -> list[NState]:
-    """All valid states on the closure of b, deterministically ordered.
-    Exponential in the crossing count: a reference for small braids."""
-    return [NState(b, labels, rules)
-            for labels, rules in _enumerate_raw(b, N, max_states)]
-
-
-def is_proper(state: NState) -> bool:
-    """True iff no vertex carries weight +-(q - q^-1)."""
-    return all(r not in (1, 4) for r in state.rules)
-
-
-def self_crossing_indices(b: BraidWord) -> list[int]:
-    """Indices of crossings where one link component crosses itself."""
-    comp_of = strand_component(b)
-    pos = list(range(1, b.n + 1))  # pos[slot-1] = strand in that slot
-    out = []
-    for i, e in enumerate(b.letters):
-        j = abs(e) - 1
-        if comp_of[pos[j]] == comp_of[pos[j + 1]]:
-            out.append(i)
-        pos[j], pos[j + 1] = pos[j + 1], pos[j]
-    return out

@@ -11,11 +11,13 @@ import pytest
 
 from linkperiod import classical, cli, criteria, skein, statemodel
 from linkperiod.diagram import (BraidWord, braid_segments, linking_tuple,
-                                pd_from_braid, power, strand_component)
+                                pd_from_braid, power)
 from linkperiod.laurent import (IdealVariant, LaurentPoly, congruent,
-                                parity_split, quantum_integer, reduce)
+                                quantum_integer, reduce)
 from linkperiod.selftest import (FIGURE_EIGHT, TREFOIL, TREFOIL_HOMFLY,
                                  TREFOIL_Q2, TREFOIL_Q3)
+from reference import (enumerate_states, is_proper, parity_split,
+                       self_crossing_indices, strand_component)
 
 LETTERS = (-2, -1, 1, 2)
 
@@ -172,9 +174,9 @@ def _component_label_images(b, N):
     m = len(linking_tuple(b))
     images = []
     flat_self_ok = True
-    selfx = set(statemodel.self_crossing_indices(b))
-    for s in statemodel.enumerate_states(b, N):
-        if not statemodel.is_proper(s):
+    selfx = set(self_crossing_indices(b))
+    for s in enumerate_states(b, N):
+        if not is_proper(s):
             continue
         comp_label = {}
         coherent = True

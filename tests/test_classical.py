@@ -30,6 +30,12 @@ class TestJonesSymmetry:
         # The check runs mod (p, s^2p - 1) without raising.
         classical.traczyk_jones_check(V, 3)
 
+    def test_link_passes_at_p2(self):
+        # The Hopf link, closure of sigma_1^2, is 2-periodic.
+        V = skein.jones(skein.homfly(power(BraidWord(2, (1,)), 2)))
+        assert V.var == "s"
+        assert classical.traczyk_jones_check(V, 2)
+
     def test_periodic_controls(self):
         # Closure of w^p always passes at p.
         for letters, p in (((1,), 3), ((1,), 5), ((1,), 7)):

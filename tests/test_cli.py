@@ -83,6 +83,11 @@ class TestInvariant:
         assert code == 1
         assert out == "" and "--max-crossings" in err
 
+    def test_zero_strands_is_usage_error(self, capsys):
+        code, out, err = run_main(["invariant", "--braid", "n=0;"], capsys)
+        assert code == 1
+        assert out == "" and "strand count" in err
+
     def test_crossing_limit_is_computation_error(self, capsys):
         code, _, err = run_main(
             ["invariant", "--braid", TREFOIL, "--max-crossings", "2"], capsys)
@@ -95,6 +100,20 @@ class TestInvariant:
              "--out", str(path)], capsys)
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["writhe"] == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["invariant", "--braid", TREFOIL],
+    ["check", "--braid", TREFOIL, "-p", "3"],
+    ["batch", "links.csv", "-p", "3"]], ids=["invariant", "check", "batch"])
+def test_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path,
+                                       command):
+    (tmp_path / "links.csv").write_text(TestBatch.CSV)
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "no-such-dir" / "rep.json"
+    code, out, err = run_main([*command, "--out", str(missing)], capsys)
+    assert code == 1
+    assert out == "" and err.startswith(f"error: cannot write {missing}")
 
 
 @pytest.mark.parametrize("command", [["invariant"], ["check", "-p", "3"]],

@@ -4,9 +4,9 @@ import pytest
 
 from linkperiod import skein
 from linkperiod.diagram import (BraidWord, DiagramError, ParseError,
-                                axis_linking, closure_components,
-                                linking_tuple, parse_braid, parse_pd,
-                                pd_from_braid, power, writhe)
+                                closure_components, linking_tuple,
+                                parse_braid, parse_pd, pd_from_braid, power,
+                                writhe)
 
 
 class TestParseBraid:
@@ -46,14 +46,9 @@ class TestClosure:
         assert closure_components(BraidWord(2)) == [(1,), (2,)]
 
     def test_axis_linking(self):
-        trefoil = BraidWord(2, (1, 1, 1))
-        assert axis_linking(trefoil, 0) == 2
-        hopf = BraidWord(2, (1, 1))
-        assert axis_linking(hopf, 0) == 1
-        assert axis_linking(hopf, 1) == 1
-        assert axis_linking(BraidWord(1), 0) == 1
-        with pytest.raises(IndexError):
-            axis_linking(trefoil, 1)
+        assert linking_tuple(BraidWord(2, (1, 1, 1))) == (2,)
+        assert linking_tuple(BraidWord(2, (1, 1))) == (1, 1)
+        assert linking_tuple(BraidWord(1)) == (1,)
 
     def test_linking_numbers_sum_to_strand_count(self):
         rng = random.Random(3)

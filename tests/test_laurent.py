@@ -3,8 +3,9 @@ import random
 import pytest
 
 from linkperiod.laurent import (IdealVariant, InexactDivisionError, LaurentPoly,
-                                congruent, exact_divide, parity_split,
-                                quantum_integer, reduce)
+                                congruent, exact_divide, quantum_integer,
+                                reduce)
+from reference import parity_split
 
 Q = LaurentPoly.monomial
 
@@ -45,6 +46,11 @@ class TestReduce:
     def test_p2_allowed_for_qp_minus(self):
         form = reduce(Q(3) + Q(1), 2, IdealVariant.QP_MINUS)
         assert form.is_zero()
+
+    def test_p2_allowed_for_q2p_minus(self):
+        # Mod (2, q^4 - 1) the window is (-2, 2]: q^3 -> q^-1, q^4 + 1 -> 0.
+        assert reduce(Q(3), 2, IdealVariant.Q2P_MINUS) == Q(-1)
+        assert reduce(Q(4) + Q(0), 2, IdealVariant.Q2P_MINUS).is_zero()
 
 
 class TestCongruent:

