@@ -1,7 +1,7 @@
 """Quantum-invariant periodicity criteria for oriented links.
 
 Computes quantum SL(N) link invariants two independent ways (HOMFLY,
-by the Hecke-algebra trace for braids or skein recursion for PD codes,
+by the Hecke-algebra trace for braids or skein expansion for PD codes,
 and a vertex-weight state sum on braid closures) and applies
 congruence criteria that either certify "not p-periodic" or
 emit candidate linking numbers.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -43,19 +44,19 @@ class BraidWord:
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse whitespace-separated letters, optionally led by "n=<strands>;"."""
+    """Parse whitespace-separated letters, optionally led by "n=<strands>;".
+    A letter is an optional minus sign and ASCII digits."""
     text = text.strip()
     n_declared = None
-    m = re.match(r"^n\s*=\s*(\d+)\s*;", text)
+    m = re.match(r"^n\s*=\s*([0-9]+)\s*;", text)
     if m:
         n_declared = int(m.group(1))
         text = text[m.end():].strip()
     letters = []
     for tok in text.split():
-        try:
-            e = int(tok)
-        except ValueError:
-            raise ParseError(f"malformed braid token: {tok!r}") from None
+        if not re.fullmatch(r"-?[0-9]+", tok):
+            raise ParseError(f"malformed braid token: {tok!r}")
+        e = int(tok)
         if e == 0:
             raise ParseError("braid letter 0 is not allowed")
         letters.append(e)
@@ -115,8 +116,7 @@ def power(b: BraidWord, p: int) -> BraidWord:
     return BraidWord(b.n, b.letters * p)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """An oriented crossing: the under strand runs under_in -> under_out,
     the over strand over_in -> over_out; sign is +1 or -1."""
 
@@ -304,7 +304,8 @@ def pd_from_braid(b: BraidWord) -> PlanarDiagram:
     return PlanarDiagram(crossings, free)
 
 
-_PD_TOKEN = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
+_PD_TOKEN = re.compile(
+    r"X\[\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\]")
 
 
 def parse_pd(text: str) -> PlanarDiagram:

@@ -21,19 +21,19 @@ taken in H_(m-1).  Then P = a^writhe F.  A braid that needs more than
 HECKE_MAX_TERMS basis elements at once (never one on at most 7 strands)
 goes through the skein route on its diagram instead.
 
-Planar diagrams take the skein route: the recursion resolves diagrams
-toward descending ones.  Traverse the closure from fixed base points in
-component order; the first crossing first reached on its under-strand is
-either switched (strictly enlarging the descending prefix) or smoothed
-(dropping a crossing).  A descending diagram is an unlink and evaluates
-to delta^(m-1).  Each call memoizes its own subdiagrams; nothing is kept
-between calls.  The skein route is also the independent reference the
-tests compare the Hecke route against.
+Planar diagrams take the skein route: one loop expands P(D) as a linear
+combination of diagrams until all of them are descending.  Traverse the
+closure from fixed base points in component order; the first crossing
+first reached on its under-strand is either switched (strictly enlarging
+the descending prefix) or smoothed (dropping a crossing).  A descending
+diagram with k components is an unlink, delta^(k-1).  Diagrams wait in
+one level per crossing count, taken from the most crossings down, and a
+diagram equal up to arc renumbering to a waiting one adds to its
+coefficient.  Nothing is kept between calls.  The skein route is also the
+independent reference the tests compare the Hecke route against.
 """
 
 from __future__ import annotations
-
-import sys
 
 from .diagram import BraidWord, PlanarDiagram, pd_from_braid, writhe
 from .laurent import BiLaurent, LaurentPoly, exact_divide, quantum_integer
@@ -69,18 +69,9 @@ def _check_size(element: dict) -> dict:
     return element
 
 
-# Internal diagram state for the recursion: a dict arc -> role per
-# crossing plus a free loop count.  Crossings are tuples
-# (sign, under_in, over_in, under_out, over_out).
-
-def _from_planar(d: PlanarDiagram):
-    crossings = [(c.sign, c.under_in, c.over_in, c.under_out, c.over_out)
-                 for c in d.crossings]
-    return crossings, d.free_loops
-
-
 def _canonical_key(crossings, free_loops):
-    """Cache key: arcs renumbered by first appearance over sorted crossings."""
+    """Frontier key: arcs renumbered by first appearance over sorted
+    crossings."""
     ordered = sorted(crossings, key=lambda c: (min(c[1:]), c))
     number: dict[int, int] = {}
     out = []
@@ -163,33 +154,39 @@ def _smooth(crossings, idx, free_loops):
     return remapped, free_loops + len(vanished)
 
 
-def _homfly_rec(crossings, free_loops, memo):
-    if not crossings:
-        m = free_loops
-        if m == 0:
-            raise ValueError("empty diagram has no components")
-        return DELTA ** (m - 1)
+def _push(levels, crossings, free_loops, coeff: BiLaurent) -> None:
+    """Add coeff times the diagram to the frontier, merging by key."""
+    level = levels[len(crossings)]
     key = _canonical_key(crossings, free_loops)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    if key in level:
+        crossings, free_loops, waiting = level[key]
+        coeff = waiting + coeff
+    level[key] = (crossings, free_loops, coeff)
 
-    bad, comps = _first_bad_crossing(crossings)
-    if bad is None:
-        value = DELTA ** (comps + free_loops - 1)
-    else:
-        sign = crossings[bad][0]
-        switched = _homfly_rec(_switch(crossings, bad), free_loops, memo)
-        sm_cr, sm_free = _smooth(crossings, bad, free_loops)
-        smoothed = _homfly_rec(sm_cr, sm_free, memo)
-        if sign > 0:
-            # D = L+:  P(L+) = a^2 P(L-) + a z P(L0)
-            value = _A2 * switched + _AZ * smoothed
-        else:
-            # D = L-:  P(L-) = a^-2 P(L+) - a^-1 z P(L0)
-            value = _AM2 * switched - _AMZ * smoothed
-    memo[key] = value
-    return value
+
+def _homfly_diagram(crossings, free_loops) -> BiLaurent:
+    levels: list[dict] = [{} for _ in range(len(crossings) + 1)]
+    _push(levels, crossings, free_loops, BiLaurent.one())
+    unlinks: dict[int, BiLaurent] = {}     # component count -> coefficient
+    for level in reversed(levels):
+        while level:
+            crossings, free_loops, coeff = level.pop(next(iter(level)))
+            bad, comps = _first_bad_crossing(crossings)
+            if bad is None:
+                _add(unlinks, comps + free_loops, coeff)
+                continue
+            if crossings[bad][0] > 0:
+                # D = L+:  P(L+) = a^2 P(L-) + a z P(L0)
+                switched, smoothed = _A2 * coeff, _AZ * coeff
+            else:
+                # D = L-:  P(L-) = a^-2 P(L+) - a^-1 z P(L0)
+                switched, smoothed = _AM2 * coeff, -(_AMZ * coeff)
+            _push(levels, _switch(crossings, bad), free_loops, switched)
+            _push(levels, *_smooth(crossings, bad, free_loops), smoothed)
+    if 0 in unlinks:
+        raise ValueError("empty diagram has no components")
+    return sum((c * DELTA ** (k - 1) for k, c in unlinks.items()),
+               BiLaurent.zero())
 
 
 def _add(element, key, value: BiLaurent) -> None:
@@ -268,12 +265,7 @@ def homfly(d: "PlanarDiagram | BraidWord",
             return _homfly_braid(d)
         except _TooManyTerms:
             d = pd_from_braid(d)
-    crossings, free_loops = _from_planar(d)
-    depth = sys.getrecursionlimit()
-    want = 4 * max(len(crossings), 1) ** 2 + 1000
-    if depth < want:
-        sys.setrecursionlimit(want)
-    return _homfly_rec(crossings, free_loops, {})
+    return _homfly_diagram(d.crossings, d.free_loops)
 
 
 def _specialize(P: BiLaurent, a_image: LaurentPoly, z_image: LaurentPoly,

@@ -37,11 +37,12 @@ import itertools
 from .diagram import BraidWord, writhe
 from .laurent import LaurentPoly
 
-DEFAULT_MAX_STATES = 2_000_000
+#: The most table entries `bracket` holds at once.
+MAX_STATES = 2_000_000
 
 
 class StateResourceError(RuntimeError):
-    """A state-sum size guard (`max_states`) tripped."""
+    """The state-sum table went past MAX_STATES entries."""
 
 
 def labels_range(N: int) -> list[int]:
@@ -92,21 +93,20 @@ def _transfer(table: dict, e: int) -> dict:
     return nxt
 
 
-def bracket(b: BraidWord, N: int,
-            max_states: int = DEFAULT_MAX_STATES) -> LaurentPoly:
+def bracket(b: BraidWord, N: int) -> LaurentPoly:
     """Sum over all states of the vertex weights times q^norm.
 
     A table key is (L0, pos): L0[s] is the label the state gives bottom
     slot s, and pos[s] is the bottom slot whose strand fills slot s after
     the flat crossings read so far, so slot s carries L0[pos[s]].  Its
     value maps exponents of q to coefficients.  Raises StateResourceError
-    when the table holds more than max_states entries, which cannot
-    happen when N^n * n! <= max_states.
+    when the table holds more than MAX_STATES entries, which cannot
+    happen when N^n * n! <= MAX_STATES.
     """
     def guard(size):
-        if size > max_states:
+        if size > MAX_STATES:
             raise StateResourceError(
-                f"more than {max_states} state-sum table entries on "
+                f"more than {MAX_STATES} state-sum table entries on "
                 f"{b.text()!r} at N={N}")
 
     values = labels_range(N)
@@ -124,8 +124,7 @@ def bracket(b: BraidWord, N: int,
     return LaurentPoly(total)
 
 
-def invariant_statesum(b: BraidWord, N: int,
-                       max_states: int = DEFAULT_MAX_STATES) -> LaurentPoly:
+def invariant_statesum(b: BraidWord, N: int) -> LaurentPoly:
     """q^(-writhe * N) * bracket: the state-sum route to the quantum
     invariant of the braid closure."""
-    return bracket(b, N, max_states).shift(-writhe(b) * N)
+    return bracket(b, N).shift(-writhe(b) * N)

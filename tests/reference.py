@@ -150,8 +150,7 @@ def _enumerate_raw(b: BraidWord, N: int, max_states: int):
 
 
 def enumerate_states(b: BraidWord, N: int,
-                     max_states: int = statemodel.DEFAULT_MAX_STATES
-                     ) -> list[NState]:
+                     max_states: int = 2_000_000) -> list[NState]:
     """All valid states on the closure of b, deterministically ordered.
     Exponential in the crossing count: a reference for small braids."""
     return [NState(b, labels, rules)

@@ -34,6 +34,12 @@ class TestParseBraid:
         b = parse_braid("n=2;")
         assert b.n == 2 and b.letters == ()
 
+    @pytest.mark.parametrize("text", ["1_1", "+1 +1 +1", "1 +1", "\u0663",
+                                      "n=\u0663; 1", "1 -\u0661"])
+    def test_letter_is_minus_and_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            parse_braid(text)
+
 
 class TestClosure:
     def test_trefoil_is_knot(self):
@@ -157,6 +163,10 @@ class TestParsePd:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_pd("X[1,4,2,5] nonsense")
+
+    def test_arcs_are_ascii_digits(self):
+        with pytest.raises(ParseError):
+            parse_pd("X[\u0661,4,2,5] X[3,6,4,\u0661] X[5,2,6,3]")
 
     def test_over_only_cycle_follows_first_crossing(self):
         # Arcs 2 and 4 are over at both crossings, so either direction

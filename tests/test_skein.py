@@ -1,9 +1,12 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
 from linkperiod import skein
-from linkperiod.diagram import BraidWord, parse_pd, pd_from_braid
+from linkperiod.diagram import (BraidWord, PlanarDiagram, parse_pd,
+                                pd_from_braid)
 from linkperiod.laurent import BiLaurent, LaurentPoly
 from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
                                  HOPF_Q2, TREFOIL, TREFOIL_HOMFLY, TREFOIL_Q2,
@@ -338,8 +341,42 @@ class TestP0:
             assert sum(c for _, c in p0.terms()) == 1
 
 
+class TestDiagramFrontier:
+    """The skein route is one loop over a frontier of diagrams: no
+    recursion, and only the diagrams still waiting are held."""
+
+    def test_recursion_limit_is_left_alone(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            skein.homfly(parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"))
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(old)
+
+    def test_long_diagram(self):
+        b = BraidWord(2, (1,) * 61)
+        assert skein.homfly(pd_from_braid(b), max_crossings=61) == \
+            skein.homfly(b, max_crossings=61)
+
+    def test_memory_peak(self):
+        d = pd_from_braid(BraidWord(3, (1, 2) * 7))
+        tracemalloc.start()
+        try:
+            skein.homfly(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+
+    def test_empty_diagram_has_no_components(self):
+        with pytest.raises(ValueError, match="no components"):
+            skein.homfly(PlanarDiagram((), 0))
+
+
 def test_cache_reuse_is_consistent():
-    # Each skein call memoizes on its own; a repeat call starts afresh.
+    # The skein route keeps nothing between calls; a repeat call starts
+    # afresh.
     d = pd_from_braid(TREFOIL)
     first = skein.homfly(d)
     second = skein.homfly(d)

@@ -233,17 +233,19 @@ class TestLongBraids:
         assert statemodel.invariant_statesum(mirror, 3) == \
             statemodel.invariant_statesum(b, 3).compose_power(-1)
 
-    def test_resource_guard(self):
+    def test_resource_guard(self, monkeypatch):
         # The table starts with N^n entries, grows inside the pass and
         # never holds more than N^n * n!.
         b = self.WORDS[0]
-        with pytest.raises(statemodel.StateResourceError):
-            statemodel.bracket(b, 3, max_states=26)
-        with pytest.raises(statemodel.StateResourceError):
-            statemodel.bracket(b, 3, max_states=30)
-        assert statemodel.bracket(b, 3, max_states=3 ** 3 * 6) == \
-            statemodel.bracket(b, 3)
+        expected = statemodel.bracket(b, 3)
+        for limit in (26, 30):
+            monkeypatch.setattr(statemodel, "MAX_STATES", limit)
+            with pytest.raises(statemodel.StateResourceError):
+                statemodel.bracket(b, 3)
+        monkeypatch.setattr(statemodel, "MAX_STATES", 3 ** 3 * 6)
+        assert statemodel.bracket(b, 3) == expected
         # The starting table is refused before it is built.
+        monkeypatch.undo()
         with pytest.raises(statemodel.StateResourceError):
             statemodel.bracket(BraidWord(60, (1,)), 2)
 
