@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -42,11 +43,16 @@ def _parse_input(kind, text):
     raise UsageError(f"input_type must be braid or pd: {kind!r}")
 
 
+def _is_number(text: str) -> bool:
+    """ASCII digits, as in braid and PD text, with surrounding whitespace."""
+    return re.fullmatch(r"[0-9]+", text.strip()) is not None
+
+
 def _parse_n_list(text: str) -> list[int]:
-    try:
-        ns = sorted({int(tok) for tok in text.split(",") if tok.strip()})
-    except ValueError:
-        raise UsageError(f"bad --n list: {text!r}") from None
+    fields = [tok for tok in text.split(",") if tok.strip()]
+    if not all(map(_is_number, fields)):
+        raise UsageError(f"bad --n list: {text!r}")
+    ns = sorted({int(tok) for tok in fields})
     if not ns or any(n < 2 for n in ns):
         raise UsageError("--n needs a comma list of integers >= 2")
     return ns
@@ -343,11 +349,14 @@ def cmd_selftest(args) -> int:
     return 3 if failed else 0
 
 
+def _number(text: str) -> int:
+    if not _is_number(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _number(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
     return value
@@ -362,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--braid": dict(help='braid word, e.g. "1 1 1" or "n=3; 1 -2"'),
         "--pd": dict(help='PD code, e.g. "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"'),
         "--n": dict(default="2,3", help="comma list of N values (default 2,3)"),
-        "-p": dict(type=int, required=True, help="prime period to test"),
+        "-p": dict(type=_number, required=True, help="prime period to test"),
         "--criteria": dict(default=",".join(ALL_CRITERIA),
                            help="comma list of criteria to run"),
         "--r": dict(type=_positive_int, default=1,
@@ -396,10 +405,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_input_values(argv: list[str]) -> list[str]:
+    """argparse reads a word that starts with "-" and holds no space, such
+    as a tab-separated negative braid, as an option; so --braid and --pd
+    take a next word that starts with "-" and a digit as their value."""
+    joined: list[str] = []
+    for word in argv:
+        if joined and joined[-1] in ("--braid", "--pd") and \
+                re.match(r"-[0-9]", word):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(
+            _join_input_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -1,9 +1,9 @@
 """Link presentations: braid words and oriented planar diagrams.
 
-Braid closures are the canonical input; PD codes are accepted for the
-skein engine.  A positive braid letter is a positive crossing (the
-strand entering on the left passes over), so the closure of "1 1 1" is
-the right-handed trefoil.
+Braid closures are the canonical input; vogel.braid_from_pd reads a
+planar diagram back as a braid.  A positive braid letter is a positive
+crossing (the strand entering on the left passes over), so the closure
+of "1 1 1" is the right-handed trefoil.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""HOMFLY polynomial, by one of two routes chosen by the input type, and
-its one-variable specializations.
+"""HOMFLY polynomial, by the Hecke-algebra route with the skein route as
+its fallback and reference, and its one-variable specializations.
 
 Convention: a^-1 P(L+) - a P(L-) = z P(L0), P(unknot) = 1, so a
 split union with an unknot multiplies by delta = (a^-1 - a)/z.
@@ -21,16 +21,21 @@ taken in H_(m-1).  Then P = a^writhe F.  A braid that needs more than
 HECKE_MAX_TERMS basis elements at once (never one on at most 7 strands)
 goes through the skein route on its diagram instead.
 
-Planar diagrams take the skein route: one loop expands P(D) as a linear
-combination of diagrams until all of them are descending.  Traverse the
-closure from fixed base points in component order; the first crossing
-first reached on its under-strand is either switched (strictly enlarging
-the descending prefix) or smoothed (dropping a crossing).  A descending
-diagram with k components is an unlink, delta^(k-1).  Diagrams wait in
-one level per crossing count, taken from the most crossings down, and a
-diagram equal up to arc renumbering to a waiting one adds to its
-coefficient.  Nothing is kept between calls.  The skein route is also the
-independent reference the tests compare the Hecke route against.
+A planar diagram is first read as a braid by Vogel's algorithm
+(vogel.braid_from_pd), one strand per Seifert circle, and takes the
+Hecke route as that braid.  A non-planar diagram, or a braid from one
+past HECKE_MAX_TERMS, takes the skein route on the diagram as given: one
+loop expands P(D) as a linear combination of diagrams until all of them
+are descending, which is exponential in the crossing count.  Traverse
+the closure from fixed base points in component order; the first
+crossing first reached on its under-strand is either switched (strictly
+enlarging the descending prefix) or smoothed (dropping a crossing).  A
+descending diagram with k components is an unlink, delta^(k-1).
+Diagrams wait in one level per crossing count, taken from the most
+crossings down, and a diagram equal up to arc renumbering to a waiting
+one adds to its coefficient.  Nothing is kept between calls.  The skein
+route is also the independent reference the tests compare the Hecke
+route against.
 """
 
 from __future__ import annotations
@@ -164,9 +169,10 @@ def _push(levels, crossings, free_loops, coeff: BiLaurent) -> None:
     level[key] = (crossings, free_loops, coeff)
 
 
-def _homfly_diagram(crossings, free_loops) -> BiLaurent:
-    levels: list[dict] = [{} for _ in range(len(crossings) + 1)]
-    _push(levels, crossings, free_loops, BiLaurent.one())
+def _homfly_diagram(d: PlanarDiagram) -> BiLaurent:
+    """The skein route."""
+    levels: list[dict] = [{} for _ in range(len(d.crossings) + 1)]
+    _push(levels, d.crossings, d.free_loops, BiLaurent.one())
     unlinks: dict[int, BiLaurent] = {}     # component count -> coefficient
     for level in reversed(levels):
         while level:
@@ -252,20 +258,28 @@ def _homfly_braid(b: BraidWord) -> BiLaurent:
 
 def homfly(d: "PlanarDiagram | BraidWord",
            max_crossings: int = DEFAULT_MAX_CROSSINGS) -> BiLaurent:
-    """HOMFLY polynomial of a braid closure (Hecke-algebra route) or of an
-    oriented link diagram (skein route).  A braid the Hecke route cannot
-    hold in HECKE_MAX_TERMS basis elements takes the skein route."""
+    """HOMFLY polynomial of a braid closure or of an oriented link diagram.
+    The limit counts the input's crossings.  A diagram takes the Hecke route
+    as the braid vogel.braid_from_pd reads off it, however long; a non-planar
+    diagram, and an input the Hecke route cannot hold in HECKE_MAX_TERMS
+    basis elements, takes the skein route on the input's diagram."""
     braid = isinstance(d, BraidWord)
     size = len(d.letters) if braid else len(d.crossings)
     if size > max_crossings:
         raise ResourceLimitError(
             f"{size} crossings exceed the limit of {max_crossings}")
     if braid:
+        b = d
+    else:
+        # Imported here: a process given only braids never loads it.
+        from .vogel import braid_from_pd
+        b = braid_from_pd(d)
+    if b is not None:
         try:
-            return _homfly_braid(d)
+            return _homfly_braid(b)
         except _TooManyTerms:
-            d = pd_from_braid(d)
-    return _homfly_diagram(d.crossings, d.free_loops)
+            pass
+    return _homfly_diagram(pd_from_braid(d) if braid else d)
 
 
 def _specialize(P: BiLaurent, a_image: LaurentPoly, z_image: LaurentPoly,

@@ -35,13 +35,16 @@ def sweep_words():
 def sweep():
     """Criterion-2 sweep, shared with criteria 9 and 10: for every word,
     the HOMFLY polynomial (the Hecke-trace route, checked against the
-    skein route on the word's diagram), component count, and both routes
+    skein route on the word's diagram and against the Hecke route on the
+    braid read back from that diagram), component count, and both routes
     to the quantum invariant at N in {2,3}."""
     t0 = time.monotonic()
     rows = []
     for b in sweep_words():
         P = skein.homfly(b)
-        assert skein.homfly(pd_from_braid(b)) == P, b.text()
+        d = pd_from_braid(b)
+        assert skein._homfly_diagram(d) == P, b.text()
+        assert skein.homfly(d) == P, b.text()
         m = len(linking_tuple(b))
         invs = {}
         for N in (2, 3):
@@ -266,7 +269,8 @@ def test_criterion_11_ideal_algebra_randomized():
 def test_criterion_12_markov_invariance():
     t0 = time.monotonic()
     rng = random.Random(20240918)
-    routes = (skein.homfly, lambda b: skein.homfly(pd_from_braid(b)))
+    routes = (skein.homfly, lambda b: skein.homfly(pd_from_braid(b)),
+              lambda b: skein._homfly_diagram(pd_from_braid(b)))
     for _ in range(50):
         n = rng.randint(2, 3)
         letters = tuple(rng.choice([e for e in LETTERS if abs(e) < n])

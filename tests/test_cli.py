@@ -305,3 +305,37 @@ def test_console_entry_point():
 
 def test_no_subcommand_is_usage_error():
     assert cli.main([]) == 1
+
+
+@pytest.mark.parametrize("command", [["invariant"], ["check", "-p", "3"]],
+                         ids=["invariant", "check"])
+def test_input_value_may_start_with_minus(capsys, command):
+    # No space in the word, so argparse alone would read it as an option.
+    text = "-1\t-1\t-1"
+    code, out, err = run_main([*command, "--braid", text, "--format", "json"],
+                              capsys)
+    assert code == 0, err
+    assert json.loads(out)["input"]["value"] == text
+    assert run_main([*command, f"--braid={text}", "--format", "json"],
+                    capsys) == (0, out, "")
+    code, out, err = run_main([*command, "--pd", "-1"], capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--braid", TREFOIL, "-p", "\u0663"],
+    ["check", "--braid", TREFOIL, "-p", "+3"],
+    ["check", "--braid", TREFOIL, "-p", "1_3"],
+    ["check", "--braid", TREFOIL, "-p", "3", "--n", "+2,1_0"],
+    ["check", "--braid", TREFOIL, "-p", "3", "--r", "+1"],
+    ["check", "--braid", TREFOIL, "-p", "3", "--r", "1_0"],
+    ["check", "--braid", TREFOIL, "-p", "3", "--max-crossings", "2_4"],
+    ["invariant", "--braid", TREFOIL, "--n", "\u0662"],
+    ["invariant", "--braid", TREFOIL, "--max-crossings", "\u0662\u0664"],
+    ["batch", "links.csv", "-p", "+3"]])
+def test_number_options_take_ascii_digits(capsys, argv):
+    # int() would take each of these values as a number.
+    code, out, err = run_main(argv, capsys)
+    assert code == 1
+    assert out == "" and argv[-2] in err

@@ -104,8 +104,7 @@ def run_cli(argv):
 @FUZZ_CLI
 @given(braid_text())
 def test_check_exits_1_exactly_on_parse_errors(text):
-    # "--braid=<text>": argparse would read a separate "-1\t1" as an option.
-    code, _, err = run_cli(["check", f"--braid={text}", "-p", "3",
+    code, _, err = run_cli(["check", "--braid", text, "-p", "3",
                             "--max-crossings", "8"])
     assert (code == 1) == (not parses(parse_braid, text)), err
 

@@ -5,24 +5,34 @@ import tracemalloc
 import pytest
 
 from linkperiod import skein
-from linkperiod.diagram import (BraidWord, PlanarDiagram, parse_pd,
-                                pd_from_braid)
+from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
+                                closure_components, parse_pd, pd_from_braid)
 from linkperiod.laurent import BiLaurent, LaurentPoly
 from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
                                  HOPF_Q2, TREFOIL, TREFOIL_HOMFLY, TREFOIL_Q2,
                                  TREFOIL_Q3)
+from linkperiod.vogel import braid_from_pd
 
 UNKNOT = BraidWord(1)
 
+#: Two crossings whose faces do not close up on a sphere.
+NON_PLANAR = "X[1,2,3,4] X[3,4,1,2]"
 
-def homfly_of_diagram(b, **kwargs):
+
+def homfly_of_diagram(b):
     """The skein route on the diagram of a braid closure."""
+    return skein._homfly_diagram(pd_from_braid(b))
+
+
+def homfly_of_pd(b, **kwargs):
+    """skein.homfly on the diagram of a braid closure: the Hecke route on
+    the braid that vogel.braid_from_pd reads back."""
     return skein.homfly(pd_from_braid(b), **kwargs)
 
 
 class TestHomfly:
-    """Braid cases run on the Hecke-trace route here and on the skein
-    route in the subclass below."""
+    """Braid cases run on the Hecke-trace route here, on the skein route
+    and through the diagram in the subclasses below."""
 
     homfly = staticmethod(skein.homfly)
 
@@ -92,6 +102,18 @@ class TestHomfly:
 
 class TestHomflyOnDiagram(TestHomfly):
     homfly = staticmethod(homfly_of_diagram)
+
+    def test_crossing_limit(self):
+        # The skein route itself takes no limit; skein.homfly applies the
+        # limit before it picks a route, here to a non-planar diagram.
+        d = parse_pd(NON_PLANAR)
+        with pytest.raises(skein.ResourceLimitError):
+            skein.homfly(d, max_crossings=1)
+        assert skein.homfly(d, max_crossings=2) == skein._homfly_diagram(d)
+
+
+class TestHomflyViaBraidFromPd(TestHomfly):
+    homfly = staticmethod(homfly_of_pd)
 
 
 def long_braid(seed):
@@ -236,6 +258,166 @@ class TestHeckeTermLimit:
         assert seen
 
 
+def relabelled(crossings, label):
+    return [Crossing(c.sign, *map(label, c.arcs())) for c in crossings]
+
+
+def connected_sum(diagrams, rng):
+    """One diagram of the connected sum of knot diagrams: each next one is
+    joined at a random arc to a random arc of the sum so far, arcs a and b
+    running tail -> head becoming a: tail(a) -> head(b) and b: tail(b) ->
+    head(a).  Arc labels and crossing order are then shuffled."""
+    total: list[Crossing] = []
+    for d in diagrams:
+        shift = max((x for c in total for x in c.arcs()), default=0)
+        part = relabelled(d.crossings, lambda x: x + shift)
+        if total:
+            swap = {rng.choice(sorted({x for c in total for x in c.arcs()})):
+                    rng.choice(sorted({x for c in part for x in c.arcs()}))}
+            swap.update({b: a for a, b in swap.items()})
+            total = [c._replace(under_in=swap.get(c.under_in, c.under_in),
+                                over_in=swap.get(c.over_in, c.over_in))
+                     for c in total + part]
+        else:
+            total = part
+    labels = sorted({x for c in total for x in c.arcs()})
+    shuffled = dict(zip(labels, rng.sample(labels, len(labels))))
+    total = relabelled(total, shuffled.get)
+    rng.shuffle(total)
+    return PlanarDiagram(tuple(total))
+
+
+def summand(rng, max_letters):
+    """A random knot closure on 2-4 strands that uses every generator."""
+    while True:
+        n = rng.randint(2, 4)
+        b = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                               for _ in range(rng.randint(1, max_letters))))
+        if len(closure_components(b)) == 1 and \
+                {abs(e) for e in b.letters} == set(range(1, n)):
+            return b
+
+
+def seifert_circles(d):
+    """The number of cycles of under_in -> over_out, over_in -> under_out."""
+    succ = {}
+    for c in d.crossings:
+        succ[c.under_in] = c.over_out
+        succ[c.over_in] = c.under_out
+    seen, count = set(), 0
+    for a in succ:
+        if a not in seen:
+            count += 1
+            while a not in seen:
+                seen.add(a)
+                a = succ[a]
+    return count
+
+
+class TestBraidFromPd:
+    """Diagrams read back as braids by Vogel's algorithm.  Connected sums
+    of braid closures put Seifert circles side by side, so reading them
+    needs Vogel moves; the HOMFLY of a connected sum is the product of
+    the summands' polynomials."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_connected_sums(self, seed):
+        rng = random.Random(7100 + seed)
+        most = 0
+        for _ in range(25):
+            parts = [summand(rng, 4) for _ in range(rng.randint(2, 4))]
+            parts = [BraidWord(b.n, tuple(-e for e in b.letters))
+                     if rng.random() < 0.5 else b for b in parts]
+            d = connected_sum([pd_from_braid(b) for b in parts], rng)
+            expected = BiLaurent.one()
+            for b in parts:
+                expected = expected * skein.homfly(b)
+            b = braid_from_pd(d)
+            s = seifert_circles(d)
+            assert b.n == s
+            moves, odd = divmod(len(b) - len(d.crossings), 2)
+            assert odd == 0 and 0 <= moves <= (s - 1) * (s - 2) // 2
+            most = max(most, moves)
+            assert skein.homfly(d) == expected
+            if len(d.crossings) <= 10:
+                assert skein._homfly_diagram(d) == expected
+        assert most > 0
+
+    def test_closures_need_no_moves(self):
+        rng = random.Random(7200)
+        for _ in range(100):
+            b = long_braid(rng.randrange(10 ** 6))
+            d = pd_from_braid(b)
+            back = braid_from_pd(d)
+            assert (back.n, len(back)) == (b.n, len(b))
+            assert skein.homfly(back, max_crossings=100) == \
+                skein.homfly(b, max_crossings=100)
+
+    @pytest.mark.parametrize("text, braid, polynomial", [
+        ("X[1,1,2,2]", BraidWord(2, (-1,)), BiLaurent.one()),
+        ("X[1,2,2,1]", BraidWord(2, (1,)), BiLaurent.one()),
+        ("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]",
+         BraidWord(3, (1, -2, 1, -2)), FIG8_HOMFLY),
+        ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3] "
+         "X[7,10,8,11] X[9,12,10,7] X[11,8,12,9]",
+         BraidWord(4, (1, 1, 1, 3, 3, 3)),
+         TREFOIL_HOMFLY * TREFOIL_HOMFLY * skein.DELTA),
+    ], ids=["kink-negative", "kink-positive", "figure-eight",
+            "split-trefoils"])
+    def test_small_diagrams(self, text, braid, polynomial):
+        d = parse_pd(text)
+        assert braid_from_pd(d) == braid
+        assert skein.homfly(d) == skein._homfly_diagram(d) == polynomial
+
+    @staticmethod
+    def skein_calls(monkeypatch):
+        seen = []
+        real = skein._homfly_diagram
+
+        def spy(d):
+            seen.append(d)
+            return real(d)
+
+        monkeypatch.setattr(skein, "_homfly_diagram", spy)
+        return seen
+
+    def test_non_planar_takes_the_skein_route(self, monkeypatch):
+        d = parse_pd(NON_PLANAR)
+        assert braid_from_pd(d) is None
+        seen = self.skein_calls(monkeypatch)
+        skein.homfly(d)
+        assert seen == [d]
+
+    def test_term_limit_falls_back_to_the_given_diagram(self, monkeypatch):
+        rng = random.Random(7300)
+        diagrams = [pd_from_braid(summand(rng, 5)) for _ in range(10)]
+        diagrams += [connected_sum([pd_from_braid(summand(rng, 3))
+                                    for _ in range(2)], rng)
+                     for _ in range(5)]
+        expected = [skein.homfly(d) for d in diagrams]
+        monkeypatch.setattr(skein, "HECKE_MAX_TERMS", 1)
+        seen = self.skein_calls(monkeypatch)
+        assert [skein.homfly(d) for d in diagrams] == expected
+        # Every diagram too big for one basis element went to the skein
+        # route as given, not as the diagram of its longer braid.
+        assert len(seen) >= 10
+        assert all(any(x is d for d in diagrams) for x in seen)
+
+    def test_long_braid_of_a_24_crossing_diagram(self, monkeypatch):
+        parts = [BraidWord(2, (1,) * 7), BraidWord(2, (-1,) * 7),
+                 BraidWord(2, (1,) * 5), BraidWord(2, (-1,) * 5)]
+        d = connected_sum([pd_from_braid(b) for b in parts],
+                          random.Random(7400))
+        assert len(d.crossings) == skein.DEFAULT_MAX_CROSSINGS
+        assert len(braid_from_pd(d)) > len(d.crossings)
+        expected = BiLaurent.one()
+        for b in parts:
+            expected = expected * skein.homfly(b)
+        seen = self.skein_calls(monkeypatch)
+        assert skein.homfly(d) == expected
+        assert seen == []
+
+
 class TestQuantumSln:
     def test_unknot_all_n(self):
         one = skein.homfly(UNKNOT)
@@ -349,27 +531,30 @@ class TestDiagramFrontier:
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            skein.homfly(parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"))
+            skein._homfly_diagram(parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"))
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(old)
 
     def test_long_diagram(self):
         b = BraidWord(2, (1,) * 61)
-        assert skein.homfly(pd_from_braid(b), max_crossings=61) == \
+        assert skein._homfly_diagram(pd_from_braid(b)) == \
             skein.homfly(b, max_crossings=61)
 
     def test_memory_peak(self):
         d = pd_from_braid(BraidWord(3, (1, 2) * 7))
         tracemalloc.start()
         try:
-            skein.homfly(d)
+            skein._homfly_diagram(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 500_000
 
     def test_empty_diagram_has_no_components(self):
+        with pytest.raises(ValueError, match="no components"):
+            skein._homfly_diagram(PlanarDiagram((), 0))
+        assert braid_from_pd(PlanarDiagram((), 0)) is None
         with pytest.raises(ValueError, match="no components"):
             skein.homfly(PlanarDiagram((), 0))
 
