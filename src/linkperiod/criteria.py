@@ -9,6 +9,18 @@ non-periodicity.
 Every candidate function returns a plain frozenset: residues k mod p
 (QP_MINUS knots), (k, sign) pairs (QP_PLUS knots) or psi-tuples of
 residues (links).  The empty set reads "not p-periodic".
+
+Links are searched by orbits, not by all p^m tuples.  Modulo
+(p, q^p - 1) the candidate sum of psi is the product of the residues
+r_k of [N]_{q^k} over its coordinates k = psi_j.  Such a product does
+not depend on the order of the components, and r_{-k} = r_k because
+[N]_q is symmetric under q -> q^-1.  So the set of matching tuples is
+closed under permuting coordinates and under negating any one of them,
+and every orbit has exactly one non-decreasing representative in
+{0..p//2}^m.  `link_candidates` walks those representatives depth
+first, sharing each prefix product, and expands each hit into its
+orbit: C(p//2 + m, m) products in F_p[q]/(q^p - 1) instead of p^m,
+for example 210 instead of 28,561 at p = 13, m = 4.
 """
 
 from __future__ import annotations
@@ -61,17 +73,58 @@ def knot_candidates(inv: LaurentPoly, p: int, N: int,
 
 def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
     """All tuples psi in {0..p-1}^m whose candidate sum matches the link
-    invariant mod (p, q^p - 1); empty means "not p-periodic"."""
+    invariant mod (p, q^p - 1); empty means "not p-periodic".
+
+    Only the non-decreasing tuples over {0..p//2} are tested; each hit
+    is expanded into its orbit under negating coordinates and permuting
+    components (see the module docstring)."""
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
     if m > DEFAULT_MAX_LINK_COMPONENTS:
         raise ValueError(
             f"psi enumeration over p^{m} tuples exceeds the guard "
             f"(m <= {DEFAULT_MAX_LINK_COMPONENTS})")
-    target = reduce(inv, p, IdealVariant.QP_MINUS)
-    return frozenset(
-        psi for psi in itertools.product(range(p), repeat=m)
-        if reduce(rhs_sum(N, psi), p, IdealVariant.QP_MINUS) == target)
+    if N < 2:
+        raise ValueError(f"N must be >= 2: {N}")
+    if m < 1:
+        raise ValueError("need at least one component")
+    target = _dense(reduce(inv, p, IdealVariant.QP_MINUS), p)
+    residues = [_dense(reduce(quantum_integer(N).compose_power(k), p,
+                              IdealVariant.QP_MINUS), p)
+                for k in range(p // 2 + 1)]
+    hits: set[tuple[int, ...]] = set()
+
+    def extend(prefix: list[int], ks: tuple[int, ...]) -> None:
+        if len(ks) == m:
+            if prefix == target:
+                signed = itertools.product(*({k, -k % p} for k in ks))
+                hits.update(perm for t in signed
+                            for perm in itertools.permutations(t))
+            return
+        for k in range(ks[-1] if ks else 0, len(residues)):
+            extend(_cyclic_product(prefix, residues[k], p), ks + (k,))
+
+    extend(_dense(LaurentPoly.one(), p), ())
+    return frozenset(hits)
+
+
+def _dense(f: LaurentPoly, p: int) -> list[int]:
+    """Coefficients of a reduced f, indexed by exponent mod p."""
+    out = [0] * p
+    for e, c in f.terms():
+        out[e % p] = c
+    return out
+
+
+def _cyclic_product(f: list[int], g: list[int], p: int) -> list[int]:
+    """f * g in F_p[q]/(q^p - 1) on dense coefficient lists; g should be
+    the factor with few nonzero entries."""
+    out = [0] * p
+    for e, c in enumerate(g):
+        if c:
+            rotated = f[-e:] + f[:-e] if e else f      # rotated[i] = f[i - e]
+            out = [o + c * x for o, x in zip(out, rotated)]
+    return [o % p for o in out]
 
 
 def possible_linking(sets: list[frozenset], p: int) -> frozenset[int]:

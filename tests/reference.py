@@ -4,16 +4,18 @@ The whole-state enumerator checks the state-sum oracle
 (`statemodel.bracket`): it lists every valid arc labelling of a braid
 closure with the local rule at each crossing, exponentially many in the
 crossing count, so it serves small braids only.  `parity_split` feeds
-the ideal-algebra tests.
+the ideal-algebra tests.  `all_tuple_link_candidates` checks
+`criteria.link_candidates` by trying every one of the p^m psi-tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from linkperiod import statemodel
+from linkperiod import criteria, statemodel
 from linkperiod.diagram import BraidWord, braid_segments, closure_components
-from linkperiod.laurent import LaurentPoly
+from linkperiod.laurent import IdealVariant, LaurentPoly, reduce
 
 
 def strand_component(b: BraidWord) -> dict[int, int]:
@@ -23,6 +25,16 @@ def strand_component(b: BraidWord) -> dict[int, int]:
         for s in comp:
             out[s] = ci
     return out
+
+
+def all_tuple_link_candidates(inv: LaurentPoly, p: int, N: int,
+                              m: int) -> frozenset:
+    """Every psi in {0..p-1}^m whose candidate sum is congruent to inv mod
+    (p, q^p - 1), found by trying all p^m tuples."""
+    target = reduce(inv, p, IdealVariant.QP_MINUS)
+    return frozenset(
+        psi for psi in itertools.product(range(p), repeat=m)
+        if reduce(criteria.rhs_sum(N, psi), p, IdealVariant.QP_MINUS) == target)
 
 
 def parity_split(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,8 +7,27 @@ from linkperiod import cli, criteria, skein
 from linkperiod.diagram import BraidWord, linking_tuple, power
 from linkperiod.laurent import IdealVariant, LaurentPoly, quantum_integer
 from linkperiod.selftest import HOPF_Q2, TREFOIL_Q2, TREFOIL_Q3
+from reference import all_tuple_link_candidates
 
 UNKNOT_Q2 = LaurentPoly({1: 1, -1: 1})
+
+#: (p, m) pairs on which the orbit enumeration is compared with trying
+#: all p^m tuples; the slowest, (7, 4) and (13, 3), try about 2,000.
+ORACLE_CASES = ([(p, m) for p in (2, 3, 5, 7, 11, 13) for m in (1, 2, 3)]
+                + [(p, 4) for p in (2, 3, 5, 7)])
+
+
+def random_closure(rng: random.Random, m: int, strands: tuple[int, int],
+                   letters: tuple[int, int], p: int = 1) -> BraidWord:
+    """w^p for a random word w whose p-th power closes up to m components."""
+    while True:
+        n = rng.randint(max(strands[0], m), strands[1])
+        gens = [e for e in range(1 - n, n) if e]
+        w = BraidWord(n, tuple(rng.choice(gens)
+                               for _ in range(rng.randint(*letters))))
+        wp = power(w, p)
+        if len(linking_tuple(wp)) == m:
+            return wp
 
 
 class TestRhsSum:
@@ -92,8 +112,51 @@ class TestLinkCandidates:
         assert (1, 1) in hits
 
     def test_component_guard(self):
-        with pytest.raises(ValueError):
+        message = "psi enumeration over p^5 tuples exceeds the guard (m <= 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             criteria.link_candidates(HOPF_Q2, 3, 2, 5)
+
+    @pytest.mark.parametrize("p, N, m, message", [
+        (4, 2, 2, "p must be prime: 4"),
+        (3, 1, 2, "N must be >= 2: 1"),
+        (3, 2, 0, "need at least one component"),
+    ])
+    def test_errors(self, p, N, m, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            criteria.link_candidates(HOPF_Q2, p, N, m)
+
+    @pytest.mark.parametrize("p, m", ORACLE_CASES)
+    def test_matches_all_tuple_oracle(self, p, m):
+        # A random closure and a p-periodic one, w^p, for each (p, m);
+        # the periodic one must keep its axis linking tuple.
+        rng = random.Random(109 + 100 * p + m)
+        for q in (1, p):
+            b = random_closure(rng, m, (2, 5), (0, 8), q)
+            P = skein.homfly(b, max_crossings=len(b))
+            for N in (2, 3, 4):
+                inv = skein.quantum_sln(P, N, m)
+                hits = criteria.link_candidates(inv, p, N, m)
+                assert hits == all_tuple_link_candidates(inv, p, N, m), \
+                    (b.text(), p, N)
+                if q == p:
+                    assert tuple(x % p for x in linking_tuple(b)) in hits
+
+    def test_periodic_controls_keep_axis_linking(self):
+        # The paper's necessary condition for links: the closure of w^p
+        # is p-periodic about the braid axis, so its linking tuple mod p
+        # survives every N and the verdict is never "not p-periodic".
+        rng = random.Random(113)
+        for p in (11, 13, 17, 19):
+            for m in (2, 3, 4):
+                wp = random_closure(rng, m, (2, 5), (3, 7), p)
+                assert len(wp) > 24
+                rep = cli.build_check_report("braid", wp.text(), p, [2, 3],
+                                             list(cli.ALL_CRITERIA),
+                                             max_crossings=len(wp))
+                assert rep["verdict"] != f"not-{p}-periodic", (wp.text(), p)
+                psi = sorted(x % p for x in linking_tuple(wp))
+                for hits in rep["criteria"]["quantum-minus"]["per_n"].values():
+                    assert psi in hits, (wp.text(), p)
 
 
 class TestPossibleLinking:
