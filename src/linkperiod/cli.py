@@ -362,11 +362,41 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    arguments: tuple[str, ...]
+
+
+#: Every subcommand, in `--help` order, with the arguments it takes.
+COMMANDS = {
+    "invariant": Command(cmd_invariant, "compute link invariants", (
+        "--braid", "--pd", "--n", "--max-crossings", "--out", "--format",
+        "--oracle")),
+    "check": Command(cmd_check, "run periodicity criteria", (
+        "--braid", "--pd", "--n", "-p", "--criteria", "--r",
+        "--max-crossings", "--out", "--format")),
+    "batch": Command(cmd_batch, "run checks over a CSV of links", (
+        "csv", "-p", "--n", "--criteria", "--r", "--max-crossings",
+        "--out")),
+    "selftest": Command(cmd_selftest, "run the built-in fixture suite", (
+        "--filter",)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; or, when `command` names one, of
+    that subcommand alone, which parses its own arguments and reports its
+    usage and errors in the same words."""
     ap = argparse.ArgumentParser(
         prog="linkperiod",
         description="Quantum-invariant periodicity criteria for links")
-    sub = ap.add_subparsers(dest="command", required=True)
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # With one subcommand built, the metavar keeps the top-level usage
+    # line naming all of them.
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None)
     options = {
         "--braid": dict(help='braid word, e.g. "1 1 1" or "n=3; 1 -2"'),
         "--pd": dict(help='PD code, e.g. "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"'),
@@ -388,20 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run only checks whose name contains this"),
     }
 
-    def add(command, func, help, *names):
-        sp = sub.add_parser(command, help=help)
-        for name in names:
-            sp.add_argument(name, **options[name])
-        sp.set_defaults(func=func)
-
-    add("invariant", cmd_invariant, "compute link invariants", "--braid",
-        "--pd", "--n", "--max-crossings", "--out", "--format", "--oracle")
-    add("check", cmd_check, "run periodicity criteria", "--braid", "--pd",
-        "--n", "-p", "--criteria", "--r", "--max-crossings", "--out",
-        "--format")
-    add("batch", cmd_batch, "run checks over a CSV of links", "csv", "-p",
-        "--n", "--criteria", "--r", "--max-crossings", "--out")
-    add("selftest", cmd_selftest, "run the built-in fixture suite", "--filter")
+    for name in names:
+        cmd = COMMANDS[name]
+        sp = sub.add_parser(name, help=cmd.help)
+        for arg in cmd.arguments:
+            sp.add_argument(arg, **options[arg])
+        sp.set_defaults(func=cmd.run)
     return ap
 
 
@@ -420,10 +442,10 @@ def _join_input_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = _join_input_values(sys.argv[1:] if argv is None else argv)
+    ap = build_parser(argv[0] if argv else None)
     try:
-        args = ap.parse_args(
-            _join_input_values(sys.argv[1:] if argv is None else argv))
+        args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -6,6 +6,8 @@ closure with the local rule at each crossing, exponentially many in the
 crossing count, so it serves small braids only.  `parity_split` feeds
 the ideal-algebra tests.  `all_tuple_link_candidates` checks
 `criteria.link_candidates` by trying every one of the p^m psi-tuples.
+`termwise_specialize` checks the Horner pass of `skein._specialize` by
+substituting into every HOMFLY term on its own.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 from linkperiod import criteria, statemodel
 from linkperiod.diagram import BraidWord, braid_segments, closure_components
-from linkperiod.laurent import IdealVariant, LaurentPoly, reduce
+from linkperiod.laurent import (BiLaurent, IdealVariant, LaurentPoly,
+                                exact_divide, reduce)
 
 
 def strand_component(b: BraidWord) -> dict[int, int]:
@@ -35,6 +38,22 @@ def all_tuple_link_candidates(inv: LaurentPoly, p: int, N: int,
     return frozenset(
         psi for psi in itertools.product(range(p), repeat=m)
         if reduce(criteria.rhs_sum(N, psi), p, IdealVariant.QP_MINUS) == target)
+
+
+def termwise_specialize(P: BiLaurent, a_image: LaurentPoly,
+                        z_image: LaurentPoly, var: str) -> LaurentPoly:
+    """Evaluate P at a -> a_image, z -> z_image one term at a time, raising
+    z_image afresh for each; negative z powers are cleared by exact
+    division by z_image."""
+    s_min = min((s for (_, s) in P._c), default=0)
+    shifted = LaurentPoly.zero(var)
+    for (r, s), v in P._c.items():
+        term = a_image.compose_power(r) if r != 0 else LaurentPoly.one(var)
+        term = term * (z_image ** (s - s_min))
+        shifted = shifted + term.scale(v)
+    if s_min >= 0:
+        return shifted * (z_image ** s_min)
+    return exact_divide(shifted, z_image ** (-s_min))
 
 
 def parity_split(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

@@ -307,6 +307,29 @@ def test_no_subcommand_is_usage_error():
     assert cli.main([]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["check", "--help"], ["invariant", "--help"], ["bogus"],
+    ["check", "--braid", TREFOIL], ["batch"],
+    ["check", "--braid", TREFOIL, "-p", "3", "extra"]])
+def test_usage_output_matches_the_full_parser(capsys, monkeypatch, argv):
+    # main builds only the parser of the command argv[0] names.
+    got = run_main(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == run_main(argv, capsys)
+    assert got[0] == (0 if "--help" in argv else 1)
+    assert got[1] or got[2]
+
+
+def test_parser_of_one_command(capsys):
+    argv = ["invariant", "--braid", TREFOIL]
+    with pytest.raises(SystemExit):
+        cli.build_parser("check").parse_args(argv)
+    assert "invalid choice: 'invariant'" in capsys.readouterr().err
+    for command in (None, "bogus", "invariant"):
+        assert cli.build_parser(command).parse_args(argv).braid == TREFOIL
+
+
 @pytest.mark.parametrize("command", [["invariant"], ["check", "-p", "3"]],
                          ids=["invariant", "check"])
 def test_input_value_may_start_with_minus(capsys, command):

@@ -3,11 +3,12 @@ import sys
 import tracemalloc
 
 import pytest
+from reference import termwise_specialize
 
 from linkperiod import skein
 from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
                                 closure_components, parse_pd, pd_from_braid)
-from linkperiod.laurent import BiLaurent, LaurentPoly
+from linkperiod.laurent import BiLaurent, LaurentPoly, quantum_integer
 from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
                                  HOPF_Q2, TREFOIL, TREFOIL_HOMFLY, TREFOIL_Q2,
                                  TREFOIL_Q3)
@@ -521,6 +522,83 @@ class TestP0:
             found += 1
             p0 = skein.p0_part(skein.homfly(b))
             assert sum(c for _, c in p0.terms()) == 1
+
+
+def termwise_values(P, m):
+    """What quantum_sln (N = 2, 3, 4), jones, and for knots alexander and
+    p0_part should return, by reference.termwise_specialize."""
+    def x_minus_inverse(var):
+        return LaurentPoly({1: 1, -1: -1}, var)
+
+    out = {N: quantum_integer(N) * termwise_specialize(
+        P, LaurentPoly.monomial(-N), x_minus_inverse("q"), "q")
+        for N in (2, 3, 4)}
+    v = termwise_specialize(P, LaurentPoly.monomial(2, var="s"),
+                            x_minus_inverse("s"), "s")
+    if all(e % 2 == 0 for e in v.exponents()):
+        v = LaurentPoly({e // 2: c for e, c in v.terms()}, "t")
+    out["jones"] = v
+    if m == 1:
+        v = termwise_specialize(P, LaurentPoly.one("s"),
+                                x_minus_inverse("s"), "s")
+        t = {e // 2: c for e, c in v.terms()}
+        low = min(t, default=0)
+        sign = -1 if t and t[max(t)] < 0 else 1
+        out["alexander"] = LaurentPoly(
+            {e - low: sign * c for e, c in t.items()}, "t")
+        out["p0"] = termwise_specialize(P, LaurentPoly.monomial(1, var="a"),
+                                        LaurentPoly.zero("a"), "a")
+    return out
+
+
+def specialized_values(P, m):
+    out = {N: skein.quantum_sln(P, N, m) for N in (2, 3, 4)}
+    out["jones"] = skein.jones(P)
+    if m == 1:
+        out["alexander"] = skein.alexander(P)
+        out["p0"] = skein.p0_part(P)
+    return out
+
+
+def assert_same_values(P, m):
+    got, want = specialized_values(P, m), termwise_values(P, m)
+    assert got == want
+    assert {k: v.var for k, v in got.items()} == \
+        {k: v.var for k, v in want.items()}
+
+
+class TestSpecializeAgainstTermwise:
+    """The Horner pass of skein._specialize against the term-by-term
+    substitution of reference.termwise_specialize."""
+
+    def test_random_links(self):
+        rng = random.Random(61)
+        seen_components, seen_z_min = set(), set()
+        for _ in range(240):
+            n = rng.randint(2, 4)
+            letters, length = [], rng.randint(1, 18)
+            while len(letters) < length:
+                g = rng.randint(1, n - 1) * rng.choice((1, -1))
+                letters += [g, g] if rng.random() < 0.5 else [g]
+            b = BraidWord(n, tuple(letters))
+            P = skein.homfly(b)
+            m = len(closure_components(b))
+            seen_components.add(m)
+            seen_z_min.add(P.z_min())
+            assert_same_values(P, m)
+        assert seen_components == {1, 2, 3, 4}
+        assert min(seen_z_min) == -3
+
+    @pytest.mark.parametrize("P", [
+        BiLaurent({(1, 2): 3, (-3, 2): -1, (0, 4): 2, (2, 6): 1}),
+        BiLaurent.one(),
+    ], ids=["z-powers-all-positive", "one"])
+    def test_knot_shaped(self, P):
+        assert_same_values(P, 1)
+
+    def test_odd_positive_z_powers(self):
+        # s_min = 1 > 0, a branch no HOMFLY of a real link reaches.
+        assert_same_values(BiLaurent({(1, 1): 2, (-2, 3): -1, (0, 5): 4}), 2)
 
 
 class TestDiagramFrontier:
