@@ -115,7 +115,7 @@ def _quantum_minus(ctx: Context):
     if ctx.m == 1:
         per_n = {N: criteria.knot_candidates(f, ctx.p, N, IdealVariant.QP_MINUS)
                  for N, f in ctx.quantum.items()}
-        linking = criteria.possible_linking(list(per_n.values()), ctx.p)
+        linking = criteria.possible_linking(list(per_n.values()))
         entry = {"per_n": {str(N): sorted(s) for N, s in per_n.items()},
                  "possible_linking": sorted(linking)}
         return entry, [linking]

@@ -10,17 +10,26 @@ Every candidate function returns a plain frozenset: residues k mod p
 (QP_MINUS knots), (k, sign) pairs (QP_PLUS knots) or psi-tuples of
 residues (links).  The empty set reads "not p-periodic".
 
-Links are searched by orbits, not by all p^m tuples.  Modulo
-(p, q^p - 1) the candidate sum of psi is the product of the residues
-r_k of [N]_{q^k} over its coordinates k = psi_j.  Such a product does
-not depend on the order of the components, and r_{-k} = r_k because
-[N]_q is symmetric under q -> q^-1.  So the set of matching tuples is
-closed under permuting coordinates and under negating any one of them,
-and every orbit has exactly one non-decreasing representative in
-{0..p//2}^m.  `link_candidates` walks those representatives depth
+Both quantum criteria are one search, by orbits, not by all p^m tuples.
+Modulo (p, q^p - 1) the candidate sum of psi is the product of the
+residues r_k of [N]_{q^k} over its coordinates k = psi_j.  Such a
+product does not depend on the order of the components, and r_{-k} =
+r_k because [N]_q is symmetric under q -> q^-1.  So the set of matching
+tuples is closed under permuting coordinates and under negating any one
+of them, and every orbit has exactly one non-decreasing representative
+in {0..p//2}^m.  `link_candidates` walks those representatives depth
 first, sharing each prefix product, and expands each hit into its
 orbit: C(p//2 + m, m) products in F_p[q]/(q^p - 1) instead of p^m,
-for example 210 instead of 28,561 at p = 13, m = 4.
+for example 210 instead of 28,561 at p = 13, m = 4.  The target, the
+residues and the products are sparse maps from exponent mod p to
+nonzero coefficient; r_k has at most N terms, so a knot (m = 1) costs
+O(p * N).
+
+For odd p, q -> -q is a ring isomorphism from F_p[q]/(q^p + 1) onto
+F_p[q]/(q^p - 1) that sends [N]_{q^k} to (-1)^{k(N-1)} [N]_{q^k}.  So
+the quantum-plus criterion for f is the same search run on +-f(-q):
+each residue r it keeps stands for k = r and k = r + p, with the sign
+flipped when k(N-1) is odd.
 """
 
 from __future__ import annotations
@@ -60,14 +69,14 @@ def knot_candidates(inv: LaurentPoly, p: int, N: int,
         raise ValueError("knot candidates are defined for QP_MINUS and QP_PLUS")
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime: {p}")
-    target = reduce(inv, p, variant)
+    flipped = LaurentPoly({e: -c if e % 2 else c for e, c in inv.terms()},
+                          inv.var)
     hits = set()
-    for k in range(2 * p):
-        rhs = rhs_sum(N, (k,))
-        if reduce(rhs, p, variant) == target:
-            hits.add((k, "+"))
-        if reduce(-rhs, p, variant) == target:
-            hits.add((k, "-"))
+    for s in (1, -1):
+        for (r,) in link_candidates(flipped.scale(s), p, N, 1):
+            for k in (r, r + p):
+                sign = -s if k * (N - 1) % 2 else s
+                hits.add((k, "+" if sign > 0 else "-"))
     return frozenset(hits)
 
 
@@ -84,17 +93,17 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
         raise ValueError(
             f"psi enumeration over p^{m} tuples exceeds the guard "
             f"(m <= {DEFAULT_MAX_LINK_COMPONENTS})")
-    if N < 2:
-        raise ValueError(f"N must be >= 2: {N}")
     if m < 1:
         raise ValueError("need at least one component")
-    target = _dense(reduce(inv, p, IdealVariant.QP_MINUS), p)
-    residues = [_dense(reduce(quantum_integer(N).compose_power(k), p,
-                              IdealVariant.QP_MINUS), p)
-                for k in range(p // 2 + 1)]
+
+    def sparse(f: LaurentPoly) -> dict[int, int]:
+        return {e % p: c for e, c in reduce(f, p, IdealVariant.QP_MINUS).terms()}
+
+    target = sparse(inv)
+    residues = [sparse(rhs_sum(N, (k,))) for k in range(p // 2 + 1)]
     hits: set[tuple[int, ...]] = set()
 
-    def extend(prefix: list[int], ks: tuple[int, ...]) -> None:
+    def extend(prefix: dict[int, int], ks: tuple[int, ...]) -> None:
         if len(ks) == m:
             if prefix == target:
                 signed = itertools.product(*({k, -k % p} for k in ks))
@@ -104,40 +113,28 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
         for k in range(ks[-1] if ks else 0, len(residues)):
             extend(_cyclic_product(prefix, residues[k], p), ks + (k,))
 
-    extend(_dense(LaurentPoly.one(), p), ())
+    extend({0: 1}, ())
     return frozenset(hits)
 
 
-def _dense(f: LaurentPoly, p: int) -> list[int]:
-    """Coefficients of a reduced f, indexed by exponent mod p."""
-    out = [0] * p
-    for e, c in f.terms():
-        out[e % p] = c
-    return out
+def _cyclic_product(f: dict[int, int], g: dict[int, int],
+                    p: int) -> dict[int, int]:
+    """f * g in F_p[q]/(q^p - 1), each a map from exponent mod p to
+    nonzero coefficient."""
+    out: dict[int, int] = {}
+    for e, c in f.items():
+        for d, b in g.items():
+            i = (e + d) % p
+            out[i] = (out.get(i, 0) + c * b) % p
+    return {e: c for e, c in out.items() if c}
 
 
-def _cyclic_product(f: list[int], g: list[int], p: int) -> list[int]:
-    """f * g in F_p[q]/(q^p - 1) on dense coefficient lists; g should be
-    the factor with few nonzero entries."""
-    out = [0] * p
-    for e, c in enumerate(g):
-        if c:
-            rotated = f[-e:] + f[:-e] if e else f      # rotated[i] = f[i - e]
-            out = [o + c * x for o, x in zip(out, rotated)]
-    return [o % p for o in out]
-
-
-def possible_linking(sets: list[frozenset], p: int) -> frozenset[int]:
-    """Residues k whose +-class lies in every given QP_MINUS candidate
-    set (one per tested N).  Empty means "not p-periodic"."""
+def possible_linking(sets: list[frozenset]) -> frozenset[int]:
+    """Residues in every given QP_MINUS candidate set (one per tested N);
+    each set is closed under k -> -k.  Empty means "not p-periodic"."""
     if not sets:
         raise ValueError("need candidate sets for at least one N")
-    out = set()
-    for k in range(p):
-        cls = {k % p, (-k) % p}
-        if all(cls <= s for s in sets):
-            out.update(cls)
-    return frozenset(out)
+    return frozenset(sets[0]).intersection(*sets)
 
 
 def lower_bound(inv: LaurentPoly, N: int) -> int | None:

@@ -75,13 +75,16 @@ def _checks():
 
     yield "candidates.trefoil-p3", lambda: \
         criteria.knot_candidates(TREFOIL_Q2, 3, 2) == frozenset({1, 2})
+    yield "candidates.trefoil-p3-plus", lambda: \
+        criteria.knot_candidates(TREFOIL_Q2, 3, 2, IdealVariant.QP_PLUS) == \
+        frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
     yield "candidates.trefoil-p5-empty", lambda: \
         criteria.knot_candidates(TREFOIL_Q2, 5, 2) == frozenset()
     yield "candidates.possible-linking", lambda: \
         criteria.possible_linking([
             criteria.knot_candidates(TREFOIL_Q2, 3, 2),
             criteria.knot_candidates(TREFOIL_Q3, 3, 3),
-        ], 3) == frozenset({1, 2})
+        ]) == frozenset({1, 2})
     yield "candidates.lower-bound", lambda: \
         criteria.lower_bound(TREFOIL_Q2, 2) == 19
 

@@ -5,7 +5,10 @@ The whole-state enumerator checks the state-sum oracle
 closure with the local rule at each crossing, exponentially many in the
 crossing count, so it serves small braids only.  `parity_split` feeds
 the ideal-algebra tests.  `all_tuple_link_candidates` checks
-`criteria.link_candidates` by trying every one of the p^m psi-tuples.
+`criteria.link_candidates` by trying every one of the p^m psi-tuples,
+and `all_k_plus_candidates` checks the quantum-plus criterion of
+`criteria.knot_candidates` by reducing each of the 2p signed candidate
+sums modulo (p, q^p + 1).
 `termwise_specialize` checks the Horner pass of `skein._specialize` by
 substituting into every HOMFLY term on its own.
 """
@@ -38,6 +41,21 @@ def all_tuple_link_candidates(inv: LaurentPoly, p: int, N: int,
     return frozenset(
         psi for psi in itertools.product(range(p), repeat=m)
         if reduce(criteria.rhs_sum(N, psi), p, IdealVariant.QP_MINUS) == target)
+
+
+def all_k_plus_candidates(inv: LaurentPoly, p: int, N: int) -> frozenset:
+    """Every (k, sign), k in 0..2p-1, with sign * [N]_{q^k} congruent to
+    inv mod (p, q^p + 1), found by trying all 2p values of k."""
+    variant = IdealVariant.QP_PLUS
+    target = reduce(inv, p, variant)
+    hits = set()
+    for k in range(2 * p):
+        rhs = criteria.rhs_sum(N, (k,))
+        if reduce(rhs, p, variant) == target:
+            hits.add((k, "+"))
+        if reduce(-rhs, p, variant) == target:
+            hits.add((k, "-"))
+    return frozenset(hits)
 
 
 def termwise_specialize(P: BiLaurent, a_image: LaurentPoly,

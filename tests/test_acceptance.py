@@ -120,7 +120,7 @@ def test_criterion_06_candidate_exclusion():
     linking = criteria.possible_linking([
         criteria.knot_candidates(TREFOIL_Q2, 3, 2),
         criteria.knot_candidates(TREFOIL_Q3, 3, 3),
-    ], 3)
+    ])
     assert linking == frozenset({1, 2})
     assert time.monotonic() - t0 < 1
 

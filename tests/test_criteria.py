@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -7,7 +8,7 @@ from linkperiod import cli, criteria, skein
 from linkperiod.diagram import BraidWord, linking_tuple, power
 from linkperiod.laurent import IdealVariant, LaurentPoly, quantum_integer
 from linkperiod.selftest import HOPF_Q2, TREFOIL_Q2, TREFOIL_Q3
-from reference import all_tuple_link_candidates
+from reference import all_k_plus_candidates, all_tuple_link_candidates
 
 UNKNOT_Q2 = LaurentPoly({1: 1, -1: 1})
 
@@ -63,6 +64,33 @@ class TestKnotCandidates:
     def test_plus_variant_trefoil(self):
         c = criteria.knot_candidates(TREFOIL_Q2, 3, 2, IdealVariant.QP_PLUS)
         assert c == frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_plus_matches_all_k_oracle(self, p):
+        # Two random knots and a p-periodic one, w^p, against reducing all
+        # 2p signed candidate sums mod (p, q^p + 1).  Both parities of N:
+        # the sign of a hit flips with k(N - 1).
+        rng = random.Random(131 + p)
+        for q in (1, 1, p):
+            b = random_closure(rng, 1, (2, 4), (0, 8), q)
+            P = skein.homfly(b, max_crossings=len(b))
+            for N in (2, 3, 4, 5):
+                inv = skein.quantum_sln(P, N, 1)
+                hits = criteria.knot_candidates(inv, p, N, IdealVariant.QP_PLUS)
+                assert hits == all_k_plus_candidates(inv, p, N), (b.text(), p, N)
+
+    @pytest.mark.parametrize("variant", [IdealVariant.QP_MINUS,
+                                         IdealVariant.QP_PLUS])
+    def test_memory_linear_in_p(self, variant):
+        # The search keeps p/2 sparse residues of at most N terms each,
+        # not p/2 dense lists of p coefficients.
+        tracemalloc.start()
+        try:
+            criteria.knot_candidates(TREFOIL_Q2, 2003, 2, variant)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_plus_rejects_p2(self):
         with pytest.raises(ValueError):
@@ -163,12 +191,12 @@ class TestPossibleLinking:
     def test_trefoil(self):
         sets = [criteria.knot_candidates(TREFOIL_Q2, 3, 2),
                 criteria.knot_candidates(TREFOIL_Q3, 3, 3)]
-        assert criteria.possible_linking(sets, 3) == frozenset({1, 2})
+        assert criteria.possible_linking(sets) == frozenset({1, 2})
 
     def test_empty_propagates(self):
         sets = [criteria.knot_candidates(TREFOIL_Q2, 5, 2),
                 criteria.knot_candidates(TREFOIL_Q3, 5, 3)]
-        assert criteria.possible_linking(sets, 5) == frozenset()
+        assert criteria.possible_linking(sets) == frozenset()
 
 
 class TestLowerBound:
