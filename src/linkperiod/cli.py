@@ -72,10 +72,11 @@ def build_invariant_report(kind, text, n_list, oracle=False,
         "homfly": P.serialize(),
         "quantum": {},
     }
-    for N in n_list:
-        inv = skein.quantum_sln(P, N, m)
+    quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
+    states = statemodel.invariant_statesums(braid, n_list) if oracle else quantum
+    for N, inv in quantum.items():
         report["quantum"][str(N)] = inv.serialize()
-        if oracle and statemodel.invariant_statesum(braid, N) != inv:
+        if states[N] != inv:
             raise RuntimeError(
                 f"internal inconsistency: state-sum and Hecke-trace routes "
                 f"disagree at N={N}")

@@ -95,12 +95,12 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
             f"(m <= {DEFAULT_MAX_LINK_COMPONENTS})")
     if m < 1:
         raise ValueError("need at least one component")
+    if N < 2:
+        raise ValueError(f"N must be >= 2: {N}")
 
-    def sparse(f: LaurentPoly) -> dict[int, int]:
-        return {e % p: c for e, c in reduce(f, p, IdealVariant.QP_MINUS).terms()}
-
-    target = sparse(inv)
-    residues = [sparse(rhs_sum(N, (k,))) for k in range(p // 2 + 1)]
+    target = {e % p: c
+              for e, c in reduce(inv, p, IdealVariant.QP_MINUS).terms()}
+    residues = quantum_residues(p, N)
     hits: set[tuple[int, ...]] = set()
 
     def extend(prefix: dict[int, int], ks: tuple[int, ...]) -> None:
@@ -115,6 +115,19 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
 
     extend({0: 1}, ())
     return frozenset(hits)
+
+
+def quantum_residues(p: int, N: int) -> list[dict[int, int]]:
+    """r_k, the residue of [N]_{q^k} mod (p, q^p - 1), for k = 0..p//2:
+    k * I mod p -> multiplicity mod p over I in I_N, zeros dropped."""
+    out = []
+    for k in range(p // 2 + 1):
+        r: dict[int, int] = {}
+        for label in range(-N + 1, N, 2):
+            e = k * label % p
+            r[e] = r.get(e, 0) + 1
+        out.append({e: c % p for e, c in r.items() if c % p})
+    return out
 
 
 def _cyclic_product(f: dict[int, int], g: dict[int, int],

@@ -18,26 +18,62 @@ loops and the norm of a state is the sum of its loop labels.  The
 resulting invariant q^(-writhe*N) <D> equals the skein-route quantum
 invariant and serves as its independent oracle.
 
-`bracket` sums the states with one transfer pass over the braid letters
-(Turaev's vertex model, Invent. Math. 92, 1988).  A splice keeps the two
-labels in their slots and a flat crossing swaps them, so a partial state
-is determined, as far as the rest of the braid can tell, by the labels
-it gives the bottom slots and the slot permutation made by its flat
-crossings.  The table holds one summed weight per such pair: at most
-N^n * n! entries on n strands, whatever the braid length, and each
-letter maps every entry to at most two.  At the top, the closure keeps
-the entries whose labels are back in their starting slots; the cycles of
-the permutation are then the spliced loops.
+`brackets` sums the states for every requested N in one transfer pass
+over the braid letters (Turaev's vertex model, Invent. Math. 92, 1988).
+
+Rank patterns.  A vertex weight depends only on whether the two labels
+at a crossing are equal and, if not, which one is larger.  So the pass
+carries ranks, not labels: a labelling of the n slots is replaced by its
+rank pattern, the tuple of the ranks 0..k-1 of its k distinct values
+(an ordered set partition of the slots).  A splice keeps the two ranks
+in their slots and a flat crossing swaps them, so a partial state is
+determined, as far as the rest of the braid can tell, by the pattern it
+starts from at the bottom and the pattern its slots carry now.  The
+table holds one summed weight per such pair.
+
+Closed states.  The closure keeps the entries whose current pattern is
+the starting one.  A flat crossing swaps only strands with different
+labels, so strands with equal labels never pass each other; a state
+that brings every label back to its slot therefore brings every strand
+back to its own slot.  Each strand closes into its own spliced loop,
+and the norm is the sum of the starting labels.  Summed over the
+labellings with one pattern whose blocks have sizes m_0..m_(k-1), the
+closed weight is multiplied by sum over v_0 < ... < v_(k-1) in I_N of
+q^(m_0 v_0 + ... + m_(k-1) v_(k-1)), a small DP over I_N.  Only that
+factor depends on N, so one pass over the patterns with at most max(N)
+blocks serves every N.
+
+Packing.  A weight is a Laurent polynomial in q.  Taking q^-1 out of
+every letter leaves local weights that are polynomials: q^2 or 1 for
+rule 2 / 5, +-(q^2 - 1) for rule 1 / 4 and q for rule 3 / 6.  So a
+weight of the pass is q^-L X(q) after L letters, and X is kept as the
+one integer X(2^width) (Kronecker substitution): a letter costs a shift
+and a subtraction per entry, whatever the number of terms.  Each entry
+after a letter is its old value times a local weight with absolute
+coefficient sum at most 2, plus q times one other entry's old value, so
+coefficient sums grow at most threefold per letter; a slot width of one
+bit more than the patterns times 3^L decodes every closed sum exactly,
+reading each slot as a signed digit.
+
+Table bound.  The pass starts from the sum over k <= min(n, max N) of
+k! * S(n, k) patterns (S the Stirling numbers of the second kind: 13 on
+three strands, 75 on four).  A current pattern is a rearrangement of its
+starting one, so the table never holds more than the sum over those
+patterns of n! / (m_0! ... m_(k-1)!) entries (55 on three strands, 1,077
+on four, against N^n * n! for a pass keyed by labels and slot
+permutation), whatever the braid length, and each letter maps every
+entry to at most two.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from .diagram import BraidWord, writhe
 from .laurent import LaurentPoly
 
-#: The most table entries `bracket` holds at once.
+#: The most table entries `brackets` holds at once.
 MAX_STATES = 2_000_000
 
 
@@ -51,80 +87,157 @@ def labels_range(N: int) -> list[int]:
     return list(range(-N + 1, N, 2))
 
 
-# -- transfer pass ------------------------------------------------------------
-
 def _add(acc: dict[int, int], w: dict[int, int], d: int, k: int = 1) -> None:
     """acc += k * q^d * w, both as exponent -> coefficient maps."""
     for x, c in w.items():
         acc[x + d] = acc.get(x + d, 0) + k * c
 
 
-def _loop_norm(L0: tuple[int, ...], pos: tuple[int, ...]) -> int:
-    """Sum of the labels of the cycles of pos: the norm of a closed state."""
-    seen = [False] * len(pos)
-    total = 0
-    for s in range(len(pos)):
-        if not seen[s]:
-            total += L0[s]
-            t = s
-            while not seen[t]:
-                seen[t] = True
-                t = pos[t]
-    return total
+# -- rank patterns ------------------------------------------------------------
+
+def _pattern_count(n: int, blocks: int) -> int:
+    """Rank patterns of n slots with at most `blocks` blocks: the sum
+    over k of k! * S(n, k), by inclusion-exclusion over missed ranks."""
+    return sum((-1) ** i * comb(k, i) * (k - i) ** n
+               for k in range(1, min(n, blocks) + 1) for i in range(k + 1))
 
 
-def _transfer(table: dict, e: int) -> dict:
-    """The table after letter e: every entry moves to at most two."""
+def _rank_patterns(n: int, blocks: int):
+    """Every rank pattern of n slots with at most `blocks` blocks: each
+    set partition (as a restricted growth string) under every order of
+    its blocks."""
+    def partitions(prefix, k):
+        if len(prefix) == n:
+            yield prefix, k
+            return
+        for r in range(min(k + 1, blocks)):
+            yield from partitions(prefix + (r,), max(k, r + 1))
+
+    for rgs, k in partitions((), 0):
+        for order in itertools.permutations(range(k)):
+            yield tuple(order[r] for r in rgs)
+
+
+def _ordered_sum(sizes: tuple[int, ...], N: int) -> dict[int, int]:
+    """sum over v_0 < ... < v_(k-1) in I_N of q^(sum sizes[i] * v_i)."""
+    k = len(sizes)
+    dp: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
+    for v in labels_range(N):
+        for i in range(k, 0, -1):
+            _add(dp[i], dp[i - 1], sizes[i - 1] * v)
+    return dp[k]
+
+
+# -- transfer pass ------------------------------------------------------------
+
+def _rank_transfer(table: dict, e: int, width: int) -> dict:
+    """The table after letter e, with q^-1 taken out of its weights:
+    every entry moves to at most two."""
     j = abs(e) - 1
-    sign = 1 if e > 0 else -1
+    equal = 2 * width if e > 0 else 0                     # q^2 or 1
     nxt: dict = {}
-    for key, w in table.items():
-        L0, pos = key
-        lc, ld = L0[pos[j]], L0[pos[j + 1]]
+
+    def merge(cur, row):
+        acc = nxt.get(cur)
+        if acc is None:
+            nxt[cur] = row
+        else:
+            for s, w in row.items():
+                acc[s] = acc.get(s, 0) + w
+
+    for cur, row in table.items():
+        lc, ld = cur[j], cur[j + 1]
         if lc == ld:                                      # rule 2 / 5
-            _add(nxt.setdefault(key, {}), w, sign)
+            # No other entry reaches two equal ranks at j, j + 1, and
+            # the old row is read only here, so it may move as it is.
+            nxt[cur] = {s: w << equal for s, w in row.items()} if equal else row
             continue
-        if (lc > ld) == (sign > 0):                       # rule 1 / 4
-            acc = nxt.setdefault(key, {})
-            _add(acc, w, 1, sign)
-            _add(acc, w, -1, -sign)
-        flat = pos[:j] + (pos[j + 1], pos[j]) + pos[j + 2:]
-        _add(nxt.setdefault((L0, flat), {}), w, 0)        # rule 3 / 6
+        if (lc > ld) == (e > 0):                          # rule 1 / 4
+            if e > 0:
+                merge(cur, {s: (w << 2 * width) - w for s, w in row.items()})
+            else:
+                merge(cur, {s: w - (w << 2 * width) for s, w in row.items()})
+        merge(cur[:j] + (ld, lc) + cur[j + 2:],           # rule 3 / 6
+              {s: w << width for s, w in row.items()})
     return nxt
 
 
-def bracket(b: BraidWord, N: int) -> LaurentPoly:
-    """Sum over all states of the vertex weights times q^norm.
+def _unpack(x: int, width: int, low: int) -> dict[int, int]:
+    """The exponent -> coefficient map of a packed weight whose lowest
+    slot stands for q^low, each slot a signed digit."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = {}
+    e = low
+    while x:
+        c = ((x + half) & mask) - half
+        if c:
+            out[e] = c
+        x = (x - c) >> width
+        e += 1
+    return out
 
-    A table key is (L0, pos): L0[s] is the label the state gives bottom
-    slot s, and pos[s] is the bottom slot whose strand fills slot s after
-    the flat crossings read so far, so slot s carries L0[pos[s]].  Its
-    value maps exponents of q to coefficients.  Raises StateResourceError
-    when the table holds more than MAX_STATES entries, which cannot
-    happen when N^n * n! <= MAX_STATES.
+
+def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
+    """N -> sum over all states of the vertex weights times q^norm, for
+    every N in `ns`, from one transfer pass.
+
+    The table maps the current rank pattern of the slots to a row, which
+    maps the index of a starting pattern to a packed weight (see the
+    module docstring).  Raises StateResourceError when the table would
+    hold more than MAX_STATES entries; the starting table is refused
+    before it is built, with the largest N in the message.
     """
+    ns = sorted(set(ns))
+    if not ns:
+        raise ValueError("need at least one N")
+    for N in ns:
+        labels_range(N)
+    top = ns[-1]
+
     def guard(size):
         if size > MAX_STATES:
             raise StateResourceError(
                 f"more than {MAX_STATES} state-sum table entries on "
-                f"{b.text()!r} at N={N}")
+                f"{b.text()!r} at N={top}")
 
-    values = labels_range(N)
-    guard(len(values) ** b.n)
-    ident = tuple(range(b.n))
-    table = {(L0, ident): {0: 1}
-             for L0 in itertools.product(values, repeat=b.n)}
+    guard(_pattern_count(b.n, top))
+    patterns = list(_rank_patterns(b.n, top))
+    L = len(b.letters)
+    width = (len(patterns) * 3 ** L).bit_length() + 1
+    table = {r: {i: 1} for i, r in enumerate(patterns)}
     for e in b.letters:
-        table = _transfer(table, e)
-        guard(len(table))
-    total: dict[int, int] = {}
-    for (L0, pos), w in table.items():
-        if all(L0[t] == L0[s] for s, t in enumerate(pos)):
-            _add(total, w, _loop_norm(L0, pos))
-    return LaurentPoly(total)
+        table = _rank_transfer(table, e, width)
+        guard(sum(map(len, table.values())))
+    index = {r: i for i, r in enumerate(patterns)}
+    closed: dict[tuple[int, ...], int] = {}
+    for cur, row in table.items():
+        w = row.get(index[cur])
+        if w is not None:
+            sizes = tuple(cur.count(r) for r in range(max(cur) + 1))
+            closed[sizes] = closed.get(sizes, 0) + w
+    weights = {sizes: _unpack(w, width, -L) for sizes, w in closed.items()}
+    out = {}
+    for N in ns:
+        total: dict[int, int] = {}
+        for sizes, w in weights.items():
+            for d, c in _ordered_sum(sizes, N).items():
+                _add(total, w, d, c)
+        out[N] = LaurentPoly(total)
+    return out
+
+
+def bracket(b: BraidWord, N: int) -> LaurentPoly:
+    """The state sum of the braid closure at one N."""
+    return brackets(b, (N,))[N]
+
+
+def invariant_statesums(b: BraidWord, ns) -> dict[int, LaurentPoly]:
+    """N -> q^(-writhe * N) * bracket: the state-sum route to the quantum
+    invariants of the braid closure, for every N in `ns` from one pass."""
+    w = writhe(b)
+    return {N: br.shift(-w * N) for N, br in brackets(b, ns).items()}
 
 
 def invariant_statesum(b: BraidWord, N: int) -> LaurentPoly:
-    """q^(-writhe * N) * bracket: the state-sum route to the quantum
-    invariant of the braid closure."""
-    return bracket(b, N).shift(-writhe(b) * N)
+    """The state-sum invariant of the braid closure at one N."""
+    return invariant_statesums(b, (N,))[N]

@@ -1,9 +1,13 @@
 """Reference code the tests compare the library against.
 
-The whole-state enumerator checks the state-sum oracle
-(`statemodel.bracket`): it lists every valid arc labelling of a braid
+Two references check the state-sum oracle (`statemodel.brackets`).  The
+whole-state enumerator lists every valid arc labelling of a braid
 closure with the local rule at each crossing, exponentially many in the
-crossing count, so it serves small braids only.  `parity_split` feeds
+crossing count, so it serves small braids only.  `slot_bracket` is a
+transfer pass per N keyed by labels and slot permutation: it starts from
+all N^n labellings and reads the norm of a closed state off the cycles
+of its permutation, so it shares neither the rank patterns nor the
+closing factor of the library pass.  `parity_split` feeds
 the ideal-algebra tests.  `all_tuple_link_candidates` checks
 `criteria.link_candidates` by trying every one of the p^m psi-tuples,
 and `all_k_plus_candidates` checks the quantum-plus criterion of
@@ -22,6 +26,65 @@ from linkperiod import criteria, statemodel
 from linkperiod.diagram import BraidWord, braid_segments, closure_components
 from linkperiod.laurent import (BiLaurent, IdealVariant, LaurentPoly,
                                 exact_divide, reduce)
+
+
+def _add(acc: dict[int, int], w: dict[int, int], d: int, k: int = 1) -> None:
+    """acc += k * q^d * w, both as exponent -> coefficient maps."""
+    for x, c in w.items():
+        acc[x + d] = acc.get(x + d, 0) + k * c
+
+
+def _loop_norm(L0: tuple[int, ...], pos: tuple[int, ...]) -> int:
+    """Sum of the labels of the cycles of pos: the norm of a closed state."""
+    seen = [False] * len(pos)
+    total = 0
+    for s in range(len(pos)):
+        if not seen[s]:
+            total += L0[s]
+            t = s
+            while not seen[t]:
+                seen[t] = True
+                t = pos[t]
+    return total
+
+
+def _slot_transfer(table: dict, e: int) -> dict:
+    """The (L0, pos) table after letter e: every entry moves to at most two."""
+    j = abs(e) - 1
+    sign = 1 if e > 0 else -1
+    nxt: dict = {}
+    for key, w in table.items():
+        L0, pos = key
+        lc, ld = L0[pos[j]], L0[pos[j + 1]]
+        if lc == ld:                                      # rule 2 / 5
+            _add(nxt.setdefault(key, {}), w, sign)
+            continue
+        if (lc > ld) == (sign > 0):                       # rule 1 / 4
+            acc = nxt.setdefault(key, {})
+            _add(acc, w, 1, sign)
+            _add(acc, w, -1, -sign)
+        flat = pos[:j] + (pos[j + 1], pos[j]) + pos[j + 2:]
+        _add(nxt.setdefault((L0, flat), {}), w, 0)        # rule 3 / 6
+    return nxt
+
+
+def slot_bracket(b: BraidWord, N: int) -> LaurentPoly:
+    """The state sum at one N by a transfer pass keyed by (L0, pos): L0[s]
+    is the label a state gives bottom slot s, and pos[s] the bottom slot
+    whose strand fills slot s after the flat crossings read so far.  At
+    the top it keeps the entries whose labels are back in their starting
+    slots; the cycles of pos are then the spliced loops.  At most
+    N^n * n! entries on n strands."""
+    ident = tuple(range(b.n))
+    table = {(L0, ident): {0: 1}
+             for L0 in itertools.product(statemodel.labels_range(N), repeat=b.n)}
+    for e in b.letters:
+        table = _slot_transfer(table, e)
+    total: dict[int, int] = {}
+    for (L0, pos), w in table.items():
+        if all(L0[t] == L0[s] for s, t in enumerate(pos)):
+            _add(total, w, _loop_norm(L0, pos))
+    return LaurentPoly(total)
 
 
 def strand_component(b: BraidWord) -> dict[int, int]:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from linkperiod import cli, skein
+from linkperiod import cli, skein, statemodel
 
 TREFOIL = "1 1 1"
 
@@ -46,6 +46,34 @@ class TestInvariant:
         code, _, _ = run_main(
             ["invariant", "--braid", TREFOIL, "--oracle"], capsys)
         assert code == 0
+
+    def test_oracle_one_pass_for_every_n(self, capsys, monkeypatch):
+        calls = []
+        brackets = statemodel.brackets
+
+        def spy(b, ns):
+            calls.append(list(ns))
+            return brackets(b, ns)
+        monkeypatch.setattr(statemodel, "brackets", spy)
+        code, out, _ = run_main(["invariant", "--braid", TREFOIL, "--oracle",
+                                 "--n", "5,2,3", "--format", "json"], capsys)
+        assert code == 0
+        assert calls == [[2, 3, 5]]
+        assert list(json.loads(out)["quantum"]) == ["2", "3", "5"]
+
+    def test_oracle_disagreement_exits_2(self, capsys, monkeypatch):
+        brackets = statemodel.brackets
+
+        def off_at_3(b, ns):
+            out = brackets(b, ns)
+            out[3] = out[3].shift(2)
+            return out
+        monkeypatch.setattr(statemodel, "brackets", off_at_3)
+        code, out, err = run_main(["invariant", "--braid", TREFOIL, "--oracle",
+                                   "--n", "2,3,4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "internal inconsistency" in err and "N=3" in err
 
     def test_oracle_requires_braid(self, capsys, monkeypatch):
         def no_homfly(*args, **kwargs):

@@ -6,7 +6,8 @@ import pytest
 
 from linkperiod import cli, criteria, skein
 from linkperiod.diagram import BraidWord, linking_tuple, power
-from linkperiod.laurent import IdealVariant, LaurentPoly, quantum_integer
+from linkperiod.laurent import (IdealVariant, LaurentPoly, quantum_integer,
+                                reduce)
 from linkperiod.selftest import HOPF_Q2, TREFOIL_Q2, TREFOIL_Q3
 from reference import all_k_plus_candidates, all_tuple_link_candidates
 
@@ -152,6 +153,17 @@ class TestLinkCandidates:
     def test_errors(self, p, N, m, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             criteria.link_candidates(HOPF_Q2, p, N, m)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_residues_match_reduced_rhs_sum(self, p):
+        # r_k is built from the labels directly, not by reducing rhs_sum.
+        for N in range(2, 7):
+            residues = criteria.quantum_residues(p, N)
+            assert len(residues) == p // 2 + 1
+            for k, r in enumerate(residues):
+                reduced = reduce(criteria.rhs_sum(N, (k,)), p,
+                                 IdealVariant.QP_MINUS)
+                assert r == {e % p: c for e, c in reduced.terms()}, (p, N, k)
 
     @pytest.mark.parametrize("p, m", ORACLE_CASES)
     def test_matches_all_tuple_oracle(self, p, m):

@@ -1,14 +1,17 @@
+import itertools
 import random
+import re
+import time
 
 import pytest
 
 from linkperiod import skein, statemodel
 from linkperiod.diagram import (BraidWord, braid_segments, linking_tuple,
                                 power, writhe)
-from linkperiod.laurent import LaurentPoly
+from linkperiod.laurent import LaurentPoly, quantum_integer
 from linkperiod.selftest import FIGURE_EIGHT, HOPF, TREFOIL
 from reference import (enumerate_states, is_proper, self_crossing_indices,
-                       strand_component)
+                       slot_bracket, strand_component)
 
 
 def random_word(rng, n_max=3, len_max=6):
@@ -146,8 +149,9 @@ class TestWeightsAndLoops:
                 assert all(len(labels) == 1 for _, labels in spliced_loops(s))
 
     def test_norm_matches_slot_cycles(self):
-        # The transfer pass, which reads the norm off the cycles of the
-        # slot permutation, equals the brute-force sum over whole states.
+        # The rank pass, which gives a closed state the sum of its
+        # starting labels as its norm, equals the brute-force sum over
+        # whole states, which reads the norm off the loop trace.
         rng = random.Random(71)
         for N, len_max in ((2, 5), (3, 5), (4, 4)):
             for _ in range(10):
@@ -211,43 +215,148 @@ def random_long_word(seed, n=3, length=40):
 class TestLongBraids:
     """Words of 40 letters, far beyond the reference enumerator."""
 
-    WORDS = (power(BraidWord(3, (1, 2)), 20), random_long_word(101))
+    # The closed weights of the alternating word reach 42,365,020 in one
+    # coefficient before the per-N factors cancel them.
+    WORDS = (power(BraidWord(3, (1, 2)), 20), random_long_word(101),
+             power(BraidWord(3, (1, -2)), 20))
+    IDS = ("T(3,20)", "random", "alternating")
 
-    @pytest.mark.parametrize("b", WORDS, ids=("T(3,20)", "random"))
+    @pytest.mark.parametrize("b", WORDS, ids=IDS)
     def test_conjugation(self, b):
         inv = statemodel.invariant_statesum(b, 3)
         for r in (1, 7, 23):
             rotated = BraidWord(b.n, b.letters[r:] + b.letters[:r])
             assert statemodel.invariant_statesum(rotated, 3) == inv
 
-    @pytest.mark.parametrize("b", WORDS, ids=("T(3,20)", "random"))
+    @pytest.mark.parametrize("b", WORDS, ids=IDS)
     def test_stabilization(self, b):
         inv = statemodel.invariant_statesum(b, 3)
         for s in (1, -1):
             stab = BraidWord(b.n + 1, b.letters + (s * b.n,))
             assert statemodel.invariant_statesum(stab, 3) == inv
 
-    @pytest.mark.parametrize("b", WORDS, ids=("T(3,20)", "random"))
+    @pytest.mark.parametrize("b", WORDS, ids=IDS)
     def test_mirror_inverts_q(self, b):
         mirror = BraidWord(b.n, tuple(-e for e in b.letters))
         assert statemodel.invariant_statesum(mirror, 3) == \
             statemodel.invariant_statesum(b, 3).compose_power(-1)
 
     def test_resource_guard(self, monkeypatch):
-        # The table starts with N^n entries, grows inside the pass and
-        # never holds more than N^n * n!.
+        # On three strands at N = 3 the pass starts from 13 rank patterns
+        # and T(3,20) fills the whole bound of 55 entries (1 + 2 * 9 + 36
+        # rearrangements of the patterns with 1, 2 and 3 blocks).
         b = self.WORDS[0]
         expected = statemodel.bracket(b, 3)
-        for limit in (26, 30):
-            monkeypatch.setattr(statemodel, "MAX_STATES", limit)
-            with pytest.raises(statemodel.StateResourceError):
-                statemodel.bracket(b, 3)
-        monkeypatch.setattr(statemodel, "MAX_STATES", 3 ** 3 * 6)
+        monkeypatch.setattr(statemodel, "MAX_STATES", 54)
+        with pytest.raises(statemodel.StateResourceError, match="N=3"):
+            statemodel.bracket(b, 3)
+        monkeypatch.setattr(statemodel, "MAX_STATES", 55)
         assert statemodel.bracket(b, 3) == expected
         # The starting table is refused before it is built.
+        monkeypatch.setattr(statemodel, "MAX_STATES", 12)
+
+        def no_patterns(n, blocks):
+            raise AssertionError("starting table built past the guard")
+        monkeypatch.setattr(statemodel, "_rank_patterns", no_patterns)
+        with pytest.raises(statemodel.StateResourceError):
+            statemodel.bracket(b, 3)
         monkeypatch.undo()
+        t0 = time.monotonic()
         with pytest.raises(statemodel.StateResourceError):
             statemodel.bracket(BraidWord(60, (1,)), 2)
+        assert time.monotonic() - t0 < 1
+
+    def test_resource_guard_names_largest_n(self, monkeypatch):
+        # Three strands: 7 patterns with at most two blocks, 13 with three.
+        monkeypatch.setattr(statemodel, "MAX_STATES", 10)
+        assert statemodel.brackets(BraidWord(3), [2])[2] == \
+            quantum_integer(2) ** 3
+        with pytest.raises(statemodel.StateResourceError, match="N=4"):
+            statemodel.brackets(BraidWord(3), [2, 4, 3])
+
+    @pytest.mark.parametrize("b", WORDS, ids=IDS)
+    def test_one_pass_agrees_with_skein(self, b):
+        # The packed weights must decode exactly, however large their
+        # coefficients grow inside the pass.
+        P = skein.homfly(b, max_crossings=len(b.letters))
+        m = len(linking_tuple(b))
+        invs = statemodel.invariant_statesums(b, [4, 2, 5, 3])
+        assert sorted(invs) == [2, 3, 4, 5]
+        for N, inv in invs.items():
+            assert inv == skein.quantum_sln(P, N, m), N
+
+
+def random_n_word(rng, n, len_max):
+    """A random word on exactly n strands; the one-strand word is empty."""
+    letters = [s * k for k in range(1, n) for s in (1, -1)]
+    length = rng.randint(0, len_max) if letters else 0
+    return BraidWord(n, tuple(rng.choice(letters) for _ in range(length)))
+
+
+class TestRankPass:
+    """One pass over rank patterns against the per-N references."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_slot_bracket(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(6):
+            b = random_n_word(rng, n, 7)
+            ns = rng.sample(range(2, 6), rng.randint(1, 4))
+            got = statemodel.brackets(b, ns)
+            assert sorted(got) == sorted(ns)
+            for N in ns:
+                assert got[N] == slot_bracket(b, N), (b.text(), ns, N)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_brute_bracket(self, n):
+        rng = random.Random(200 + n)
+        for _ in range(4):
+            b = random_n_word(rng, n, 4 if n < 4 else 3)
+            got = statemodel.brackets(b, [3, 2])
+            for N in (2, 3):
+                assert got[N] == brute_bracket(b, N), (b.text(), N)
+
+    @pytest.mark.parametrize("ns", [[5, 2], [2, 5], [4], [5, 3, 2, 4]],
+                             ids=str)
+    def test_n_lists(self, ns):
+        # N above the strand count, unsorted lists and gaps.
+        rng = random.Random(307)
+        for n in (2, 3):
+            for _ in range(4):
+                b = random_n_word(rng, n, 6)
+                got = statemodel.brackets(b, ns)
+                assert got == {N: slot_bracket(b, N) for N in ns}, b.text()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_empty_word(self, n):
+        # The identity braid closes into n unknots: (sum_I q^I)^n.
+        got = statemodel.brackets(BraidWord(n), [5, 2])
+        assert got == {N: quantum_integer(N) ** n for N in (2, 5)}
+
+    @pytest.mark.parametrize("ns, message", [
+        ([], "need at least one N"), ([3, 1], "N must be >= 2: 1")])
+    def test_rejects_bad_n_lists(self, ns, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            statemodel.brackets(HOPF, ns)
+
+    def test_ordered_sum(self):
+        for sizes in ((1,), (2,), (1, 1), (2, 1), (1, 3), (1, 2, 1)):
+            for N in (2, 3, 4):
+                brute = {}
+                for vs in itertools.combinations(
+                        statemodel.labels_range(N), len(sizes)):
+                    d = sum(m * v for m, v in zip(sizes, vs))
+                    brute[d] = brute.get(d, 0) + 1
+                assert statemodel._ordered_sum(sizes, N) == brute, (sizes, N)
+
+    def test_pattern_count(self):
+        for n in range(1, 6):
+            for blocks in range(1, 7):
+                patterns = list(statemodel._rank_patterns(n, blocks))
+                assert len(set(patterns)) == len(patterns) == \
+                    statemodel._pattern_count(n, blocks)
+                assert all(set(r) == set(range(max(r) + 1)) and
+                           max(r) < blocks for r in patterns)
 
 
 class TestProperStates:
