@@ -1,7 +1,8 @@
 """Classical non-periodicity criteria used for cross-validation: the
 Jones self-symmetry test (a zero test by `laurent.reduce`), the
-coefficient-jump test on the z-degree-zero HOMFLY part, and the
-Alexander-polynomial factorization test over a prime field."""
+coefficient-jump test on the z-degree-zero HOMFLY part, and Murasugi's
+Alexander-polynomial test over a prime field, where f(t)^q = f(t^q) for
+q a power of p, so no polynomial is raised to a power."""
 
 from __future__ import annotations
 
@@ -71,38 +72,17 @@ def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _gf_trim(out)
 
 
-def _gf_pow(a: list[int], n: int, p: int) -> list[int]:
-    out = [1]
-    base = list(a)
-    while n:
-        if n & 1:
-            out = _gf_mul(out, base, p)
-        base = _gf_mul(base, base, p)
-        n >>= 1
-    return out
-
-
-def _gf_divmod(a: list[int], b: list[int], p: int):
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p) if p > 2 else b[-1]
-    while len(a) >= len(b) and _gf_trim(a):
-        shift = len(a) - len(b)
-        coef = (a[-1] * inv_lead) % p
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * y) % p
-        _gf_trim(a)
-    return _gf_trim(q), _gf_trim(a)
-
-
 def murasugi_candidates(delta: LaurentPoly, p: int, r: int = 1) -> frozenset[int] | None:
     """Alexander factorization test over the field of p elements.
 
-    A p^r-periodic knot forces Delta(t) = f(t)^(p^r) * Phi_lambda^(p^r - 1)
-    mod p with Phi_lambda = 1 + t + ... + t^(lambda-1) and gcd(lambda, p)=1,
-    up to the unit +-1.  Returns the feasible lambda set (empty certifies
-    non-p^r-periodicity), or None when Delta vanishes mod p (inconclusive).
+    A q-periodic knot, q = p^r, forces Delta(t) = +-f(t)^q * Phi_lambda^(q-1)
+    mod p with Phi_lambda = 1 + t + ... + t^(lambda-1) and gcd(lambda, p)=1.
+    Over that field G(t)^q = G(t^q), so this holds exactly when
+    Delta * Phi_lambda is a polynomial in t^q: then it is G^q, and
+    Phi_lambda, squarefree as lambda is prime to p, divides G^q and so G.
+    The sign changes nothing.  Returns the feasible lambda set (empty
+    certifies non-q-periodicity), or None when Delta vanishes mod p
+    (inconclusive).
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
@@ -129,14 +109,7 @@ def murasugi_candidates(delta: LaurentPoly, p: int, r: int = 1) -> frozenset[int
             continue
         if (lam - 1) * (q_pow - 1) > d:
             continue
-        phi_pow = _gf_pow([1] * lam, q_pow - 1, p)
-        for unit in (1, p - 1):
-            target = [(unit * c) % p for c in dense]
-            quot, rem = _gf_divmod(target, phi_pow, p)
-            if rem:
-                continue
-            if all(c == 0 for i, c in enumerate(quot) if i % q_pow != 0):
-                feasible.add(lam)
-                break
+        product = _gf_mul(dense, [1] * lam, p)
+        if not any(c for i, c in enumerate(product) if i % q_pow):
+            feasible.add(lam)
     return frozenset(feasible)
-

@@ -339,6 +339,8 @@ def cmd_batch(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selftest
     results = selftest.run(name_filter=args.filter)
+    if not results:
+        raise UsageError(f"--filter matches no check: {args.filter!r}")
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
         line = f"[{status}] {name}"

@@ -67,17 +67,20 @@ def parse_braid(text: str) -> BraidWord:
         raise ParseError(str(exc)) from None
 
 
-def closure_permutation(b: BraidWord) -> tuple[int, ...]:
-    """Underlying permutation of the closure: strand s (0-based) at the
-    bottom arrives at position perm[s] at the top."""
-    pos = list(range(b.n))  # pos[slot] = strand currently in slot
-    for e in b.letters:
-        j = abs(e) - 1
-        pos[j], pos[j + 1] = pos[j + 1], pos[j]
-    perm = [0] * b.n
-    for slot, strand in enumerate(pos):
-        perm[strand] = slot
-    return tuple(perm)
+def cycles(succ: dict) -> list[list]:
+    """The cycles of a permutation given as a successor map, each started
+    at its first key in the map's order, in that order."""
+    seen = set()
+    out = []
+    for a in succ:
+        if a not in seen:
+            cyc = []
+            while a not in seen:
+                seen.add(a)
+                cyc.append(a)
+                a = succ[a]
+            out.append(cyc)
+    return out
 
 
 def closure_components(b: BraidWord) -> list[tuple[int, ...]]:
@@ -86,21 +89,12 @@ def closure_components(b: BraidWord) -> list[tuple[int, ...]]:
     Components are cycles of the closure permutation, ordered by their
     smallest strand index; strands are reported 1-based.
     """
-    perm = closure_permutation(b)
-    seen = [False] * b.n
-    comps = []
-    for s in range(b.n):
-        if seen[s]:
-            continue
-        cyc = []
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            cyc.append(t + 1)
-            t = perm[t]
-        comps.append(tuple(sorted(cyc)))
-    comps.sort(key=lambda c: c[0])
-    return comps
+    pos = list(range(b.n))  # pos[slot] = strand in that slot at the top
+    for e in b.letters:
+        j = abs(e) - 1
+        pos[j], pos[j + 1] = pos[j + 1], pos[j]
+    return [tuple(sorted(s + 1 for s in cyc))
+            for cyc in cycles(dict(enumerate(pos)))]
 
 
 def linking_tuple(b: BraidWord) -> tuple[int, ...]:
@@ -176,23 +170,7 @@ class PlanarDiagram:
 
     def components(self) -> list[tuple[int, ...]]:
         """Closed components as arc cycles (excluding free loops)."""
-        nxt = {}
-        for c in self.crossings:
-            nxt[c.under_in] = c.under_out
-            nxt[c.over_in] = c.over_out
-        seen = set()
-        comps = []
-        for a in sorted(nxt):
-            if a in seen:
-                continue
-            cyc = []
-            t = a
-            while t not in seen:
-                seen.add(t)
-                cyc.append(t)
-                t = nxt[t]
-            comps.append(tuple(cyc))
-        return comps
+        return [tuple(cyc) for cyc in _arc_cycles(self.crossings)]
 
     def component_count(self) -> int:
         return len(self.components()) + self.free_loops
@@ -201,6 +179,16 @@ class PlanarDiagram:
         return " ".join(
             "X[{},{},{},{}]".format(*c.pd_tuple()) for c in self.crossings
         )
+
+
+def _arc_cycles(crossings) -> list[list[int]]:
+    """The arcs of each closed component in order along it, from its
+    smallest arc, the components ordered by that arc."""
+    nxt = {}
+    for c in crossings:
+        nxt[c.under_in] = c.under_out
+        nxt[c.over_in] = c.over_out
+    return cycles(dict(sorted(nxt.items())))
 
 
 def writhe(d: "BraidWord | PlanarDiagram") -> int:
@@ -280,20 +268,8 @@ def pd_from_braid(b: BraidWord) -> PlanarDiagram:
                                 under_out=out_r, over_out=out_l))
 
     # Renumber arcs 1, 2, ... consecutively along components.
-    nxt = {}
-    for c in raw:
-        nxt[c.under_in] = c.under_out
-        nxt[c.over_in] = c.over_out
-    number = {}
-    counter = 1
-    for a in sorted(nxt):
-        if a in number:
-            continue
-        t = a
-        while t not in number:
-            number[t] = counter
-            counter += 1
-            t = nxt[t]
+    number = {a: i for i, a in
+              enumerate((a for cyc in _arc_cycles(raw) for a in cyc), 1)}
     crossings = tuple(
         Crossing(c.sign, number[c.under_in], number[c.over_in],
                  number[c.under_out], number[c.over_out])

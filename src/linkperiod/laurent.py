@@ -2,7 +2,8 @@
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 One-variable polynomials carry a variable tag (purely informational);
-two-variable polynomials are fixed in the pair (a, z).
+two-variable polynomials are fixed in the pair (a, z).  Both share one
+sparse core: the normalising constructor, +, -, scale and powers.
 """
 
 from __future__ import annotations
@@ -30,27 +31,94 @@ def is_prime(p: int) -> bool:
     return p == 2 or is_odd_prime(p)
 
 
-class LaurentPoly:
-    """A Laurent polynomial with integer coefficients, stored sparsely.
+class _SparsePoly:
+    """What both polynomial types share: an immutable, hashable map from
+    exponent key to nonzero int coefficient (the zero polynomial has an
+    empty map).  A subclass sets `_key`, which normalizes one key, and
+    `_ONE`, the key of the constant term."""
 
-    The coefficient map never contains zeros; the zero polynomial has an
-    empty map.  Instances are immutable and hashable.  The variable tag
-    is ignored by equality and arithmetic.
-    """
+    __slots__ = ("_c",)
 
-    __slots__ = ("_c", "var")
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None, var: str = "q"):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if v != 0:
-                    c[int(e)] = int(v)
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "var", var)
+    def __init__(self, coeffs=None):
+        key = self._key
+        object.__setattr__(self, "_c", {
+            key(k): int(v) for k, v in coeffs.items() if v != 0
+        } if coeffs else {})
 
     def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, coeffs):
+        """A result of this type from a map with normalized keys and int
+        coefficients, dropping zeros; arithmetic skips the constructor."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "_c", {k: v for k, v in coeffs.items() if v})
+        return out
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def terms(self) -> list:
+        """Sorted (exponent, coefficient) pairs, ascending exponent."""
+        return sorted(self._c.items())
+
+    def __add__(self, other):
+        c = dict(self._c)
+        for k, v in other._c.items():
+            c[k] = c.get(k, 0) + v
+        return self._like(c)
+
+    def __sub__(self, other):
+        c = dict(self._c)
+        for k, v in other._c.items():
+            c[k] = c.get(k, 0) - v
+        return self._like(c)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self._c.items()})
+
+    def scale(self, k: int):
+        return self._like({e: k * v for e, v in self._c.items()})
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        out = self._like({self._ONE: 1})
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._c.items()))
+
+
+class LaurentPoly(_SparsePoly):
+    """A Laurent polynomial with integer coefficients, stored sparsely.
+
+    The variable tag is ignored by equality and arithmetic.
+    """
+
+    __slots__ = ("var",)
+    _key = int
+    _ONE = 0
+
+    def __init__(self, coeffs: Mapping[int, int] | None = None, var: str = "q"):
+        super().__init__(coeffs)
+        object.__setattr__(self, "var", var)
+
+    def _like(self, coeffs) -> "LaurentPoly":
+        out = super()._like(coeffs)
+        object.__setattr__(out, "var", self.var)
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -68,15 +136,8 @@ class LaurentPoly:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def coeff(self, exponent: int) -> int:
         return self._c.get(exponent, 0)
-
-    def terms(self) -> list[tuple[int, int]]:
-        """Sorted (exponent, coefficient) pairs, ascending exponent."""
-        return sorted(self._c.items())
 
     def exponents(self) -> list[int]:
         return sorted(self._c)
@@ -95,68 +156,28 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) + v
-        return LaurentPoly(c, self.var)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) - v
-        return LaurentPoly(c, self.var)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -v for e, v in self._c.items()}, self.var)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         c: dict[int, int] = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
                 e = e1 + e2
                 c[e] = c.get(e, 0) + v1 * v2
-        return LaurentPoly(c, self.var)
-
-    def scale(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e: k * v for e, v in self._c.items()}, self.var)
+        return self._like(c)
 
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by var**d."""
-        return LaurentPoly({e + d: v for e, v in self._c.items()}, self.var)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        out = LaurentPoly.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return self._like({e + d: v for e, v in self._c.items()})
 
     def compose_power(self, k: int) -> "LaurentPoly":
         """Substitute var -> var**k (k may be negative or zero)."""
         c: dict[int, int] = {}
         for e, v in self._c.items():
             c[e * k] = c.get(e * k, 0) + v
-        return LaurentPoly(c, self.var)
+        return self._like(c)
 
     def evaluate_one(self) -> int:
         """Value at var = 1, i.e. the coefficient sum."""
         return sum(self._c.values())
-
-    # -- comparisons / hashing --------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self)!r})"
@@ -171,21 +192,15 @@ class LaurentPoly:
         return cls({e: v for e, v in pairs}, var)
 
 
-class BiLaurent:
+class BiLaurent(_SparsePoly):
     """A Laurent polynomial in two variables (a, z), integer coefficients."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    _ONE = (0, 0)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if v != 0:
-                    c[(int(k[0]), int(k[1]))] = int(v)
-        object.__setattr__(self, "_c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiLaurent is immutable")
+    @staticmethod
+    def _key(k) -> tuple[int, int]:
+        return (int(k[0]), int(k[1]))
 
     @classmethod
     def zero(cls) -> "BiLaurent":
@@ -199,31 +214,10 @@ class BiLaurent:
     def monomial(cls, a_exp: int, z_exp: int, coeff: int = 1) -> "BiLaurent":
         return cls({(a_exp, z_exp): coeff})
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def terms(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self._c.items())
-
     def z_min(self) -> int:
         if not self._c:
             return 0
         return min(s for (_, s) in self._c)
-
-    def __add__(self, other: "BiLaurent") -> "BiLaurent":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) + v
-        return BiLaurent(c)
-
-    def __sub__(self, other: "BiLaurent") -> "BiLaurent":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) - v
-        return BiLaurent(c)
-
-    def __neg__(self) -> "BiLaurent":
-        return BiLaurent({k: -v for k, v in self._c.items()})
 
     def __mul__(self, other: "BiLaurent") -> "BiLaurent":
         c: dict[tuple[int, int], int] = {}
@@ -231,27 +225,7 @@ class BiLaurent:
             for (r2, s2), v2 in other._c.items():
                 k = (r1 + r2, s1 + s2)
                 c[k] = c.get(k, 0) + v1 * v2
-        return BiLaurent(c)
-
-    def __pow__(self, n: int) -> "BiLaurent":
-        if n < 0:
-            raise ValueError("negative power of a BiLaurent")
-        out = BiLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiLaurent):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        return self._like(c)
 
     def __repr__(self) -> str:
         return f"BiLaurent({self.serialize()!r})"
@@ -357,35 +331,28 @@ def quantum_integer(N: int, var: str = "q") -> LaurentPoly:
     return LaurentPoly({e: 1 for e in range(-N + 1, N, 2)}, var)
 
 
+def _signed_join(terms) -> str:
+    """Join (coefficient, text of the term without its sign) pairs with
+    explicit signs: "2q - q^3"; "0" when there are no terms."""
+    text = " ".join(f"{'-' if v < 0 else '+'} {body}" for v, body in terms)
+    if not text:
+        return "0"
+    return ("-" if text[0] == "-" else "") + text[2:]
+
+
 def format_poly(f: LaurentPoly) -> str:
     """Render in ascending exponent order with explicit signs."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for e, v in f.terms():
-        sign = "-" if v < 0 else "+"
-        mag = abs(v)
+    def body(e: int, mag: int) -> str:
         if e == 0:
-            body = str(mag)
-        else:
-            x = f.var if e == 1 else f"{f.var}^{e}"
-            body = x if mag == 1 else f"{mag}{x}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = (("-" if first_sign == "-" else "") + first_body)
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            return str(mag)
+        x = f.var if e == 1 else f"{f.var}^{e}"
+        return x if mag == 1 else f"{mag}{x}"
+    return _signed_join((v, body(e, abs(v))) for e, v in f.terms())
 
 
 def format_bilaurent(f: BiLaurent) -> str:
     """Render a polynomial in (a, z), sorted by (a-exp, z-exp)."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for (r, s), v in f.terms():
-        sign = "-" if v < 0 else "+"
-        mag = abs(v)
+    def body(r: int, s: int, mag: int) -> str:
         factors = []
         if mag != 1 or (r == 0 and s == 0):
             factors.append(str(mag))
@@ -393,9 +360,5 @@ def format_bilaurent(f: BiLaurent) -> str:
             factors.append("a" if r == 1 else f"a^{r}")
         if s != 0:
             factors.append("z" if s == 1 else f"z^{s}")
-        parts.append((sign, "".join(factors)))
-    first_sign, first_body = parts[0]
-    out = (("-" if first_sign == "-" else "") + first_body)
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        return "".join(factors)
+    return _signed_join((v, body(r, s, abs(v))) for (r, s), v in f.terms())

@@ -19,7 +19,7 @@ circle along one ray from the axis.
 
 from __future__ import annotations
 
-from .diagram import BraidWord, Crossing, PlanarDiagram
+from .diagram import BraidWord, Crossing, PlanarDiagram, cycles
 
 #: The positions of Crossing.pd_tuple() where an arc leaves the crossing.
 _OUT_POSITIONS = {1: (2, 3), -1: (1, 2)}
@@ -58,22 +58,14 @@ def _faces(crossings) -> list[list[tuple[int, bool]]]:
     for i, row in enumerate(rows):
         for k, a in enumerate(row):
             ends.setdefault(a, []).append((i, k))
-    faces = []
-    seen: set[tuple[int, int]] = set()
-    for start in ((i, k) for i in range(len(rows)) for k in range(4)):
-        face = []
-        end = start
-        while end not in seen:
-            seen.add(end)
-            i, k = end
-            a = rows[i][k]
-            face.append((a, k in _OUT_POSITIONS[crossings[i].sign]))
+    succ = {}
+    for i, row in enumerate(rows):
+        for k, a in enumerate(row):
             first, second = ends[a]
-            j, l = second if first == end else first
-            end = (j, (l + 1) % 4)
-        if face:
-            faces.append(face)
-    return faces
+            j, l = second if first == (i, k) else first
+            succ[(i, k)] = (j, (l + 1) % 4)
+    return [[(rows[i][k], k in _OUT_POSITIONS[crossings[i].sign])
+             for i, k in face] for face in cycles(succ)]
 
 
 def _seifert_circles(crossings) -> tuple[dict[int, int], dict[int, int]]:
@@ -84,15 +76,7 @@ def _seifert_circles(crossings) -> tuple[dict[int, int], dict[int, int]]:
     for c in crossings:
         succ[c.under_in] = c.over_out
         succ[c.over_in] = c.under_out
-    circle: dict[int, int] = {}
-    count = 0
-    for a in succ:
-        if a in circle:
-            continue
-        while a not in circle:
-            circle[a] = count
-            a = succ[a]
-        count += 1
+    circle = {a: k for k, cyc in enumerate(cycles(succ)) for a in cyc}
     return succ, circle
 
 

@@ -14,15 +14,20 @@ and `all_k_plus_candidates` checks the quantum-plus criterion of
 `criteria.knot_candidates` by reducing each of the 2p signed candidate
 sums modulo (p, q^p + 1).
 `termwise_specialize` checks the Horner pass of `skein._specialize` by
-substituting into every HOMFLY term on its own.
+substituting into every HOMFLY term on its own.  `murasugi_by_powers`
+checks `classical.murasugi_candidates` by dividing Delta and -Delta by
+Phi_lambda^(q-1), raised by square-and-multiply, and testing that the
+quotient is a polynomial in t^q.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from linkperiod import criteria, statemodel
+from linkperiod.classical import _gf_mul, _gf_trim
 from linkperiod.diagram import BraidWord, braid_segments, closure_components
 from linkperiod.laurent import (BiLaurent, IdealVariant, LaurentPoly,
                                 exact_divide, reduce)
@@ -135,6 +140,69 @@ def termwise_specialize(P: BiLaurent, a_image: LaurentPoly,
     if s_min >= 0:
         return shifted * (z_image ** s_min)
     return exact_divide(shifted, z_image ** (-s_min))
+
+
+def gf_divmod(a: list[int], b: list[int], p: int):
+    """(quotient, remainder) of a by b over the field of p elements."""
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = pow(b[-1], p - 2, p) if p > 2 else b[-1]
+    while len(a) >= len(b) and _gf_trim(a):
+        shift = len(a) - len(b)
+        coef = (a[-1] * inv_lead) % p
+        q[shift] = coef
+        for i, y in enumerate(b):
+            a[shift + i] = (a[shift + i] - coef * y) % p
+        _gf_trim(a)
+    return _gf_trim(q), _gf_trim(a)
+
+
+def gf_pow(a: list[int], n: int, p: int) -> list[int]:
+    """a^n over the field of p elements, by square-and-multiply."""
+    out = [1]
+    base = list(a)
+    while n:
+        if n & 1:
+            out = _gf_mul(out, base, p)
+        base = _gf_mul(base, base, p)
+        n >>= 1
+    return out
+
+
+def murasugi_by_powers(delta: LaurentPoly, p: int,
+                       r: int = 1) -> frozenset[int] | None:
+    """Every lambda prime to p with Delta = +-f^q * Phi_lambda^(q-1) mod p,
+    q = p^r, or None when Delta vanishes mod p."""
+    if delta.is_zero():
+        return None
+    shift = -delta.min_exponent()
+    dense = [0] * (delta.max_exponent() + shift + 1)
+    for e, c in delta.terms():
+        dense[e + shift] = c % p
+    dense = _gf_trim(dense)
+    if not dense:
+        return None
+    while dense and dense[0] == 0:
+        dense.pop(0)
+
+    q_pow = p ** r
+    d = len(dense) - 1
+    feasible = set()
+    for lam in range(1, d // max(q_pow - 1, 1) + 2):
+        if math.gcd(lam, p) != 1:
+            continue
+        if (lam - 1) * (q_pow - 1) > d:
+            continue
+        phi_pow = gf_pow([1] * lam, q_pow - 1, p)
+        for unit in (1, p - 1):
+            target = [(unit * c) % p for c in dense]
+            quot, rem = gf_divmod(target, phi_pow, p)
+            if rem:
+                continue
+            if all(c == 0 for i, c in enumerate(quot) if i % q_pow != 0):
+                feasible.add(lam)
+                break
+    return frozenset(feasible)
 
 
 def parity_split(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

@@ -321,6 +321,12 @@ class TestSelftest:
         assert all(line.startswith("[PASS]") or "checks passed" in line
                    for line in out.strip().splitlines())
 
+    def test_filter_matching_nothing_is_a_usage_error(self, capsys):
+        code, out, err = run_main(["selftest", "--filter", "zzz"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --filter matches no check: 'zzz'\n"
+
 
 def test_console_entry_point():
     proc = subprocess.run(

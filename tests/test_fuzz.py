@@ -11,8 +11,8 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from linkperiod import cli
-from linkperiod.diagram import (BraidWord, ParseError, parse_braid, parse_pd,
-                                pd_from_braid)
+from linkperiod.diagram import (BraidWord, ParseError, closure_components,
+                                parse_braid, parse_pd, pd_from_braid, writhe)
 
 #: Fixed examples and no example database, so every run tries the same
 #: inputs; no deadline, because timing is not what these tests check.
@@ -92,6 +92,19 @@ def test_pd_text_round_trip(b):
     d = pd_from_braid(b)
     if d.crossings and not d.free_loops:
         assert parse_pd(d.pd_text()) == d
+
+
+@FUZZ
+@given(braid_words())
+def test_braid_closure_agrees_with_its_diagram(b):
+    # The component count and writhe read off the braid are those of the
+    # diagram pd_from_braid draws, whose arcs run 1..2k consecutively
+    # along each component.
+    d = pd_from_braid(b)
+    assert len(closure_components(b)) == d.component_count()
+    assert writhe(b) == d.writhe()
+    arcs = [a for comp in d.components() for a in comp]
+    assert arcs == list(range(1, 2 * len(b) + 1))
 
 
 def run_cli(argv):

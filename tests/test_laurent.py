@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from linkperiod.laurent import (IdealVariant, InexactDivisionError, LaurentPoly,
-                                congruent, exact_divide, quantum_integer,
-                                reduce)
+from linkperiod.laurent import (BiLaurent, IdealVariant, InexactDivisionError,
+                                LaurentPoly, congruent, exact_divide,
+                                format_bilaurent, format_poly,
+                                quantum_integer, reduce)
 from reference import parity_split
 
 Q = LaurentPoly.monomial
@@ -211,3 +212,72 @@ def test_serialization_roundtrip():
     f = LaurentPoly({-4: 2, 0: -1, 7: 3})
     assert LaurentPoly.deserialize(f.serialize()) == f
     assert LaurentPoly.zero().serialize() == []
+
+
+# One sample pair of each polynomial type, for the core both share.
+SAMPLES = {
+    "LaurentPoly": (LaurentPoly({-4: 2, 0: -1, 7: 3}, "t"),
+                    LaurentPoly({1: 1, -1: -1}, "t"), LaurentPoly.one("t")),
+    "BiLaurent": (BiLaurent({(1, -1): 2, (0, 0): -1, (3, 2): 3}),
+                  BiLaurent({(1, 1): 1, (-1, 0): -1}), BiLaurent.one()),
+}
+
+
+@pytest.mark.parametrize("kind", SAMPLES)
+class TestSharedCore:
+    def test_immutable(self, kind):
+        f, _, _ = SAMPLES[kind]
+        for name in ("_c", "var", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, {})
+        assert f.serialize() == SAMPLES[kind][0].serialize()
+
+    def test_constructor_normalizes(self, kind):
+        f, _, _ = SAMPLES[kind]
+        assert type(f)({k: 0 for k, _ in f.terms()}).is_zero()
+        assert (f - f).is_zero() and (f + -f).is_zero()
+        h = type(f)({k: float(v) for k, v in f.terms()})
+        assert h == f and all(type(v) is int for _, v in h.terms())
+
+    def test_power_negation_scale(self, kind):
+        f, g, one = SAMPLES[kind]
+        assert f ** 0 == one
+        assert f ** 3 == f * f * f
+        assert (f + g) ** 2 == f * f + f * g.scale(2) + g * g
+        assert -(-f) == f
+        assert f.scale(-3) == -(f + f + f)
+        assert f.scale(0).is_zero()
+        with pytest.raises(ValueError):
+            f ** -1
+
+    def test_serialization_roundtrip(self, kind):
+        f, g, one = SAMPLES[kind]
+        for h in (f, g, one, f ** 2 - g, type(f)()):
+            assert type(f).deserialize(h.serialize()) == h
+
+    def test_hash_agrees_with_equality(self, kind):
+        f, g, _ = SAMPLES[kind]
+        assert len({f * g, g * f, f, f ** 1}) == 2
+
+
+def test_types_never_compare_equal():
+    assert LaurentPoly.zero() != BiLaurent.zero()
+    assert LaurentPoly.one() != BiLaurent.one()
+    assert BiLaurent.monomial(1, 0) != LaurentPoly.monomial(1)
+
+
+def test_var_ignored_by_equality_and_hash():
+    f, g = LaurentPoly({1: 2, -3: 1}, "q"), LaurentPoly({1: 2, -3: 1}, "t")
+    assert f == g and hash(f) == hash(g)
+    assert (f ** 2).var == (-f).var == f.scale(2).var == (f - f).var == "q"
+
+
+def test_format_zero_and_negative_leading_term():
+    assert format_poly(LaurentPoly.zero("t")) == "0"
+    assert format_bilaurent(BiLaurent.zero()) == "0"
+    assert format_poly(LaurentPoly({-2: -1, 0: 3, 1: -1}, "t")) == \
+        "-t^-2 + 3 - t"
+    assert format_poly(LaurentPoly({0: -4, 2: 2})) == "-4 + 2q^2"
+    assert format_bilaurent(BiLaurent({(-1, 0): -2, (0, 0): 1, (1, 1): -1})) \
+        == "-2a^-1 + 1 - az"
+    assert format_bilaurent(BiLaurent({(0, 2): -1})) == "-z^2"
