@@ -61,6 +61,13 @@ def _parse_n_list(text: str) -> list[int]:
 def build_invariant_report(kind, text, n_list, oracle=False,
                            max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
     braid, diagram = _parse_input(kind, text)
+    oracle_braid = braid
+    if oracle and braid is None:
+        from .vogel import braid_from_pd
+        oracle_braid = braid_from_pd(diagram)
+        if oracle_braid is None:
+            raise UsageError("--oracle needs a braid or a planar PD code; "
+                             "this PD code is not planar")
     P = skein.homfly(diagram if braid is None else braid,
                      max_crossings=max_crossings)
     m = diagram.component_count()
@@ -73,7 +80,8 @@ def build_invariant_report(kind, text, n_list, oracle=False,
         "quantum": {},
     }
     quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
-    states = statemodel.invariant_statesums(braid, n_list) if oracle else quantum
+    states = (statemodel.invariant_statesums(oracle_braid, n_list)
+              if oracle else quantum)
     for N, inv in quantum.items():
         report["quantum"][str(N)] = inv.serialize()
         if states[N] != inv:
@@ -279,8 +287,6 @@ def _emit(report, fmt: str, out_path: str | None) -> None:
 
 def cmd_invariant(args) -> int:
     kind, text = _cli_input(args)
-    if args.oracle and kind != "braid":
-        raise UsageError("--oracle needs a braid input")
     report = build_invariant_report(kind, text, _parse_n_list(args.n),
                                     args.oracle, args.max_crossings)
     _emit(report, args.format, args.out)

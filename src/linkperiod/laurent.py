@@ -4,6 +4,12 @@ All coefficients are Python ints, so arithmetic is exact at any size.
 One-variable polynomials carry a variable tag (purely informational);
 two-variable polynomials are fixed in the pair (a, z).  Both share one
 sparse core: the normalising constructor, +, -, scale and powers.
+
+A packed polynomial is the integer sum of c_e * 2^(width * e) (Kronecker
+substitution): adding is one integer addition, multiplying by the
+variable one shift.  While every |c_e| is at most the bound the width
+was chosen for (`digit_width`), `unpack` reads the signed digits back
+exactly, and the integer is 0 only for the zero polynomial.
 """
 
 from __future__ import annotations
@@ -322,6 +328,28 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if top in rem:
             raise InexactDivisionError("quotient is not a Laurent polynomial")
     return LaurentPoly(quot, f.var)
+
+
+def digit_width(bound: int) -> int:
+    """The fewest whole bytes of bits whose signed digits hold every
+    integer of absolute value at most bound."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
+
+
+def unpack(x: int, width: int, low: int = 0) -> dict[int, int]:
+    """The exponent -> coefficient map of a packed integer whose lowest
+    digit stands for exponent `low`, in time linear in the size of x:
+    with 2^(width-1) added to every digit, the digits are byte slices."""
+    size, half = width // 8, 1 << (width - 1)
+    count = x.bit_length() // width + 1
+    bias = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    raw = (x + bias).to_bytes(count * size, "little")
+    out = {}
+    for k in range(count):
+        c = int.from_bytes(raw[k * size:(k + 1) * size], "little") - half
+        if c:
+            out[low + k] = c
+    return out
 
 
 def quantum_integer(N: int, var: str = "q") -> LaurentPoly:

@@ -21,6 +21,20 @@ taken in H_(m-1).  Then P = a^writhe F.  A braid that needs more than
 HECKE_MAX_TERMS basis elements at once (never one on at most 7 strands)
 goes through the skein route on its diagram instead.
 
+Packed coefficients.  A coefficient is one integer, its value at
+z = 2^B (Kronecker substitution, as in statemodel), so z c is c << B and
+a cancelled entry is 0.  Each trace level takes a z out and an a^-1 in,
+so a^-1 becomes a shift and delta becomes 1 - a^2, a^2 being 2^(B (L+1))
+for L letters: the dict keeps one entry per T_w.  The z-degree of a
+coefficient plus the length of its w never exceeds L (a letter raises it
+by at most one, and the trace turns T_w, of length l(u) + m-1-p, into
+z T_u times m-2-p generators), so blocks of L + 1 z-digits do not
+overlap.  The sum of the absolute values of all digits at most doubles
+per letter and grows at most 2^(m-1)-fold at level m (delta gives two
+terms, any other term meets at most m-2 generators), so B, the fewest
+whole bytes of bits whose signed digits hold 2^(L + n(n-1)/2), lets
+laurent.unpack decode P exactly, once, at the end.
+
 A planar diagram is first read as a braid by Vogel's algorithm
 (vogel.braid_from_pd), one strand per Seifert circle, and takes the
 Hecke route as that braid.  A non-planar diagram, or a braid from one
@@ -38,19 +52,21 @@ route is also the independent reference the tests compare the Hecke
 route against.
 
 The quantum, Jones and Alexander specializations take a to a monomial
-x^k and z to x - x^-1.  The terms of each z power sum to one polynomial
-in x, and one Horner pass from the top z power down multiplies by
-x - x^-1 (a shift and a subtraction) once per power.  So the cost is
-linear in the number of HOMFLY terms plus the z-degree times the width
-(exponent span) of the polynomial.  When P has negative z powers the
-pass runs down to the lowest of them, and the result is divided exactly
-by the matching power of x - x^-1.
+x^k and z to x - x^-1 by one Horner pass from the top z power down, on
+one packed integer: each term is added in with one shift, and the
+factor x - x^-1 = x^-1 (x^2 - 1) is (acc << 2C) - acc with the lowest
+exponent moved down by one, two integer operations whatever the width
+of the polynomial.  A digit is at most the sum of the absolute HOMFLY
+coefficients times 2^(number of factors), which fixes C.  When P has
+negative z powers the pass runs down to the lowest of them, and the
+decoded result is divided exactly by that power of x - x^-1.
 """
 
 from __future__ import annotations
 
 from .diagram import BraidWord, PlanarDiagram, pd_from_braid, writhe
-from .laurent import BiLaurent, LaurentPoly, exact_divide, quantum_integer
+from .laurent import (BiLaurent, LaurentPoly, digit_width, exact_divide,
+                      quantum_integer, unpack)
 
 DEFAULT_MAX_CROSSINGS = 24
 
@@ -65,8 +81,6 @@ _A2 = BiLaurent.monomial(2, 0)       # a^2
 _AZ = BiLaurent.monomial(1, 1)       # a z
 _AM2 = BiLaurent.monomial(-2, 0)     # a^-2
 _AMZ = BiLaurent.monomial(-1, 1)     # a^-1 z
-_AM1 = BiLaurent.monomial(-1, 0)     # a^-1
-_Z = BiLaurent.monomial(0, 1)        # z
 
 
 class ResourceLimitError(RuntimeError):
@@ -214,25 +228,51 @@ def _add(element, key, value: BiLaurent) -> None:
         element[key] = total
 
 
-def _times_generator(element: dict, i: int, sign: int) -> dict:
-    """element * T_i^sign in the basis T_w.  Right multiplication by s_i
-    swaps the entries i-1 and i of w (one-line form, 0-based); it lowers
-    the length exactly when w[i-1] > w[i].  Then T_w = T_ws T_i, so
-    T_w T_i = T_ws + z T_w and T_w T_i^-1 = T_ws; otherwise
-    T_w T_i = T_ws and T_w T_i^-1 = T_ws - z T_w, as T_i^-1 = T_i - z."""
+def _times_generator(element: dict, i: int, sign: int, width: int,
+                     swaps: list[dict]) -> dict:
+    """element * T_i^sign in the basis T_w, with z packed as 2^width.
+    Right multiplication by s_i swaps the entries i-1 and i of w (one-line
+    form, 0-based).  Of a pair w, ws with w[i-1] < w[i], T_ws = T_w T_i is
+    the longer; so T_w T_i = T_ws and T_ws T_i = T_w + z T_ws, and as
+    T_i^-1 = T_i - z, T_w T_i^-1 = T_ws - z T_w and T_ws T_i^-1 = T_w.
+    Each pair is met once, from w, or from ws when w is absent.  swaps[i]
+    keeps w -> ws for the rest of the pass."""
     out: dict = {}
+    swap = swaps[i]
     for w, c in element.items():
-        _add(out, w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:], c)
-        if (w[i - 1] > w[i]) == (sign > 0):
-            _add(out, w, _Z * c if sign > 0 else -(_Z * c))
+        ws = swap.get(w)
+        if ws is None:
+            ws = swap[w] = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+            swap[ws] = w
+        if w[i - 1] < w[i]:
+            short, long = c, element.get(ws, 0)
+        elif ws in element:
+            continue
+        else:
+            w, ws, short, long = ws, w, 0, c
+        if sign > 0:
+            if long:
+                out[w] = long
+                short = short + (long << width) if short else long << width
+            if short:
+                out[ws] = short
+        else:
+            if short:
+                out[ws] = short
+                long = long - (short << width) if long else -(short << width)
+            if long:
+                out[w] = long
     return _check_size(out)
 
 
-def _ocneanu_trace(element: dict, n: int) -> BiLaurent:
-    """F of an element of H_n, descending one level at a time.  With the
-    largest entry m-1 of w at index p, w = u s_(m-1) s_(m-2) ... s_(p+1)
-    with lengths adding, u in S_(m-1); so F(T_w) = a^-1 F(T_u T_(m-2) ...
-    T_(p+1)), or delta F(T_u) when p = m-1."""
+def _ocneanu_trace(element: dict, n: int, width: int, block: int,
+                   swaps: list[dict]) -> int:
+    """(a z)^(n-1) F of an element of H_n, descending one level at a time,
+    packed with z as 2^width and a^2 as 2^block.  With the largest entry
+    m-1 of w at index p, w = u s_(m-1) s_(m-2) ... s_(p+1) with lengths
+    adding, u in S_(m-1); so F(T_w) = a^-1 F(T_u T_(m-2) ... T_(p+1)), or
+    delta F(T_u) when p = m-1.  Each level takes a z out of F: a^-1 is
+    stored as z, one shift, and delta as 1 - a^2, a subtraction."""
     for m in range(n, 1, -1):
         lower: dict = {}
         by_index: dict[int, dict] = {}
@@ -240,29 +280,43 @@ def _ocneanu_trace(element: dict, n: int) -> BiLaurent:
             p = w.index(m - 1)
             u = w[:p] + w[p + 1:]
             if p == m - 1:
-                _add(lower, u, DELTA * c)
+                lower[u] = c - (c << block)
             else:
-                _add(by_index.setdefault(p, {}), u, _AM1 * c)
+                by_index.setdefault(p, {})[u] = c << width
         for p, part in by_index.items():
             for g in range(m - 2, p, -1):
-                part = _times_generator(part, g, 1)
+                part = _times_generator(part, g, 1, width, swaps)
             for u, c in part.items():
-                _add(lower, u, c)
+                if u in lower:
+                    c += lower[u]
+                    if not c:
+                        del lower[u]
+                        continue
+                lower[u] = c
             _check_size(lower)
         element = lower
-    return element.get((0,), BiLaurent.zero())
+    return element.get((0,), 0)
 
 
 def _homfly_braid(b: BraidWord) -> BiLaurent:
-    mirrored = 2 * sum(e < 0 for e in b.letters) > len(b.letters)
+    n, L = b.n, len(b.letters)
+    mirrored = 2 * sum(e < 0 for e in b.letters) > L
     sign = -1 if mirrored else 1
-    element = {tuple(range(b.n)): BiLaurent.one()}
+    width = digit_width(1 << (L + n * (n - 1) // 2))
+    swaps: list[dict] = [{} for _ in range(n)]
+    element = {tuple(range(n)): 1}
     for e in b.letters:
-        element = _times_generator(element, abs(e), sign * e)
-    P = BiLaurent.monomial(sign * writhe(b), 0) * _ocneanu_trace(element, b.n)
-    if mirrored:
-        P = BiLaurent({(-r, s): v * (-1) ** s for (r, s), v in P.terms()})
-    return P
+        element = _times_generator(element, abs(e), sign * e, width, swaps)
+    packed = _ocneanu_trace(element, n, width, (L + 1) * width, swaps)
+    a0 = sign * writhe(b) - (n - 1)
+    P: dict[tuple[int, int], int] = {}
+    for i, v in unpack(packed, width).items():
+        j, k = divmod(i, L + 1)         # the digit of a^(2j) z^k
+        r, s = a0 + 2 * j, k - (n - 1)
+        if mirrored:
+            r, v = -r, v * (-1) ** s
+        P[(r, s)] = v
+    return BiLaurent(P)
 
 
 def homfly(d: "PlanarDiagram | BraidWord",
@@ -294,22 +348,20 @@ def homfly(d: "PlanarDiagram | BraidWord",
 def _specialize(P: BiLaurent, a_exp: int, var: str) -> LaurentPoly:
     """Evaluate P at a -> x^a_exp, z -> x - x^-1, with x named var, by the
     Horner pass over z that the module docstring describes."""
-    by_power: dict[int, dict[int, int]] = {}
+    by_power: dict[int, list[tuple[int, int]]] = {}
     for (r, s), v in P._c.items():
-        coeffs = by_power.setdefault(s, {})
-        coeffs[a_exp * r] = coeffs.get(a_exp * r, 0) + v
+        by_power.setdefault(s, []).append((a_exp * r, v))
     s_min = min(by_power, default=0)
-    acc: dict[int, int] = {}
-    for s in range(max(by_power, default=0), min(s_min, 0) - 1, -1):
-        times_z: dict[int, int] = {}
-        for e, v in acc.items():
-            if v:
-                times_z[e + 1] = times_z.get(e + 1, 0) + v
-                times_z[e - 1] = times_z.get(e - 1, 0) - v
-        for e, v in by_power.get(s, {}).items():
-            times_z[e] = times_z.get(e, 0) + v
-        acc = times_z
-    value = LaurentPoly(acc, var)
+    top, bottom = max(by_power, default=0), min(s_min, 0)
+    low = min((e for terms in by_power.values() for e, _ in terms),
+              default=0) - (top - bottom)
+    width = digit_width(sum(map(abs, P._c.values())) << (top - bottom))
+    acc = 0
+    for s in range(top, bottom - 1, -1):
+        acc = (acc << 2 * width) - acc
+        for e, v in by_power.get(s, ()):
+            acc += v << width * (e - low - s + bottom)
+    value = LaurentPoly(unpack(acc, width, low), var)
     if s_min >= 0:
         return value
     return exact_divide(value, LaurentPoly({1: 1, -1: -1}, var) ** -s_min)

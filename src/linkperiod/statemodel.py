@@ -51,9 +51,9 @@ one integer X(2^width) (Kronecker substitution): a letter costs a shift
 and a subtraction per entry, whatever the number of terms.  Each entry
 after a letter is its old value times a local weight with absolute
 coefficient sum at most 2, plus q times one other entry's old value, so
-coefficient sums grow at most threefold per letter; a slot width of one
-bit more than the patterns times 3^L decodes every closed sum exactly,
-reading each slot as a signed digit.
+coefficient sums grow at most threefold per letter; a slot width
+(laurent.digit_width) whose signed digits hold the patterns times 3^L
+lets the shared decoder laurent.unpack read every closed sum exactly.
 
 Table bound.  The pass starts from the sum over k <= min(n, max N) of
 k! * S(n, k) patterns (S the Stirling numbers of the second kind: 13 on
@@ -71,7 +71,7 @@ import itertools
 from math import comb
 
 from .diagram import BraidWord, writhe
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, digit_width, unpack
 
 #: The most table entries `brackets` holds at once.
 MAX_STATES = 2_000_000
@@ -162,21 +162,6 @@ def _rank_transfer(table: dict, e: int, width: int) -> dict:
     return nxt
 
 
-def _unpack(x: int, width: int, low: int) -> dict[int, int]:
-    """The exponent -> coefficient map of a packed weight whose lowest
-    slot stands for q^low, each slot a signed digit."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    out = {}
-    e = low
-    while x:
-        c = ((x + half) & mask) - half
-        if c:
-            out[e] = c
-        x = (x - c) >> width
-        e += 1
-    return out
-
-
 def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
     """N -> sum over all states of the vertex weights times q^norm, for
     every N in `ns`, from one transfer pass.
@@ -203,7 +188,7 @@ def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
     guard(_pattern_count(b.n, top))
     patterns = list(_rank_patterns(b.n, top))
     L = len(b.letters)
-    width = (len(patterns) * 3 ** L).bit_length() + 1
+    width = digit_width(len(patterns) * 3 ** L)
     table = {r: {i: 1} for i, r in enumerate(patterns)}
     for e in b.letters:
         table = _rank_transfer(table, e, width)
@@ -215,7 +200,7 @@ def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
         if w is not None:
             sizes = tuple(cur.count(r) for r in range(max(cur) + 1))
             closed[sizes] = closed.get(sizes, 0) + w
-    weights = {sizes: _unpack(w, width, -L) for sizes, w in closed.items()}
+    weights = {sizes: unpack(w, width, -L) for sizes, w in closed.items()}
     out = {}
     for N in ns:
         total: dict[int, int] = {}

@@ -14,7 +14,10 @@ and `all_k_plus_candidates` checks the quantum-plus criterion of
 `criteria.knot_candidates` by reducing each of the 2p signed candidate
 sums modulo (p, q^p + 1).
 `termwise_specialize` checks the Horner pass of `skein._specialize` by
-substituting into every HOMFLY term on its own.  `murasugi_by_powers`
+substituting into every HOMFLY term on its own.  `hecke_homfly` checks
+the packed Hecke-algebra route of `skein._homfly_braid`: the same
+Morton-Short pass with one `BiLaurent` per basis element, built term by
+term.  `murasugi_by_powers`
 checks `classical.murasugi_candidates` by dividing Delta and -Delta by
 Phi_lambda^(q-1), raised by square-and-multiply, and testing that the
 quotient is a polynomial in t^q.
@@ -26,9 +29,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from linkperiod import criteria, statemodel
+from linkperiod import criteria, skein, statemodel
 from linkperiod.classical import _gf_mul, _gf_trim
-from linkperiod.diagram import BraidWord, braid_segments, closure_components
+from linkperiod.diagram import (BraidWord, braid_segments, closure_components,
+                               writhe)
 from linkperiod.laurent import (BiLaurent, IdealVariant, LaurentPoly,
                                 exact_divide, reduce)
 
@@ -140,6 +144,49 @@ def termwise_specialize(P: BiLaurent, a_image: LaurentPoly,
     if s_min >= 0:
         return shifted * (z_image ** s_min)
     return exact_divide(shifted, z_image ** (-s_min))
+
+
+_Z = BiLaurent.monomial(0, 1)        # z
+_AM1 = BiLaurent.monomial(-1, 0)     # a^-1
+
+
+def _times_generator(element: dict, i: int, sign: int) -> dict:
+    """element * T_i^sign in the basis T_w, one BiLaurent per w."""
+    out: dict = {}
+    for w, c in element.items():
+        skein._add(out, w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:], c)
+        if (w[i - 1] > w[i]) == (sign > 0):
+            skein._add(out, w, _Z * c if sign > 0 else -(_Z * c))
+    return out
+
+
+def _ocneanu_trace(element: dict, n: int) -> BiLaurent:
+    """F of an element of H_n: F(T_w) = a^-1 F(T_u T_(m-2) ... T_(p+1))
+    with m-1 at index p of w, or delta F(T_u) when p = m-1."""
+    for m in range(n, 1, -1):
+        lower: dict = {}
+        for w, c in element.items():
+            p = w.index(m - 1)
+            u = w[:p] + w[p + 1:]
+            if p == m - 1:
+                skein._add(lower, u, skein.DELTA * c)
+                continue
+            part = {u: _AM1 * c}
+            for g in range(m - 2, p, -1):
+                part = _times_generator(part, g, 1)
+            for v, d in part.items():
+                skein._add(lower, v, d)
+        element = lower
+    return element.get((0,), BiLaurent.zero())
+
+
+def hecke_homfly(b: BraidWord) -> BiLaurent:
+    """HOMFLY of the braid closure by the Hecke-algebra route with
+    BiLaurent coefficients, the braid taken as given (not mirrored)."""
+    element = {tuple(range(b.n)): BiLaurent.one()}
+    for e in b.letters:
+        element = _times_generator(element, abs(e), e)
+    return BiLaurent.monomial(writhe(b), 0) * _ocneanu_trace(element, b.n)
 
 
 def gf_divmod(a: list[int], b: list[int], p: int):

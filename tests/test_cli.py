@@ -1,10 +1,12 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from linkperiod import cli, skein, statemodel
+from linkperiod.diagram import BraidWord, pd_from_braid
 
 TREFOIL = "1 1 1"
 
@@ -75,15 +77,44 @@ class TestInvariant:
         assert out == ""
         assert "internal inconsistency" in err and "N=3" in err
 
-    def test_oracle_requires_braid(self, capsys, monkeypatch):
+    def test_oracle_needs_a_planar_pd(self, capsys, monkeypatch):
         def no_homfly(*args, **kwargs):
             raise AssertionError("HOMFLY computed before the usage check")
         monkeypatch.setattr(skein, "homfly", no_homfly)
-        code, _, err = run_main(
-            ["invariant", "--pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
-             "--oracle"], capsys)
+        code, out, err = run_main(
+            ["invariant", "--pd", "X[1,2,3,4] X[3,4,1,2]", "--oracle"], capsys)
         assert code == 1
-        assert "error" in err
+        assert out == ""
+        assert "error" in err and "not planar" in err
+
+    def test_oracle_on_pd_input(self, capsys, monkeypatch):
+        seen = []
+        brackets = statemodel.brackets
+
+        def spy(b, ns):
+            seen.append(b)
+            return brackets(b, ns)
+        monkeypatch.setattr(statemodel, "brackets", spy)
+        pd = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+        args = ["--n", "2,3,4", "--format", "json"]
+        code, out, _ = run_main(["invariant", "--pd", pd, "--oracle"] + args,
+                                capsys)
+        assert code == 0 and len(seen) == 1
+        _, plain, _ = run_main(["invariant", "--pd", pd] + args, capsys)
+        assert out == plain
+
+    def test_oracle_on_random_pds(self, capsys):
+        # The CLI exits 2 when the state sum on the Vogel braid and the
+        # Hecke route disagree.
+        rng = random.Random(83)
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            b = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                   for _ in range(rng.randint(1, 9))))
+            code, _, err = run_main(
+                ["invariant", "--pd", pd_from_braid(b).pd_text(), "--oracle",
+                 "--n", "2,3"], capsys)
+            assert code == 0, err
 
     def test_both_inputs_rejected(self, capsys):
         code, _, err = run_main(

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from linkperiod.laurent import (BiLaurent, IdealVariant, InexactDivisionError,
-                                LaurentPoly, congruent, exact_divide,
-                                format_bilaurent, format_poly,
-                                quantum_integer, reduce)
+                                LaurentPoly, congruent, digit_width,
+                                exact_divide, format_bilaurent, format_poly,
+                                quantum_integer, reduce, unpack)
 from reference import parity_split
 
 Q = LaurentPoly.monomial
@@ -281,3 +281,44 @@ def test_format_zero_and_negative_leading_term():
     assert format_bilaurent(BiLaurent({(-1, 0): -2, (0, 0): 1, (1, 1): -1})) \
         == "-2a^-1 + 1 - az"
     assert format_bilaurent(BiLaurent({(0, 2): -1})) == "-z^2"
+
+
+def packed(coeffs, width):
+    """sum of c * 2^(width * e): the integer laurent.unpack reads."""
+    return sum(c << width * e for e, c in coeffs.items())
+
+
+class TestUnpack:
+    """The one signed-digit decoder, shared by the state sum, the Hecke
+    route and the specializations."""
+
+    @pytest.mark.parametrize("width", (8, 16, 24, 64, 136))
+    def test_zero(self, width):
+        assert unpack(0, width) == {}
+        assert unpack(0, width, -7) == {}
+
+    @pytest.mark.parametrize("width", (8, 16, 24, 64, 136))
+    def test_extreme_digits(self, width):
+        top = (1 << (width - 1)) - 1
+        for coeffs in ({0: top}, {0: -top}, {3: -top}, {0: top, 1: -top},
+                       {0: -top, 1: top, 2: -top, 5: top},
+                       {e: (-1) ** e * top for e in range(9)}):
+            assert unpack(packed(coeffs, width), width) == coeffs
+            assert unpack(packed(coeffs, width), width, -4) == \
+                {e - 4: c for e, c in coeffs.items()}
+
+    def test_random_round_trip(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            bound = rng.choice((1, 100, 1 << 40, 1 << 200))
+            width = digit_width(bound)
+            coeffs = {e: c for e in rng.sample(range(60), rng.randint(0, 20))
+                      if (c := rng.randint(-bound, bound))}
+            assert unpack(packed(coeffs, width), width) == coeffs
+
+    @pytest.mark.parametrize("bound,width", [
+        (0, 8), (1, 8), (127, 8), (128, 16), ((1 << 15) - 1, 16),
+        (1 << 15, 24), (1 << 62, 64), ((1 << 63) - 1, 64), (1 << 63, 72)])
+    def test_digit_width(self, bound, width):
+        assert digit_width(bound) == width
+        assert bound < 1 << (width - 1)

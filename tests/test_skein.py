@@ -3,7 +3,7 @@ import sys
 import tracemalloc
 
 import pytest
-from reference import termwise_specialize
+from reference import hecke_homfly, termwise_specialize
 
 from linkperiod import skein
 from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
@@ -257,6 +257,61 @@ class TestHeckeTermLimit:
         seen = self.fallbacks(monkeypatch)
         assert [skein.homfly(b) for b in words] == expected
         assert seen
+
+
+def random_word(rng, max_n=6, max_letters=22):
+    """A random braid on 1..max_n strands with at most max_letters letters
+    of either sign."""
+    n = rng.randint(1, max_n)
+    length = rng.randint(0, max_letters) if n > 1 else 0
+    return BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                              for _ in range(length)))
+
+
+def mirror_word(b):
+    return BraidWord(b.n, tuple(-e for e in b.letters))
+
+
+class TestPackedHecke:
+    """The packed Hecke route (skein._homfly_braid) against the same pass
+    on BiLaurent coefficients (reference.hecke_homfly), which multiplies
+    out every word as given, and against the skein route."""
+
+    def test_random_words_and_mirrors(self):
+        rng = random.Random(71)
+        mirrored = 0
+        for _ in range(400):
+            b = random_word(rng)
+            for word in (b, mirror_word(b)):
+                mirrored += 2 * sum(e < 0 for e in word.letters) > len(word)
+                assert skein._homfly_braid(word) == hecke_homfly(word)
+        assert mirrored > 200
+
+    def test_random_words_against_skein_route(self):
+        rng = random.Random(73)
+        for _ in range(24):
+            b = random_word(rng)
+            assert skein._homfly_braid(b) == homfly_of_diagram(b)
+
+    def test_powers_of_one_generator(self):
+        # Binomial coefficients: the largest of sigma_1^60 is past 2^38.
+        for k in range(61):
+            for e in (1, -1):
+                b = BraidWord(2, (e,) * k)
+                assert skein._homfly_braid(b) == hecke_homfly(b)
+        top = max(map(abs, hecke_homfly(BraidWord(2, (1,) * 60))._c.values()))
+        assert top > 1 << 38
+
+    @pytest.mark.parametrize("n", (5, 6, 7))
+    def test_full_twists(self, n):
+        b = BraidWord(n, tuple(range(1, n)) * n)
+        assert skein._homfly_braid(b) == hecke_homfly(b)
+        assert skein._homfly_braid(mirror_word(b)) == \
+            mirror_image(hecke_homfly(b))
+
+    def test_alternating_word(self):
+        b = BraidWord(3, (1, -2) * 20)
+        assert skein._homfly_braid(b) == hecke_homfly(b)
 
 
 def relabelled(crossings, label):
@@ -599,6 +654,22 @@ class TestSpecializeAgainstTermwise:
     def test_odd_positive_z_powers(self):
         # s_min = 1 > 0, a branch no HOMFLY of a real link reaches.
         assert_same_values(BiLaurent({(1, 1): 2, (-2, 3): -1, (0, 5): 4}), 2)
+
+    def test_every_small_power_of_a(self):
+        rng = random.Random(67)
+        z = LaurentPoly({1: 1, -1: -1}, "x")
+        polys = [BiLaurent({(1, 2): 3, (-3, 2): -1, (0, 4): 2, (2, 6): 1})]
+        # Long words whose Horner digits outgrow their HOMFLY coefficients.
+        polys += [skein.homfly(b, max_crossings=60) for b in (
+            BraidWord(3, (1, -2) * 20), BraidWord(2, (1,) * 60),
+            BraidWord(5, (1, 2, 3, 4) * 5))]
+        while len(polys) < 40:
+            polys.append(skein.homfly(random_word(rng, 5, 14)))
+        assert min(P.z_min() for P in polys) <= -4
+        for P in polys:
+            for k in range(-5, 6):
+                assert skein._specialize(P, k, "x") == termwise_specialize(
+                    P, LaurentPoly.monomial(k, var="x"), z, "x")
 
 
 class TestDiagramFrontier:
