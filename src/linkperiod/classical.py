@@ -1,12 +1,12 @@
 """Classical non-periodicity criteria used for cross-validation: the
 Jones self-symmetry test (a zero test by `laurent.reduce`), the
 coefficient-jump test on the z-degree-zero HOMFLY part, and Murasugi's
-Alexander-polynomial test over a prime field, where f(t)^q = f(t^q) for
-q a power of p, so no polynomial is raised to a power."""
+Alexander-polynomial test over the field of p elements, where
+f(t)^p = f(t^p), so no polynomial is raised to a power."""
 
 from __future__ import annotations
 
-import math
+from itertools import accumulate
 
 from .laurent import IdealVariant, LaurentPoly, is_prime, reduce
 
@@ -53,63 +53,38 @@ def traczyk_p0_candidates(P0: LaurentPoly, p: int) -> frozenset[int]:
         if jumps <= {lam % p, (-lam) % p})
 
 
-# -- dense polynomial helpers over the field of p elements ---------------
-
-def _gf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _gf_trim(out)
-
-
-def murasugi_candidates(delta: LaurentPoly, p: int, r: int = 1) -> frozenset[int] | None:
+def murasugi_candidates(delta: LaurentPoly, p: int) -> frozenset[int] | None:
     """Alexander factorization test over the field of p elements.
 
-    A q-periodic knot, q = p^r, forces Delta(t) = +-f(t)^q * Phi_lambda^(q-1)
-    mod p with Phi_lambda = 1 + t + ... + t^(lambda-1) and gcd(lambda, p)=1.
-    Over that field G(t)^q = G(t^q), so this holds exactly when
-    Delta * Phi_lambda is a polynomial in t^q: then it is G^q, and
-    Phi_lambda, squarefree as lambda is prime to p, divides G^q and so G.
-    The sign changes nothing.  Returns the feasible lambda set (empty
-    certifies non-q-periodicity), or None when Delta vanishes mod p
-    (inconclusive).
+    A p-periodic knot forces Delta(t) = +-f(t)^p * Phi_lambda^(p-1) mod p
+    with Phi_lambda = 1 + t + ... + t^(lambda-1) and gcd(lambda, p) = 1.
+    Over that field G(t)^p = G(t^p), so this holds exactly when
+    Delta * Phi_lambda is a polynomial in t^p: then it is G^p, and
+    Phi_lambda, squarefree as lambda is prime to p, divides G^p and so G.
+    The sign changes nothing.  Coefficient i of Delta * Phi_lambda is the
+    window sum Delta_(i-lambda+1) + ... + Delta_i, a difference of two
+    prefix sums, so each lambda costs O(d + lambda) for degree d.  Returns
+    the feasible lambda set (empty certifies non-p-periodicity), or None
+    when Delta vanishes mod p (inconclusive).
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1: {r}")
-    if delta.is_zero():
+    terms = {e: c % p for e, c in delta.terms() if c % p}
+    if not terms:
         return None
-    shift = -delta.min_exponent()
-    dense = [0] * (delta.max_exponent() + shift + 1)
-    for e, c in delta.terms():
-        dense[e + shift] = c % p
-    dense = _gf_trim(dense)
-    if not dense:
-        return None
-    # Strip any t-power unit left by normalization.
-    while dense and dense[0] == 0:
-        dense.pop(0)
+    # Any t-power unit left by normalization is dropped.
+    lo = min(terms)
+    d = max(terms) - lo
+    # prefix[k] = Delta_0 + ... + Delta_(k-1) for k <= d + 1.
+    prefix = [0, *accumulate(terms.get(lo + i, 0) for i in range(d + 1))]
 
-    q_pow = p ** r
-    d = len(dense) - 1
-    feasible = set()
-    for lam in range(1, d // max(q_pow - 1, 1) + 2):
-        if math.gcd(lam, p) != 1:
-            continue
-        if (lam - 1) * (q_pow - 1) > d:
-            continue
-        product = _gf_mul(dense, [1] * lam, p)
-        if not any(c for i, c in enumerate(product) if i % q_pow):
-            feasible.add(lam)
-    return frozenset(feasible)
+    def window_sums_vanish(lam: int) -> bool:
+        """Whether Delta * Phi_lambda vanishes mod p off the powers of t^p."""
+        return all(
+            (prefix[min(i, d) + 1] - prefix[max(i + 1 - lam, 0)]) % p == 0
+            for i in range(d + lam) if i % p)
+
+    # A feasible lambda has Phi_lambda^(p-1) dividing Delta mod p, so
+    # (lambda - 1)(p - 1) <= d.
+    return frozenset(lam for lam in range(1, d // (p - 1) + 2)
+                     if lam % p and window_sums_vanish(lam))

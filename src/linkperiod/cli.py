@@ -61,15 +61,12 @@ def _parse_n_list(text: str) -> list[int]:
 def build_invariant_report(kind, text, n_list, oracle=False,
                            max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
     braid, diagram = _parse_input(kind, text)
-    oracle_braid = braid
-    if oracle and braid is None:
-        from .vogel import braid_from_pd
-        oracle_braid = braid_from_pd(diagram)
-        if oracle_braid is None:
-            raise UsageError("--oracle needs a braid or a planar PD code; "
-                             "this PD code is not planar")
     P = skein.homfly(diagram if braid is None else braid,
                      max_crossings=max_crossings)
+    if oracle and braid is None:
+        # skein.homfly refuses a diagram with no Vogel braid.
+        from .vogel import braid_from_pd
+        braid = braid_from_pd(diagram)
     m = diagram.component_count()
     report = {
         "tool": {"name": "linkperiod", "version": __version__},
@@ -80,7 +77,7 @@ def build_invariant_report(kind, text, n_list, oracle=False,
         "quantum": {},
     }
     quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
-    states = (statemodel.invariant_statesums(oracle_braid, n_list)
+    states = (statemodel.invariant_statesums(braid, n_list)
               if oracle else quantum)
     for N, inv in quantum.items():
         report["quantum"][str(N)] = inv.serialize()
@@ -111,7 +108,6 @@ class Context(NamedTuple):
     quantum: dict[int, LaurentPoly]     # N -> quantum SL(N) invariant
     p: int
     m: int                              # component count
-    r: int
     notes: list[str]
 
 
@@ -154,12 +150,13 @@ def _p0(ctx: Context):
 
 
 def _alexander(ctx: Context):
-    lams = classical.murasugi_candidates(skein.alexander(ctx.P), ctx.p, ctx.r)
+    lams = classical.murasugi_candidates(skein.alexander(ctx.P), ctx.p)
     if lams is None:
         ctx.notes.append(
             "alexander criterion inconclusive: polynomial vanishes mod p")
         return {"inconclusive": True}, None
-    return {"r": ctx.r, "candidates": sorted(lams)}, [_pm(lams, ctx.p)]
+    # "r": 1 says the test ran at q = p^1; reports keep the key.
+    return {"r": 1, "candidates": sorted(lams)}, [_pm(lams, ctx.p)]
 
 
 class Criterion(NamedTuple):
@@ -194,10 +191,10 @@ def _check_options(args) -> tuple[list[int], list[str]]:
     return n_list, names
 
 
-def build_check_report(kind, text, p, n_list, names, r=1,
+def build_check_report(kind, text, p, n_list, names,
                        max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
     """Parses one input and runs the named criteria on it in order; p and
-    the names must have passed `_check_options`, and r must be >= 1."""
+    the names must have passed `_check_options`."""
     braid, diagram = _parse_input(kind, text)
     P = skein.homfly(diagram if braid is None else braid,
                      max_crossings=max_crossings)
@@ -213,7 +210,7 @@ def build_check_report(kind, text, p, n_list, names, r=1,
         "notes": [],
         "quantum": {str(N): f.serialize() for N, f in quantum.items()},
     }
-    ctx = Context(P, quantum, p, m, r, report["notes"])
+    ctx = Context(P, quantum, p, m, report["notes"])
     excluded = False          # some criterion certified non-periodicity
     combined: frozenset[int] | None = None
     for name in names:
@@ -296,7 +293,7 @@ def cmd_invariant(args) -> int:
 def cmd_check(args) -> int:
     kind, text = _cli_input(args)
     n_list, names = _check_options(args)
-    report = build_check_report(kind, text, args.p, n_list, names, args.r,
+    report = build_check_report(kind, text, args.p, n_list, names,
                                 args.max_crossings)
     _emit(report, args.format, args.out)
     return 0
@@ -328,7 +325,7 @@ def cmd_batch(args) -> int:
             if missing:
                 raise UsageError(f"row has no {' or '.join(missing)} field")
             rep = build_check_report(row["input_type"].strip(), row["input"],
-                                     args.p, n_list, names, args.r,
+                                     args.p, n_list, names,
                                      args.max_crossings)
             rep["name"] = name
             reports.append(rep)
@@ -383,11 +380,10 @@ COMMANDS = {
         "--braid", "--pd", "--n", "--max-crossings", "--out", "--format",
         "--oracle")),
     "check": Command(cmd_check, "run periodicity criteria", (
-        "--braid", "--pd", "--n", "-p", "--criteria", "--r",
-        "--max-crossings", "--out", "--format")),
+        "--braid", "--pd", "--n", "-p", "--criteria", "--max-crossings",
+        "--out", "--format")),
     "batch": Command(cmd_batch, "run checks over a CSV of links", (
-        "csv", "-p", "--n", "--criteria", "--r", "--max-crossings",
-        "--out")),
+        "csv", "-p", "--n", "--criteria", "--max-crossings", "--out")),
     "selftest": Command(cmd_selftest, "run the built-in fixture suite", (
         "--filter",)),
 }
@@ -413,8 +409,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "-p": dict(type=_number, required=True, help="prime period to test"),
         "--criteria": dict(default=",".join(ALL_CRITERIA),
                            help="comma list of criteria to run"),
-        "--r": dict(type=_positive_int, default=1,
-                    help="prime-power exponent for the alexander criterion"),
         "--max-crossings": dict(type=_positive_int,
                                 default=skein.DEFAULT_MAX_CROSSINGS),
         "--out": dict(help="write the report to this path"),

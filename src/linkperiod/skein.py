@@ -35,10 +35,12 @@ terms, any other term meets at most m-2 generators), so B, the fewest
 whole bytes of bits whose signed digits hold 2^(L + n(n-1)/2), lets
 laurent.unpack decode P exactly, once, at the end.
 
-A planar diagram is first read as a braid by Vogel's algorithm
+A diagram is first read as a braid by Vogel's algorithm
 (vogel.braid_from_pd), one strand per Seifert circle, and takes the
-Hecke route as that braid.  A non-planar diagram, or a braid from one
-past HECKE_MAX_TERMS, takes the skein route on the diagram as given: one
+Hecke route as that braid.  A PD code that no planar diagram realizes
+is refused: the skein route below assumes planarity, and on such a code
+its answer would depend on the arc labels.  An input whose braid goes
+past HECKE_MAX_TERMS takes the skein route on the input's diagram: one
 loop expands P(D) as a linear combination of diagrams until all of them
 are descending, which is exponential in the crossing count.  Traverse
 the closure from fixed base points in component order; the first
@@ -64,7 +66,8 @@ decoded result is divided exactly by that power of x - x^-1.
 
 from __future__ import annotations
 
-from .diagram import BraidWord, PlanarDiagram, pd_from_braid, writhe
+from .diagram import (BraidWord, ParseError, PlanarDiagram, pd_from_braid,
+                      writhe)
 from .laurent import (BiLaurent, LaurentPoly, digit_width, exact_divide,
                       quantum_integer, unpack)
 
@@ -323,9 +326,10 @@ def homfly(d: "PlanarDiagram | BraidWord",
            max_crossings: int = DEFAULT_MAX_CROSSINGS) -> BiLaurent:
     """HOMFLY polynomial of a braid closure or of an oriented link diagram.
     The limit counts the input's crossings.  A diagram takes the Hecke route
-    as the braid vogel.braid_from_pd reads off it, however long; a non-planar
-    diagram, and an input the Hecke route cannot hold in HECKE_MAX_TERMS
-    basis elements, takes the skein route on the input's diagram."""
+    as the braid vogel.braid_from_pd reads off it, however long, and a
+    non-planar one is refused with ParseError; an input the Hecke route
+    cannot hold in HECKE_MAX_TERMS basis elements takes the skein route on
+    its diagram."""
     braid = isinstance(d, BraidWord)
     size = len(d.letters) if braid else len(d.crossings)
     if size > max_crossings:
@@ -337,12 +341,13 @@ def homfly(d: "PlanarDiagram | BraidWord",
         # Imported here: a process given only braids never loads it.
         from .vogel import braid_from_pd
         b = braid_from_pd(d)
-    if b is not None:
-        try:
-            return _homfly_braid(b)
-        except _TooManyTerms:
-            pass
-    return _homfly_diagram(pd_from_braid(d) if braid else d)
+        if b is None:
+            raise ParseError("this PD code is not planar" if d.crossings
+                             else "empty diagram has no components")
+    try:
+        return _homfly_braid(b)
+    except _TooManyTerms:
+        return _homfly_diagram(pd_from_braid(d) if braid else d)
 
 
 def _specialize(P: BiLaurent, a_exp: int, var: str) -> LaurentPoly:

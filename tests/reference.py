@@ -19,8 +19,8 @@ the packed Hecke-algebra route of `skein._homfly_braid`: the same
 Morton-Short pass with one `BiLaurent` per basis element, built term by
 term.  `murasugi_by_powers`
 checks `classical.murasugi_candidates` by dividing Delta and -Delta by
-Phi_lambda^(q-1), raised by square-and-multiply, and testing that the
-quotient is a polynomial in t^q.
+Phi_lambda^(p-1), raised by square-and-multiply, and testing that the
+quotient is a polynomial in t^p.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 from linkperiod import criteria, skein, statemodel
-from linkperiod.classical import _gf_mul, _gf_trim
 from linkperiod.diagram import (BraidWord, braid_segments, closure_components,
                                writhe)
 from linkperiod.laurent import (BiLaurent, IdealVariant, LaurentPoly,
@@ -189,19 +188,38 @@ def hecke_homfly(b: BraidWord) -> BiLaurent:
     return BiLaurent.monomial(writhe(b), 0) * _ocneanu_trace(element, b.n)
 
 
+def gf_trim(a: list[int]) -> list[int]:
+    """a without its top zero coefficients, in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b over the field of p elements, term by term."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return gf_trim(out)
+
+
 def gf_divmod(a: list[int], b: list[int], p: int):
     """(quotient, remainder) of a by b over the field of p elements."""
     a = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
     inv_lead = pow(b[-1], p - 2, p) if p > 2 else b[-1]
-    while len(a) >= len(b) and _gf_trim(a):
+    while len(a) >= len(b) and gf_trim(a):
         shift = len(a) - len(b)
         coef = (a[-1] * inv_lead) % p
         q[shift] = coef
         for i, y in enumerate(b):
             a[shift + i] = (a[shift + i] - coef * y) % p
-        _gf_trim(a)
-    return _gf_trim(q), _gf_trim(a)
+        gf_trim(a)
+    return gf_trim(q), gf_trim(a)
 
 
 def gf_pow(a: list[int], n: int, p: int) -> list[int]:
@@ -210,43 +228,39 @@ def gf_pow(a: list[int], n: int, p: int) -> list[int]:
     base = list(a)
     while n:
         if n & 1:
-            out = _gf_mul(out, base, p)
-        base = _gf_mul(base, base, p)
+            out = gf_mul(out, base, p)
+        base = gf_mul(base, base, p)
         n >>= 1
     return out
 
 
-def murasugi_by_powers(delta: LaurentPoly, p: int,
-                       r: int = 1) -> frozenset[int] | None:
-    """Every lambda prime to p with Delta = +-f^q * Phi_lambda^(q-1) mod p,
-    q = p^r, or None when Delta vanishes mod p."""
+def murasugi_by_powers(delta: LaurentPoly, p: int) -> frozenset[int] | None:
+    """Every lambda prime to p with Delta = +-f^p * Phi_lambda^(p-1) mod p,
+    or None when Delta vanishes mod p."""
     if delta.is_zero():
         return None
     shift = -delta.min_exponent()
     dense = [0] * (delta.max_exponent() + shift + 1)
     for e, c in delta.terms():
         dense[e + shift] = c % p
-    dense = _gf_trim(dense)
+    dense = gf_trim(dense)
     if not dense:
         return None
     while dense and dense[0] == 0:
         dense.pop(0)
 
-    q_pow = p ** r
     d = len(dense) - 1
     feasible = set()
-    for lam in range(1, d // max(q_pow - 1, 1) + 2):
+    for lam in range(1, d // (p - 1) + 2):
         if math.gcd(lam, p) != 1:
             continue
-        if (lam - 1) * (q_pow - 1) > d:
-            continue
-        phi_pow = gf_pow([1] * lam, q_pow - 1, p)
+        phi_pow = gf_pow([1] * lam, p - 1, p)
         for unit in (1, p - 1):
             target = [(unit * c) % p for c in dense]
             quot, rem = gf_divmod(target, phi_pow, p)
             if rem:
                 continue
-            if all(c == 0 for i, c in enumerate(quot) if i % q_pow != 0):
+            if all(c == 0 for i, c in enumerate(quot) if i % p != 0):
                 feasible.add(lam)
                 break
     return frozenset(feasible)

@@ -6,7 +6,7 @@ from linkperiod import classical, skein
 from linkperiod.diagram import BraidWord, power
 from linkperiod.laurent import LaurentPoly
 from linkperiod.selftest import FIG8_HOMFLY
-from reference import gf_pow, murasugi_by_powers
+from reference import gf_mul, gf_pow, murasugi_by_powers
 
 TREFOIL_JONES = LaurentPoly({1: 1, 3: 1, 4: -1}, "t")
 TREFOIL_DELTA = LaurentPoly({2: 1, 1: -1, 0: 1}, "t")
@@ -96,45 +96,37 @@ class TestMurasugi:
             LaurentPoly({0: 3, 1: 3}, "t"), 3) is None
         assert classical.murasugi_candidates(LaurentPoly.zero("t"), 3) is None
 
-    def test_r_parameter(self):
-        # 9-periodicity (r=2) is strictly harder than 3-periodicity.
-        lams = classical.murasugi_candidates(TREFOIL_DELTA, 3, r=2)
-        assert isinstance(lams, frozenset)
-
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_matches_power_reference(self, p, r):
-        # Random Deltas, and Deltas built as f(t^q) * Phi_lambda^(q-1) mod p
-        # (f(t^q) = f^q over the field) times a unit and a power of t, plus
-        # p times random noise, so that most of them have candidates.
-        rng = random.Random(1000 * p + r)
-        q = p ** r
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_matches_power_reference(self, p, size):
+        # Random Deltas, and Deltas built as f(t^p) * Phi_lambda^(p-1) mod p
+        # (f(t^p) = f^p over the field) times a unit and a power of t, plus
+        # p times random noise, so that most of them have candidates.  Size
+        # 2 doubles the degrees and the largest lambda, so that the windows
+        # of Delta * Phi_lambda are longer.
+        rng = random.Random(1000 * p + size)
         cases = 0
         for _ in range(60):
             if rng.random() < 0.3:
-                coeffs = dict(enumerate(rng.randint(-9, 9)
-                                        for _ in range(rng.randint(1, 12))))
+                coeffs = dict(enumerate(rng.randint(-9, 9) for _ in
+                                        range(rng.randint(1, 12 * size))))
             else:
-                f = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [1]
-                f_q = [0] * (q * (len(f) - 1) + 1)
-                f_q[::q] = f
-                lam = rng.choice([k for k in range(1, 5) if k % p])
-                if q > 4 and lam > 2:
-                    lam = 1
-                dense = classical._gf_mul(
-                    f_q, gf_pow([1] * lam, q - 1, p), p)
+                f = [rng.randrange(p)
+                     for _ in range(rng.randint(0, 3 * size))] + [1]
+                f_p = [0] * (p * (len(f) - 1) + 1)
+                f_p[::p] = f
+                lam = rng.choice([k for k in range(1, 4 * size + 1) if k % p])
+                dense = gf_mul(f_p, gf_pow([1] * lam, p - 1, p), p)
                 unit, offset = rng.choice([1, -1]), rng.randint(-3, 3)
                 coeffs = {e + offset: unit * c + p * rng.randint(-2, 2)
                           for e, c in enumerate(dense)}
             delta = LaurentPoly(coeffs, "t")
-            got = classical.murasugi_candidates(delta, p, r)
-            assert got == murasugi_by_powers(delta, p, r), (coeffs, p, r)
+            got = classical.murasugi_candidates(delta, p)
+            assert got == murasugi_by_powers(delta, p), (coeffs, p)
             cases += bool(got)
         assert cases >= 20
 
     def test_validation(self):
         with pytest.raises(ValueError):
             classical.murasugi_candidates(TREFOIL_DELTA, 4)
-        with pytest.raises(ValueError):
-            classical.murasugi_candidates(TREFOIL_DELTA, 3, r=0)
 

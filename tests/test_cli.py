@@ -10,6 +10,10 @@ from linkperiod.diagram import BraidWord, pd_from_braid
 
 TREFOIL = "1 1 1"
 
+#: One non-planar PD code labelled two ways; the skein route gave each
+#: labelling a different HOMFLY.
+NON_PLANAR = ("X[1,3,2,4] X[4,3,1,2]", "X[2,4,3,1] X[1,4,2,3]")
+
 
 def run_main(args, capsys):
     code = cli.main(args)
@@ -78,9 +82,9 @@ class TestInvariant:
         assert "internal inconsistency" in err and "N=3" in err
 
     def test_oracle_needs_a_planar_pd(self, capsys, monkeypatch):
-        def no_homfly(*args, **kwargs):
-            raise AssertionError("HOMFLY computed before the usage check")
-        monkeypatch.setattr(skein, "homfly", no_homfly)
+        def no_statesum(*args, **kwargs):
+            raise AssertionError("state sum run on a non-planar code")
+        monkeypatch.setattr(statemodel, "brackets", no_statesum)
         code, out, err = run_main(
             ["invariant", "--pd", "X[1,2,3,4] X[3,4,1,2]", "--oracle"], capsys)
         assert code == 1
@@ -262,12 +266,6 @@ class TestCheck:
         assert code == 1
         assert out == "" and "--criteria" in err
 
-    @pytest.mark.parametrize("r", ["0", "-1"])
-    def test_bad_r_is_usage_error(self, capsys, r):
-        code, _, err = run_main(
-            ["check", "--braid", TREFOIL, "-p", "3", "--r", r], capsys)
-        assert code == 1
-        assert "--r" in err
 
 
 class TestBatch:
@@ -416,8 +414,8 @@ def test_input_value_may_start_with_minus(capsys, command):
     ["check", "--braid", TREFOIL, "-p", "+3"],
     ["check", "--braid", TREFOIL, "-p", "1_3"],
     ["check", "--braid", TREFOIL, "-p", "3", "--n", "+2,1_0"],
-    ["check", "--braid", TREFOIL, "-p", "3", "--r", "+1"],
-    ["check", "--braid", TREFOIL, "-p", "3", "--r", "1_0"],
+    ["batch", "links.csv", "-p", "3", "--n", "2,\u0663"],
+    ["batch", "links.csv", "-p", "3", "--max-crossings", "+24"],
     ["check", "--braid", TREFOIL, "-p", "3", "--max-crossings", "2_4"],
     ["invariant", "--braid", TREFOIL, "--n", "\u0662"],
     ["invariant", "--braid", TREFOIL, "--max-crossings", "\u0662\u0664"],
@@ -427,3 +425,46 @@ def test_number_options_take_ascii_digits(capsys, argv):
     code, out, err = run_main(argv, capsys)
     assert code == 1
     assert out == "" and argv[-2] in err
+
+
+@pytest.fixture
+def no_skein_route(monkeypatch):
+    def no_skein(d):
+        raise AssertionError("skein route run on a non-planar code")
+    monkeypatch.setattr(skein, "_homfly_diagram", no_skein)
+
+
+@pytest.mark.parametrize("command", [
+    ["invariant"], ["invariant", "--oracle"],
+    ["check", "-p", "3"], ["check", "-p", "5"], ["check", "-p", "7"]])
+def test_non_planar_pd_is_refused(capsys, no_skein_route, command):
+    for text in NON_PLANAR:
+        code, out, err = run_main([*command, "--pd", text], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "not planar" in err
+
+
+def test_batch_row_with_non_planar_pd_is_an_error(capsys, no_skein_route,
+                                                  tmp_path):
+    path = tmp_path / "links.csv"
+    path.write_text("name,input_type,input\n" + "".join(
+        f'code{i},pd,"{text}"\n' for i, text in enumerate(NON_PLANAR)))
+    code, out, _ = run_main(["batch", str(path), "-p", "3"], capsys)
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["name"] for r in reports] == ["code0", "code1"]
+    for r in reports:
+        assert set(r) == {"name", "input", "error"}
+        assert r["error"].startswith("ParseError: ")
+        assert "not planar" in r["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--braid", TREFOIL, "-p", "3", "--r", "2"],
+    ["batch", "links.csv", "-p", "3", "--r", "1"]])
+def test_r_is_an_unknown_option(capsys, argv):
+    # Murasugi's test runs at q = p only: "--r" would test period p^r,
+    # whose failure does not certify "not p-periodic".
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --r" in err

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import tracemalloc
@@ -30,6 +31,17 @@ def random_closure(rng: random.Random, m: int, strands: tuple[int, int],
         wp = power(w, p)
         if len(linking_tuple(wp)) == m:
             return wp
+
+
+def torus_roots(p: int):
+    """Each w with w^p the braid of a torus knot T(a, b), 2 <= a < b
+    coprime, p | ab, ab <= 60: w = (s_1 ... s_(n-1))^(m/p) on n strands,
+    where n is the one of a, b that p does not divide and m the other."""
+    for a in range(2, 8):
+        for b in range(a + 1, 60 // a + 1):
+            if math.gcd(a, b) == 1 and a * b % p == 0:
+                n, m = (a, b) if b % p == 0 else (b, a)
+                yield BraidWord(n, tuple(range(1, n)) * (m // p))
 
 
 class TestRhsSum:
@@ -101,26 +113,31 @@ class TestKnotCandidates:
         criteria.knot_candidates(TREFOIL_Q2, 2, 2)
 
     def test_periodic_word_always_has_candidates(self):
-        # Closure of w^p with a knot closure must keep its true axis
-        # residue among the candidates of every criterion.
+        # The closure of w^p, when it is a knot, is p-periodic about the
+        # braid axis, so every criterion must keep its axis residue.  The
+        # controls are random words, and the torus knots T(a, b) with
+        # p | ab and ab <= 60.
+        controls = [(p, w) for p in (2, 3, 5, 7, 11) for w in torus_roots(p)]
         rng = random.Random(101)
         for p in (3, 5, 7, 11, 13):
-            controls = 0
-            while controls < 4:
+            found = 0
+            while found < 4:
                 n = rng.randint(2, 4)
                 gens = [e for e in range(1 - n, n) if e]
                 w = BraidWord(n, tuple(rng.choice(gens)
                                        for _ in range(rng.randint(n - 1, n + 1))))
-                wp = power(w, p)
-                lams = linking_tuple(wp)
-                if len(lams) != 1:
-                    continue
-                controls += 1
-                rep = cli.build_check_report("braid", wp.text(), p, [2, 3],
-                                             list(cli.ALL_CRITERIA),
-                                             max_crossings=len(wp))
-                assert rep["verdict"] == "undecided", (wp.text(), p)
-                assert lams[0] % p in rep["combined_candidates"], (wp.text(), p)
+                if len(linking_tuple(power(w, p))) == 1:
+                    controls.append((p, w))
+                    found += 1
+        assert len(controls) == 100
+        for p, w in controls:
+            wp = power(w, p)
+            lams = linking_tuple(wp)
+            rep = cli.build_check_report("braid", wp.text(), p, [2, 3],
+                                         list(cli.ALL_CRITERIA),
+                                         max_crossings=len(wp))
+            assert rep["verdict"] == "undecided", (wp.text(), p)
+            assert lams[0] % p in rep["combined_candidates"], (wp.text(), p)
 
 
 class TestLinkCandidates:

@@ -6,8 +6,9 @@ import pytest
 from reference import hecke_homfly, termwise_specialize
 
 from linkperiod import skein
-from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
-                                closure_components, parse_pd, pd_from_braid)
+from linkperiod.diagram import (BraidWord, Crossing, ParseError,
+                                PlanarDiagram, closure_components, parse_pd,
+                                pd_from_braid)
 from linkperiod.laurent import BiLaurent, LaurentPoly, quantum_integer
 from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
                                  HOPF_Q2, TREFOIL, TREFOIL_HOMFLY, TREFOIL_Q2,
@@ -16,8 +17,10 @@ from linkperiod.vogel import braid_from_pd
 
 UNKNOT = BraidWord(1)
 
-#: Two crossings whose faces do not close up on a sphere.
-NON_PLANAR = "X[1,2,3,4] X[3,4,1,2]"
+#: PD codes whose faces do not close up on a sphere.  The last two label
+#: one code two ways, which the skein route gave different HOMFLYs.
+NON_PLANAR = ("X[1,2,3,4] X[3,4,1,2]", "X[1,3,2,4] X[4,3,1,2]",
+              "X[2,4,3,1] X[1,4,2,3]")
 
 
 def homfly_of_diagram(b):
@@ -106,11 +109,11 @@ class TestHomflyOnDiagram(TestHomfly):
 
     def test_crossing_limit(self):
         # The skein route itself takes no limit; skein.homfly applies the
-        # limit before it picks a route, here to a non-planar diagram.
-        d = parse_pd(NON_PLANAR)
+        # limit to the diagram's crossings before it picks a route.
+        d = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
         with pytest.raises(skein.ResourceLimitError):
-            skein.homfly(d, max_crossings=1)
-        assert skein.homfly(d, max_crossings=2) == skein._homfly_diagram(d)
+            skein.homfly(d, max_crossings=2)
+        assert skein.homfly(d, max_crossings=3) == skein._homfly_diagram(d)
 
 
 class TestHomflyViaBraidFromPd(TestHomfly):
@@ -437,12 +440,17 @@ class TestBraidFromPd:
         monkeypatch.setattr(skein, "_homfly_diagram", spy)
         return seen
 
-    def test_non_planar_takes_the_skein_route(self, monkeypatch):
-        d = parse_pd(NON_PLANAR)
-        assert braid_from_pd(d) is None
+    def test_non_planar_is_refused(self, monkeypatch):
         seen = self.skein_calls(monkeypatch)
-        skein.homfly(d)
-        assert seen == [d]
+        for text in NON_PLANAR:
+            d = parse_pd(text)
+            assert braid_from_pd(d) is None
+            with pytest.raises(ParseError, match="not planar"):
+                skein.homfly(d)
+            # The crossing limit comes first, as for a planar code.
+            with pytest.raises(skein.ResourceLimitError):
+                skein.homfly(d, max_crossings=1)
+        assert seen == []
 
     def test_term_limit_falls_back_to_the_given_diagram(self, monkeypatch):
         rng = random.Random(7300)
