@@ -8,6 +8,7 @@ of "1 1 1" is the right-handed trefoil.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -159,12 +160,6 @@ class PlanarDiagram:
             if k != 1 or outs[a] != 1:
                 raise DiagramError(f"arc {a} does not occur exactly twice")
 
-    def arcs(self) -> list[int]:
-        out = set()
-        for c in self.crossings:
-            out.update(c.arcs())
-        return sorted(out)
-
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
 
@@ -197,77 +192,35 @@ def writhe(d: "BraidWord | PlanarDiagram") -> int:
     return d.writhe()
 
 
-def braid_segments(b: BraidWord):
-    """Arc structure of the trace closure of a braid.
-
-    Rows 0..k-1 are the horizontal levels between crossings (row i feeds
-    crossing i; outputs land in row (i+1) mod k, the closure identifying
-    row k with row 0).  Segments untouched by a crossing at a level are
-    merged across it.  Returns (arc_of, crossing_slots) where arc_of maps
-    (row, slot) -> arc id (0-based, dense) and crossing_slots[i] is the
-    1-based left slot of crossing i.
-    """
-    k = len(b.letters)
-    n = b.n
-    if k == 0:
-        return {}, []
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    crossing_slots = []
-    for i, e in enumerate(b.letters):
-        j = abs(e)
-        crossing_slots.append(j)
-        for s in range(1, n + 1):
-            if s not in (j, j + 1):
-                union((i, s), ((i + 1) % k, s))
-    arc_of = {}
-    next_id = 0
-    for i in range(k):
-        for s in range(1, n + 1):
-            r = find((i, s))
-            if r not in arc_of:
-                arc_of[r] = next_id
-                next_id += 1
-    return {key: arc_of[find(key)] for i in range(k) for s in range(1, n + 1)
-            for key in [(i, s)]}, crossing_slots
-
-
 def pd_from_braid(b: BraidWord) -> PlanarDiagram:
     """Diagram of the trace closure; arcs numbered consecutively along
-    each component, crossing count equals the letter count."""
-    k = len(b.letters)
-    if k == 0:
-        return PlanarDiagram((), b.n)
-    arc_of, slots = braid_segments(b)
-    num_arcs = max(arc_of.values()) + 1
+    each component, crossing count equals the letter count.
+
+    One pass over the letters, O(k + n) for k letters on n strands.  The
+    arc in slot s (0-based) at the bottom has raw id s.  A letter emits
+    its outputs left slot first: an output after the last letter on its
+    slot wraps round the closure onto raw id s, any other takes the next
+    fresh id from n up.  Renumbering along the components then gives
+    arcs 1, 2, ...; slots no letter touches are crossing-free loops.
+    """
+    last = {}                       # slot -> index of the last letter on it
+    for i, e in enumerate(b.letters):
+        last[abs(e) - 1] = last[abs(e)] = i
+    arc = list(range(b.n))          # raw id of the arc now in each slot
+    fresh = itertools.count(b.n)
     raw = []
     for i, e in enumerate(b.letters):
-        j = slots[i]
-        in_l = arc_of[(i, j)]
-        in_r = arc_of[(i, j + 1)]
-        out_l = arc_of[((i + 1) % k, j)]
-        out_r = arc_of[((i + 1) % k, j + 1)]
+        j = abs(e) - 1
+        in_l, in_r = arc[j], arc[j + 1]
+        for s in (j, j + 1):
+            arc[s] = s if last[s] == i else next(fresh)
+        out_l, out_r = arc[j], arc[j + 1]
         if e > 0:
             raw.append(Crossing(1, under_in=in_r, over_in=in_l,
                                 under_out=out_l, over_out=out_r))
         else:
             raw.append(Crossing(-1, under_in=in_l, over_in=in_r,
                                 under_out=out_r, over_out=out_l))
-
-    # Renumber arcs 1, 2, ... consecutively along components.
     number = {a: i for i, a in
               enumerate((a for cyc in _arc_cycles(raw) for a in cyc), 1)}
     crossings = tuple(
@@ -275,9 +228,7 @@ def pd_from_braid(b: BraidWord) -> PlanarDiagram:
                  number[c.under_out], number[c.over_out])
         for c in raw
     )
-    # Strands crossed by no letter close up into crossing-free loops.
-    free = num_arcs - len(number)
-    return PlanarDiagram(crossings, free)
+    return PlanarDiagram(crossings, b.n - len(last))
 
 
 _PD_TOKEN = re.compile(

@@ -21,6 +21,11 @@ term.  `murasugi_by_powers`
 checks `classical.murasugi_candidates` by dividing Delta and -Delta by
 Phi_lambda^(p-1), raised by square-and-multiply, and testing that the
 quotient is a polynomial in t^p.
+`braid_segments` merges the (row, slot) cells of a braid closure into
+arcs with a union-find over all k·n cells; `segment_pd` builds the
+closure's diagram on it, and checks the one pass over the letters of
+`diagram.pd_from_braid`.  The whole-state enumerator reads its arcs
+from `braid_segments` too.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ import math
 from dataclasses import dataclass
 
 from linkperiod import criteria, skein, statemodel
-from linkperiod.diagram import (BraidWord, braid_segments, closure_components,
-                               writhe)
+from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
+                               _arc_cycles, closure_components, writhe)
 from linkperiod.laurent import (BiLaurent, IdealVariant, LaurentPoly,
                                 exact_divide, reduce)
 
@@ -271,6 +276,89 @@ def parity_split(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     even = {e: v for e, v in f.terms() if e % 2 == 0}
     odd = {e: v for e, v in f.terms() if e % 2 != 0}
     return LaurentPoly(even, f.var), LaurentPoly(odd, f.var)
+
+
+def braid_segments(b: BraidWord):
+    """Arc structure of the trace closure of a braid.
+
+    Rows 0..k-1 are the horizontal levels between crossings (row i feeds
+    crossing i; outputs land in row (i+1) mod k, the closure identifying
+    row k with row 0).  Segments untouched by a crossing at a level are
+    merged across it.  Returns (arc_of, crossing_slots) where arc_of maps
+    (row, slot) -> arc id (0-based, dense) and crossing_slots[i] is the
+    1-based left slot of crossing i.
+    """
+    k = len(b.letters)
+    n = b.n
+    if k == 0:
+        return {}, []
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def find(x):
+        root = x
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(x, x) != x:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    crossing_slots = []
+    for i, e in enumerate(b.letters):
+        j = abs(e)
+        crossing_slots.append(j)
+        for s in range(1, n + 1):
+            if s not in (j, j + 1):
+                union((i, s), ((i + 1) % k, s))
+    arc_of = {}
+    next_id = 0
+    for i in range(k):
+        for s in range(1, n + 1):
+            r = find((i, s))
+            if r not in arc_of:
+                arc_of[r] = next_id
+                next_id += 1
+    return {key: arc_of[find(key)] for i in range(k) for s in range(1, n + 1)
+            for key in [(i, s)]}, crossing_slots
+
+
+def segment_pd(b: BraidWord) -> PlanarDiagram:
+    """`diagram.pd_from_braid` built on `braid_segments`: read the four
+    arcs of each crossing off the (row, slot) cells, then renumber."""
+    k = len(b.letters)
+    if k == 0:
+        return PlanarDiagram((), b.n)
+    arc_of, slots = braid_segments(b)
+    num_arcs = max(arc_of.values()) + 1
+    raw = []
+    for i, e in enumerate(b.letters):
+        j = slots[i]
+        in_l = arc_of[(i, j)]
+        in_r = arc_of[(i, j + 1)]
+        out_l = arc_of[((i + 1) % k, j)]
+        out_r = arc_of[((i + 1) % k, j + 1)]
+        if e > 0:
+            raw.append(Crossing(1, under_in=in_r, over_in=in_l,
+                                under_out=out_l, over_out=out_r))
+        else:
+            raw.append(Crossing(-1, under_in=in_l, over_in=in_r,
+                                under_out=out_r, over_out=out_l))
+
+    # Renumber arcs 1, 2, ... consecutively along components.
+    number = {a: i for i, a in
+              enumerate((a for cyc in _arc_cycles(raw) for a in cyc), 1)}
+    crossings = tuple(
+        Crossing(c.sign, number[c.under_in], number[c.over_in],
+                 number[c.under_out], number[c.over_out])
+        for c in raw
+    )
+    # Strands crossed by no letter close up into crossing-free loops.
+    free = num_arcs - len(number)
+    return PlanarDiagram(crossings, free)
 
 
 @dataclass(frozen=True)

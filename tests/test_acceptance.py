@@ -10,14 +10,13 @@ import time
 import pytest
 
 from linkperiod import classical, cli, criteria, skein, statemodel
-from linkperiod.diagram import (BraidWord, braid_segments, linking_tuple,
-                                pd_from_braid, power)
+from linkperiod.diagram import BraidWord, linking_tuple, pd_from_braid, power
 from linkperiod.laurent import (IdealVariant, LaurentPoly, congruent,
                                 quantum_integer, reduce)
 from linkperiod.selftest import (FIGURE_EIGHT, TREFOIL, TREFOIL_HOMFLY,
                                  TREFOIL_Q2, TREFOIL_Q3)
-from reference import (enumerate_states, is_proper, parity_split,
-                       self_crossing_indices, strand_component)
+from reference import (braid_segments, enumerate_states, is_proper,
+                       parity_split, self_crossing_indices, strand_component)
 
 LETTERS = (-2, -1, 1, 2)
 

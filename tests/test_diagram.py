@@ -7,6 +7,7 @@ from linkperiod.diagram import (BraidWord, DiagramError, ParseError,
                                 closure_components, linking_tuple,
                                 parse_braid, parse_pd, pd_from_braid, power,
                                 writhe)
+from reference import segment_pd
 
 
 class TestParseBraid:
@@ -97,16 +98,25 @@ class TestPower:
             power(BraidWord(2, (1,)), 0)
 
 
+def random_braid(rng) -> BraidWord:
+    """A word of at most 30 letters on at most 8 strands; short words
+    leave some slots untouched."""
+    n = rng.randint(1, 8)
+    letters = [rng.choice([-1, 1]) * rng.randint(1, n - 1)
+               for _ in range(rng.randint(0, 30) if n > 1 else 0)]
+    return BraidWord(n, tuple(letters))
+
+
 class TestPdFromBraid:
     def test_single_crossing(self):
         d = pd_from_braid(BraidWord(2, (1,)))
         assert len(d.crossings) == 1
-        assert len(d.arcs()) == 2
+        assert len({a for c in d.crossings for a in c.arcs()}) == 2
 
     def test_trefoil(self):
         d = pd_from_braid(BraidWord(2, (1, 1, 1)))
         assert len(d.crossings) == 3
-        assert len(d.arcs()) == 6
+        assert len({a for c in d.crossings for a in c.arcs()}) == 6
         assert d.writhe() == 3
         assert d.component_count() == 1
 
@@ -124,18 +134,25 @@ class TestPdFromBraid:
         d = pd_from_braid(BraidWord(3, (1, -2, 1, -2)))
         assert sorted(c.sign for c in d.crossings) == [-1, -1, 1, 1]
 
+    def test_matches_segment_reference(self):
+        rng = random.Random(17)
+        # Empty words, untouched low slots, and a word on the top slot only.
+        named = [BraidWord(1), BraidWord(3), parse_braid("n=5; -4 2"),
+                 BraidWord(4, (3, -3, 3))]
+        for b in named + [random_braid(rng) for _ in range(2000)]:
+            assert pd_from_braid(b) == segment_pd(b), b.text()
+
     def test_output_reparses(self):
         rng = random.Random(9)
-        for _ in range(30):
-            n = rng.randint(2, 3)
-            letters = tuple(rng.choice([e for e in (-2, -1, 1, 2) if abs(e) < n])
-                            for _ in range(rng.randint(1, 6)))
-            d = pd_from_braid(BraidWord(n, letters))
+        seen = 0
+        for _ in range(2000):
+            b = random_braid(rng)
+            d = pd_from_braid(b)
             if d.free_loops:
                 continue
-            reparsed = parse_pd(d.pd_text())
-            assert len(reparsed.crossings) == len(d.crossings)
-            assert skein.homfly(reparsed) == skein.homfly(d)
+            seen += 1
+            assert parse_pd(d.pd_text()) == d, b.text()
+        assert seen > 1000
 
 
 class TestParsePd:

@@ -6,12 +6,11 @@ import time
 import pytest
 
 from linkperiod import skein, statemodel
-from linkperiod.diagram import (BraidWord, braid_segments, linking_tuple,
-                                power, writhe)
+from linkperiod.diagram import BraidWord, linking_tuple, power, writhe
 from linkperiod.laurent import LaurentPoly, quantum_integer
 from linkperiod.selftest import FIGURE_EIGHT, HOPF, TREFOIL
-from reference import (enumerate_states, is_proper, self_crossing_indices,
-                       slot_bracket, strand_component)
+from reference import (braid_segments, enumerate_states, is_proper,
+                       self_crossing_indices, slot_bracket, strand_component)
 
 
 def random_word(rng, n_max=3, len_max=6):
