@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -272,12 +273,13 @@ def _emit(report, fmt: str, out_path: str | None) -> None:
         _render_text(report, buf)
         payload = buf.getvalue()
     if out_path:
+        # A path that fails to open, write or close (a full disk) is a
+        # usage error, like a missing directory.
         try:
-            fh = open(out_path, "w")
+            with open(out_path, "w") as fh:
+                fh.write(payload)
         except OSError as exc:
             raise UsageError(f"cannot write {out_path}: {exc}") from None
-        with fh:
-            fh.write(payload)
     else:
         sys.stdout.write(payload)
 
@@ -389,19 +391,17 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; or, when `command` names one, of
-    that subcommand alone, which parses its own arguments and reports its
-    usage and errors in the same words."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built by the first `main` call and
+    shared by all later ones in the process.  Sharing it is sound because
+    `parse_args` only reads the parser: it fills a new Namespace on each
+    call, and every default is immutable (a str, an int, False, None or
+    the command function), so no call can see another's options."""
     ap = argparse.ArgumentParser(
         prog="linkperiod",
         description="Quantum-invariant periodicity criteria for links")
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    # With one subcommand built, the metavar keeps the top-level usage
-    # line naming all of them.
-    sub = ap.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None)
+    sub = ap.add_subparsers(dest="command", required=True)
     options = {
         "--braid": dict(help='braid word, e.g. "1 1 1" or "n=3; 1 -2"'),
         "--pd": dict(help='PD code, e.g. "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"'),
@@ -421,8 +421,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                          help="run only checks whose name contains this"),
     }
 
-    for name in names:
-        cmd = COMMANDS[name]
+    for name, cmd in COMMANDS.items():
         sp = sub.add_parser(name, help=cmd.help)
         for arg in cmd.arguments:
             sp.add_argument(arg, **options[arg])
@@ -446,9 +445,8 @@ def _join_input_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _join_input_values(sys.argv[1:] if argv is None else argv)
-    ap = build_parser(argv[0] if argv else None)
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

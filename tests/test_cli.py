@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 import random
 import subprocess
 import sys
@@ -173,10 +175,14 @@ def test_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path,
                                        command):
     (tmp_path / "links.csv").write_text(TestBatch.CSV)
     monkeypatch.chdir(tmp_path)
-    missing = tmp_path / "no-such-dir" / "rep.json"
-    code, out, err = run_main([*command, "--out", str(missing)], capsys)
-    assert code == 1
-    assert out == "" and err.startswith(f"error: cannot write {missing}")
+    # open fails on a missing directory; write or close fails on /dev/full.
+    targets = [tmp_path / "no-such-dir" / "rep.json"]
+    if os.path.exists("/dev/full"):
+        targets.append("/dev/full")
+    for path in targets:
+        code, out, err = run_main([*command, "--out", str(path)], capsys)
+        assert code == 1
+        assert out == "" and err.startswith(f"error: cannot write {path}")
 
 
 @pytest.mark.parametrize("command", [["invariant"], ["check", "-p", "3"]],
@@ -374,23 +380,81 @@ def test_no_subcommand_is_usage_error():
     [], ["--help"], ["check", "--help"], ["invariant", "--help"], ["bogus"],
     ["check", "--braid", TREFOIL], ["batch"],
     ["check", "--braid", TREFOIL, "-p", "3", "extra"]])
-def test_usage_output_matches_the_full_parser(capsys, monkeypatch, argv):
-    # main builds only the parser of the command argv[0] names.
+def test_usage_output_matches_the_full_parser(capsys, argv):
+    # main shares one parser between calls; a successful check in between
+    # must not change what the parser prints.
     got = run_main(argv, capsys)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run_main(["check", "--braid", TREFOIL, "-p", "3"], capsys)[0] == 0
     assert got == run_main(argv, capsys)
     assert got[0] == (0 if "--help" in argv else 1)
     assert got[1] or got[2]
 
 
-def test_parser_of_one_command(capsys):
-    argv = ["invariant", "--braid", TREFOIL]
-    with pytest.raises(SystemExit):
-        cli.build_parser("check").parse_args(argv)
-    assert "invalid choice: 'invariant'" in capsys.readouterr().err
-    for command in (None, "bogus", "invariant"):
-        assert cli.build_parser(command).parse_args(argv).braid == TREFOIL
+class TestOneParser:
+    """main builds the parser once per process and shares it."""
+
+    def test_built_once(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "links.csv").write_text(TestBatch.CSV)
+        monkeypatch.chdir(tmp_path)
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def spy(self, **kwargs):
+            builds.append(self.prog)
+            return add_subparsers(self, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+        cli.build_parser.cache_clear()
+        argvs = [
+            ["check", "--braid", TREFOIL, "-p", "3"],
+            ["check", "--braid", TREFOIL, "-p", "4"],
+            ["check", "--braid", TREFOIL, "-p", "+3"],
+            ["check", "--pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]", "-p", "5"],
+            ["invariant", "--braid", "1 -2 1 -2", "--format", "json"],
+            ["invariant", "--braid", TREFOIL, "--oracle", "--n", "0"],
+            ["batch", "links.csv", "-p", "3"],
+            ["batch", "missing.csv", "-p", "3"],
+            ["selftest", "--filter", "zzz"],
+            ["selftest", "--help"], ["check", "--help"], ["--help"],
+            ["bogus"], [],
+        ]
+        codes = set()
+        for i in range(50):
+            codes.add(run_main(argvs[i % len(argvs)], capsys)[0])
+        assert builds == ["linkperiod"]
+        assert codes == {0, 1}
+
+    def test_out_does_not_stick(self, capsys, tmp_path):
+        argv = ["check", "--braid", TREFOIL, "-p", "3", "--format", "json"]
+        path = tmp_path / "rep.json"
+        assert run_main([*argv, "--out", str(path)], capsys) == (0, "", "")
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0 and out == path.read_text()
+
+    def test_oracle_does_not_stick(self, capsys, monkeypatch):
+        calls = []
+        brackets = statemodel.brackets
+
+        def spy(b, ns):
+            calls.append(list(ns))
+            return brackets(b, ns)
+        monkeypatch.setattr(statemodel, "brackets", spy)
+        assert run_main(["invariant", "--braid", TREFOIL, "--oracle"],
+                        capsys)[0] == 0
+        assert run_main(["invariant", "--braid", TREFOIL], capsys)[0] == 0
+        assert calls == [[2, 3]]
+
+    @pytest.mark.parametrize("failing", [
+        ["check", "--braid", TREFOIL, "-p", "4", "--n", "5"],
+        ["check", "--braid", TREFOIL, "-p", "3", "--criteria", "bogus"],
+        ["invariant", "--braid", TREFOIL, "--format", "xml"]],
+        ids=["not-prime", "bad-criterion", "bad-choice"])
+    def test_report_after_a_usage_error(self, capsys, failing):
+        argv = ["check", "--braid", TREFOIL, "-p", "5", "--format", "json"]
+        cli.build_parser.cache_clear()
+        first = run_main(argv, capsys)
+        assert first[0] == 0
+        assert run_main(failing, capsys)[0] == 1
+        assert run_main(argv, capsys) == first
 
 
 @pytest.mark.parametrize("command", [["invariant"], ["check", "-p", "3"]],
