@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import re
 import sys
@@ -33,17 +32,6 @@ def _cli_input(args) -> tuple[str, str]:
     return ("braid", args.braid) if args.pd is None else ("pd", args.pd)
 
 
-def _parse_input(kind, text):
-    """Returns (braid_or_none, diagram) for an input of kind braid or pd.
-    HOMFLY takes the braid when there is one (an empty word is falsy)."""
-    if kind == "braid":
-        b = parse_braid(text)
-        return b, pd_from_braid(b)
-    if kind == "pd":
-        return None, parse_pd(text)
-    raise UsageError(f"input_type must be braid or pd: {kind!r}")
-
-
 def _is_number(text: str) -> bool:
     """ASCII digits, as in braid and PD text, with surrounding whitespace."""
     return re.fullmatch(r"[0-9]+", text.strip()) is not None
@@ -59,36 +47,51 @@ def _parse_n_list(text: str) -> list[int]:
     return ns
 
 
-def build_invariant_report(kind, text, n_list, oracle=False,
-                           max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
-    braid, diagram = _parse_input(kind, text)
-    P = skein.homfly(diagram if braid is None else braid,
-                     max_crossings=max_crossings)
-    if oracle and braid is None:
-        # skein.homfly refuses a diagram with no Vogel braid.
-        from .vogel import braid_from_pd
-        braid = braid_from_pd(diagram)
+def _invariants(kind, text, n_list, max_crossings):
+    """Parses one input and computes its HOMFLY and its quantum SL(N)
+    invariant at each N of n_list.  Returns (the report keys every report
+    shares, what HOMFLY was computed from: the BraidWord of a braid input
+    or the PlanarDiagram of a PD input, the diagram, HOMFLY, N -> quantum
+    invariant)."""
+    if kind == "braid":
+        source = parse_braid(text)
+        diagram = pd_from_braid(source)
+    elif kind == "pd":
+        source = diagram = parse_pd(text)
+    else:
+        raise UsageError(f"input_type must be braid or pd: {kind!r}")
+    P = skein.homfly(source, max_crossings=max_crossings)
     m = diagram.component_count()
+    quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
     report = {
         "tool": {"name": "linkperiod", "version": __version__},
         "input": {"type": kind, "value": text},
         "components": m,
-        "writhe": diagram.writhe(),
-        "homfly": P.serialize(),
-        "quantum": {},
+        "quantum": {str(N): f.serialize() for N, f in quantum.items()},
     }
-    quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
-    states = (statemodel.invariant_statesums(braid, n_list)
-              if oracle else quantum)
-    for N, inv in quantum.items():
-        report["quantum"][str(N)] = inv.serialize()
-        if states[N] != inv:
-            raise RuntimeError(
-                f"internal inconsistency: state-sum and Hecke-trace routes "
-                f"disagree at N={N}")
+    return report, source, diagram, P, quantum
+
+
+def build_invariant_report(kind, text, n_list, oracle=False,
+                           max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
+    report, source, diagram, P, quantum = _invariants(kind, text, n_list,
+                                                      max_crossings)
+    report["writhe"] = diagram.writhe()
+    report["homfly"] = P.serialize()
+    if oracle:
+        if kind == "pd":
+            # skein.homfly refuses a diagram with no Vogel braid.
+            from .vogel import braid_from_pd
+            source = braid_from_pd(diagram)
+        states = statemodel.invariant_statesums(source, n_list)
+        for N, inv in quantum.items():
+            if states[N] != inv:
+                raise RuntimeError(
+                    f"internal inconsistency: state-sum and Hecke-trace "
+                    f"routes disagree at N={N}")
     V = skein.jones(P)
     report["jones"] = {"variable": V.var, "coeffs": V.serialize()}
-    if m == 1:
+    if report["components"] == 1:
         report["alexander"] = skein.alexander(P).serialize()
         report["p0"] = skein.p0_part(P).serialize()
     return report
@@ -109,7 +112,6 @@ class Context(NamedTuple):
     quantum: dict[int, LaurentPoly]     # N -> quantum SL(N) invariant
     p: int
     m: int                              # component count
-    notes: list[str]
 
 
 def _pm(residues, p: int) -> frozenset[int]:
@@ -151,11 +153,9 @@ def _p0(ctx: Context):
 
 
 def _alexander(ctx: Context):
+    # A knot has Delta(1) = +-1, so Delta never vanishes mod p and
+    # murasugi_candidates never returns None here.
     lams = classical.murasugi_candidates(skein.alexander(ctx.P), ctx.p)
-    if lams is None:
-        ctx.notes.append(
-            "alexander criterion inconclusive: polynomial vanishes mod p")
-        return {"inconclusive": True}, None
     # "r": 1 says the test ran at q = p^1; reports keep the key.
     return {"r": 1, "candidates": sorted(lams)}, [_pm(lams, ctx.p)]
 
@@ -196,31 +196,19 @@ def build_check_report(kind, text, p, n_list, names,
                        max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
     """Parses one input and runs the named criteria on it in order; p and
     the names must have passed `_check_options`."""
-    braid, diagram = _parse_input(kind, text)
-    P = skein.homfly(diagram if braid is None else braid,
-                     max_crossings=max_crossings)
-    m = diagram.component_count()
-    quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
-    report = {
-        "tool": {"name": "linkperiod", "version": __version__},
-        "input": {"type": kind, "value": text},
-        "p": p,
-        "n_list": n_list,
-        "components": m,
-        "criteria": {},
-        "notes": [],
-        "quantum": {str(N): f.serialize() for N, f in quantum.items()},
-    }
-    ctx = Context(P, quantum, p, m, report["notes"])
+    report, _, _, P, quantum = _invariants(kind, text, n_list, max_crossings)
+    m = report["components"]
+    report.update(p=p, n_list=n_list, criteria={}, notes=[])
+    ctx = Context(P, quantum, p, m)
     excluded = False          # some criterion certified non-periodicity
     combined: frozenset[int] | None = None
     for name in names:
         crit = CRITERIA[name]
         if crit.knots_only and m != 1:
-            ctx.notes.append(f"criterion {name} skipped: knots only")
+            report["notes"].append(f"criterion {name} skipped: knots only")
             continue
         if crit.odd_p_only and p == 2:
-            ctx.notes.append(f"criterion {name} skipped: odd p only")
+            report["notes"].append(f"criterion {name} skipped: odd p only")
             continue
         report["criteria"][name], residue_sets = crit.run(ctx)
         if residue_sets is None:
@@ -237,51 +225,53 @@ def build_check_report(kind, text, p, n_list, names,
     return report
 
 
-def _render_text(report: dict, out) -> None:
+def _render_text(report: dict) -> str:
     def poly_line(pairs, var="q"):
         return format_poly(LaurentPoly.deserialize(pairs, var))
 
-    print(f"input ({report['input']['type']}): {report['input']['value']}", file=out)
+    lines = [f"input ({report['input']['type']}): {report['input']['value']}"]
     if "homfly" in report:
         P = BiLaurent.deserialize(report["homfly"])
-        print(f"components: {report['components']}  writhe: {report['writhe']}", file=out)
-        print(f"homfly: {format_bilaurent(P)}", file=out)
-    for N, pairs in sorted(report.get("quantum", {}).items(), key=lambda kv: int(kv[0])):
-        print(f"quantum N={N}: {poly_line(pairs)}", file=out)
+        lines.append(f"components: {report['components']}  "
+                     f"writhe: {report['writhe']}")
+        lines.append(f"homfly: {format_bilaurent(P)}")
+    for N, pairs in sorted(report["quantum"].items(), key=lambda kv: int(kv[0])):
+        lines.append(f"quantum N={N}: {poly_line(pairs)}")
     if "jones" in report:
         j = report["jones"]
-        print(f"jones: {poly_line(j['coeffs'], j['variable'])}", file=out)
-    if "alexander" in report and isinstance(report["alexander"], list):
-        print(f"alexander: {poly_line(report['alexander'], 't')}", file=out)
+        lines.append(f"jones: {poly_line(j['coeffs'], j['variable'])}")
+    if "alexander" in report:
+        lines.append(f"alexander: {poly_line(report['alexander'], 't')}")
     if "p0" in report:
-        print(f"p0: {poly_line(report['p0'], 'a')}", file=out)
+        lines.append(f"p0: {poly_line(report['p0'], 'a')}")
     for name, entry in report.get("criteria", {}).items():
-        print(f"criterion {name}: {json.dumps(entry, sort_keys=True)}", file=out)
+        lines.append(f"criterion {name}: {json.dumps(entry, sort_keys=True)}")
     if "combined_candidates" in report:
-        print(f"combined candidates: {report['combined_candidates']}", file=out)
+        lines.append(f"combined candidates: {report['combined_candidates']}")
     if "verdict" in report:
-        print(f"verdict: {report['verdict']}", file=out)
-    for note in report.get("notes", []):
-        print(f"note: {note}", file=out)
+        lines.append(f"verdict: {report['verdict']}")
+    lines += [f"note: {note}" for note in report.get("notes", [])]
+    return "".join(line + "\n" for line in lines)
+
+
+def _write(text: str, path: str | None = None) -> None:
+    """Writes text to the file at path, or to stdout when there is no
+    path.  Failing to open, write, flush or close (a full disk, a missing
+    directory) is a usage error, not a failed computation."""
+    try:
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path or 'stdout'}: {exc}") from None
 
 
 def _emit(report, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        _render_text(report, buf)
-        payload = buf.getvalue()
-    if out_path:
-        # A path that fails to open, write or close (a full disk) is a
-        # usage error, like a missing directory.
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: {exc}") from None
-    else:
-        sys.stdout.write(payload)
+    _write(json.dumps(report, sort_keys=True, indent=2) + "\n"
+           if fmt == "json" else _render_text(report), out_path)
 
 
 def cmd_invariant(args) -> int:
@@ -346,14 +336,11 @@ def cmd_selftest(args) -> int:
     results = selftest.run(name_filter=args.filter)
     if not results:
         raise UsageError(f"--filter matches no check: {args.filter!r}")
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        line = f"[{status}] {name}"
-        if detail and not ok:
-            line += f": {detail}"
-        print(line)
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {name}" +
+             (f": {detail}" if detail else "") for name, ok, detail in results]
     failed = sum(1 for _, ok, _ in results if not ok)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+    _write("".join(line + "\n" for line in lines))
     return 3 if failed else 0
 
 

@@ -186,10 +186,8 @@ def _arc_cycles(crossings) -> list[list[int]]:
     return cycles(dict(sorted(nxt.items())))
 
 
-def writhe(d: "BraidWord | PlanarDiagram") -> int:
-    if isinstance(d, BraidWord):
-        return sum(1 if e > 0 else -1 for e in d.letters)
-    return d.writhe()
+def writhe(b: BraidWord) -> int:
+    return sum(1 if e > 0 else -1 for e in b.letters)
 
 
 def pd_from_braid(b: BraidWord) -> PlanarDiagram:
@@ -254,8 +252,6 @@ def parse_pd(text: str) -> PlanarDiagram:
         pos = m.end()
     if text[pos:].strip():
         raise ParseError(f"malformed PD text near: {text[pos:].strip()!r}")
-    if not tuples:
-        raise ParseError("no crossings found in PD input")
 
     counts: dict[int, int] = {}
     for t in tuples:

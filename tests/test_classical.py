@@ -3,7 +3,7 @@ import random
 import pytest
 
 from linkperiod import classical, skein
-from linkperiod.diagram import BraidWord, power
+from linkperiod.diagram import BraidWord, linking_tuple, power
 from linkperiod.laurent import LaurentPoly
 from linkperiod.selftest import FIG8_HOMFLY
 from reference import gf_mul, gf_pow, murasugi_by_powers
@@ -95,6 +95,25 @@ class TestMurasugi:
         assert classical.murasugi_candidates(
             LaurentPoly({0: 3, 1: 3}, "t"), 3) is None
         assert classical.murasugi_candidates(LaurentPoly.zero("t"), 3) is None
+
+    def test_knots_never_vanish_mod_p(self):
+        # A knot has Delta(1) = nabla(0) = +-1, so the check command's
+        # Alexander criterion, which runs on knots only, is never
+        # inconclusive.
+        rng = random.Random(3)
+        knots = 0
+        while knots < 300:
+            n = rng.randint(1, 5)
+            letters = tuple(rng.choice([-1, 1]) * rng.randint(1, n - 1)
+                            for _ in range(rng.randint(0, 14) if n > 1 else 0))
+            b = BraidWord(n, letters)
+            if len(linking_tuple(b)) != 1:
+                continue
+            knots += 1
+            delta = skein.alexander(skein.homfly(b))
+            assert delta.evaluate_one() in (1, -1), b
+            for p in (2, 3, 5, 7, 11, 13):
+                assert classical.murasugi_candidates(delta, p) is not None
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("size", [1, 2])

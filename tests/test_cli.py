@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 import os
 import random
@@ -185,6 +187,41 @@ def test_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path,
         assert out == "" and err.startswith(f"error: cannot write {path}")
 
 
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: `method` ("write" or "flush") fails."""
+
+    def __init__(self, method):
+        super().__init__()
+        self.method = method
+
+    def write(self, text):
+        if self.method == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("command", [
+    ["invariant", "--braid", TREFOIL],
+    ["check", "--braid", TREFOIL, "-p", "3"],
+    ["batch", "links.csv", "-p", "3"],
+    ["selftest", "--filter", "homfly"]],
+    ids=["invariant", "check", "batch", "selftest"])
+def test_unwritable_stdout_is_usage_error(capsys, monkeypatch, tmp_path,
+                                          command, method):
+    (tmp_path / "links.csv").write_text(TestBatch.CSV)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", FullStdout(method))
+    code, _, err = run_main(command, capsys)
+    assert code == 1
+    assert err == ("error: cannot write stdout: "
+                   f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
 @pytest.mark.parametrize("command", [["invariant"], ["check", "-p", "3"]],
                          ids=["invariant", "check"])
 @pytest.mark.parametrize("given, route", [
@@ -355,6 +392,22 @@ class TestSelftest:
         assert code == 0
         assert all(line.startswith("[PASS]") or "checks passed" in line
                    for line in out.strip().splitlines())
+
+    def test_failing_checks_exit_3(self, capsys, monkeypatch):
+        from linkperiod import selftest
+
+        def raises():
+            raise ValueError("no fixture")
+
+        monkeypatch.setattr(selftest, "_checks", lambda: iter([
+            ("fake.passes", lambda: True), ("fake.fails", lambda: False),
+            ("fake.raises", raises)]))
+        code, out, err = run_main(["selftest"], capsys)
+        assert code == 3 and err == ""
+        assert out == ("[PASS] fake.passes\n"
+                       "[FAIL] fake.fails\n"
+                       "[FAIL] fake.raises: ValueError: no fixture\n"
+                       "1/3 checks passed\n")
 
     def test_filter_matching_nothing_is_a_usage_error(self, capsys):
         code, out, err = run_main(["selftest", "--filter", "zzz"], capsys)

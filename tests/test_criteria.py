@@ -235,6 +235,32 @@ class TestLowerBound:
     def test_unknot_none(self):
         assert criteria.lower_bound(UNKNOT_Q2, 2) is None
 
+    def test_prime_factors_of_the_coefficients(self):
+        # 1 + max(largest prime factor of any coefficient, 2 * max |e|),
+        # against trial division by every smaller number.
+        def largest_prime_factor(c):
+            return max(d for d in range(2, c + 1) if c % d == 0
+                       and all(d % e for e in range(2, d)))
+
+        def expected(inv):
+            primes = [largest_prime_factor(abs(c))
+                      for _, c in inv.terms() if abs(c) > 1]
+            return 1 + max(primes + [2 * inv.max_abs_exponent()])
+
+        # 12 = 2^2 * 3, 35 = 5 * 7 and 98 = 2 * 7^2 are composite; 53 is
+        # a prime above 2 * 3.
+        fixed = LaurentPoly({-3: 12, 1: -35, 2: 53})
+        assert criteria.lower_bound(fixed, 2) == 54 == expected(fixed)
+        assert criteria.lower_bound(LaurentPoly({-3: 12, 1: -35}), 2) == 8
+        assert criteria.lower_bound(LaurentPoly({-1: 12, 0: 98}), 2) == 8
+        rng = random.Random(167)
+        for _ in range(200):
+            inv = LaurentPoly({rng.randint(-9, 9): rng.choice([-1, 1]) *
+                               rng.randint(1, 400) for _ in range(4)})
+            if inv.is_zero():
+                continue
+            assert criteria.lower_bound(inv, 2) == expected(inv), inv
+
     def test_bound_is_sharp_for_trefoil(self):
         # Every odd prime >= the bound must yield an empty candidate set.
         n = criteria.lower_bound(TREFOIL_Q2, 2)

@@ -174,6 +174,15 @@ class TestExactDivide:
         with pytest.raises(InexactDivisionError):
             exact_divide(Q(0), Q(1) - Q(-1))
 
+    def test_leading_coefficient_not_divisible(self):
+        # 1 is not a multiple of 2 at the first step; at the second step
+        # 2q^2 + 2q + 1 - q(2q + 1) leaves q + 1, whose leading 1 is not.
+        with pytest.raises(InexactDivisionError):
+            exact_divide(Q(0), LaurentPoly({0: 2}))
+        with pytest.raises(InexactDivisionError):
+            exact_divide(LaurentPoly({2: 2, 1: 2, 0: 1}),
+                         LaurentPoly({1: 2, 0: 1}))
+
     def test_zero_divisor_distinct(self):
         with pytest.raises(ZeroDivisionError):
             exact_divide(Q(1), LaurentPoly.zero())
