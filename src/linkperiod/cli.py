@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
+import os
 import re
 import sys
 from typing import Callable, NamedTuple
@@ -225,33 +227,32 @@ def build_check_report(kind, text, p, n_list, names,
     return report
 
 
-def _render_text(report: dict) -> str:
+def _render_text(report: dict, out) -> None:
     def poly_line(pairs, var="q"):
         return format_poly(LaurentPoly.deserialize(pairs, var))
 
-    lines = [f"input ({report['input']['type']}): {report['input']['value']}"]
+    print(f"input ({report['input']['type']}): {report['input']['value']}", file=out)
     if "homfly" in report:
         P = BiLaurent.deserialize(report["homfly"])
-        lines.append(f"components: {report['components']}  "
-                     f"writhe: {report['writhe']}")
-        lines.append(f"homfly: {format_bilaurent(P)}")
+        print(f"components: {report['components']}  writhe: {report['writhe']}", file=out)
+        print(f"homfly: {format_bilaurent(P)}", file=out)
     for N, pairs in sorted(report["quantum"].items(), key=lambda kv: int(kv[0])):
-        lines.append(f"quantum N={N}: {poly_line(pairs)}")
+        print(f"quantum N={N}: {poly_line(pairs)}", file=out)
     if "jones" in report:
         j = report["jones"]
-        lines.append(f"jones: {poly_line(j['coeffs'], j['variable'])}")
+        print(f"jones: {poly_line(j['coeffs'], j['variable'])}", file=out)
     if "alexander" in report:
-        lines.append(f"alexander: {poly_line(report['alexander'], 't')}")
+        print(f"alexander: {poly_line(report['alexander'], 't')}", file=out)
     if "p0" in report:
-        lines.append(f"p0: {poly_line(report['p0'], 'a')}")
+        print(f"p0: {poly_line(report['p0'], 'a')}", file=out)
     for name, entry in report.get("criteria", {}).items():
-        lines.append(f"criterion {name}: {json.dumps(entry, sort_keys=True)}")
+        print(f"criterion {name}: {json.dumps(entry, sort_keys=True)}", file=out)
     if "combined_candidates" in report:
-        lines.append(f"combined candidates: {report['combined_candidates']}")
+        print(f"combined candidates: {report['combined_candidates']}", file=out)
     if "verdict" in report:
-        lines.append(f"verdict: {report['verdict']}")
-    lines += [f"note: {note}" for note in report.get("notes", [])]
-    return "".join(line + "\n" for line in lines)
+        print(f"verdict: {report['verdict']}", file=out)
+    for note in report.get("notes", []):
+        print(f"note: {note}", file=out)
 
 
 def _write(text: str, path: str | None = None) -> None:
@@ -266,12 +267,34 @@ def _write(text: str, path: str | None = None) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
+        if not path:
+            _drop_stdout()
         raise UsageError(f"cannot write {path or 'stdout'}: {exc}") from None
 
 
+def _drop_stdout() -> None:
+    """Points stdout's file descriptor at devnull.  A failed flush keeps
+    the unwritten bytes in stdout's buffer, and the flush at interpreter
+    exit would fail on them again and turn the exit status into 120 (the
+    SIGPIPE note of the `signal` docs); devnull takes them instead.  A
+    stdout with no file descriptor, such as a StringIO, is left as is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _emit(report, fmt: str, out_path: str | None) -> None:
-    _write(json.dumps(report, sort_keys=True, indent=2) + "\n"
-           if fmt == "json" else _render_text(report), out_path)
+    if fmt == "json":
+        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        _render_text(report, buf)
+        payload = buf.getvalue()
+    _write(payload, out_path)
 
 
 def cmd_invariant(args) -> int:

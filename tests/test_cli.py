@@ -222,6 +222,24 @@ def test_unwritable_stdout_is_usage_error(capsys, monkeypatch, tmp_path,
                    f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", [
+    ["check", "--braid", TREFOIL, "-p", "3"], ["selftest"]],
+    ids=["check", "selftest"])
+def test_buffered_stdout_on_full_disk_exits_1(command):
+    # With stdout block-buffered, the bytes of a failed flush stay in the
+    # buffer; if the flush at interpreter exit fails on them again, the
+    # exit status becomes 120 and a second error is printed.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "linkperiod", *command],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [["invariant"], ["check", "-p", "3"]],
                          ids=["invariant", "check"])
 @pytest.mark.parametrize("given, route", [
