@@ -18,18 +18,22 @@ r_k because [N]_q is symmetric under q -> q^-1.  So the set of matching
 tuples is closed under permuting coordinates and under negating any one
 of them, and every orbit has exactly one non-decreasing representative
 in {0..p//2}^m.  `link_candidates` walks those representatives depth
-first, sharing each prefix product, and expands each hit into its
-orbit: C(p//2 + m, m) products in F_p[q]/(q^p - 1) instead of p^m,
-for example 210 instead of 28,561 at p = 13, m = 4.  The target, the
-residues and the products are sparse maps from exponent mod p to
-nonzero coefficient; r_k has at most N terms, so a knot (m = 1) costs
-O(p * N).
+first from each r_k, sharing each prefix product, and expands each hit
+into its orbit.  At the last coordinate an O(N) probe computes one
+coefficient of prefix * r_k, at the target's lowest exponent, and the
+product is formed only when it matches.  So the C(p//2 + m, m)
+representatives cost at most as many probes and fewer than
+C(p//2 + m, m - 1) products in F_p[q]/(q^p - 1), plus one per hit: at
+p = 41, m = 4, 10,626 probes and 2,022 products, where p^m = 2,825,761.
+Target, residues and products are sparse maps from exponent mod p to
+nonzero coefficient; r_k has at most N terms, so a knot (m = 1) forms
+no product and costs O(p * N).
 
 For odd p, q -> -q is a ring isomorphism from F_p[q]/(q^p + 1) onto
 F_p[q]/(q^p - 1) that sends [N]_{q^k} to (-1)^{k(N-1)} [N]_{q^k}.  So
-the quantum-plus criterion for f is the same search run on +-f(-q):
-each residue r it keeps stands for k = r and k = r + p, with the sign
-flipped when k(N-1) is odd.
+the quantum-plus criterion for f is the same search on +-f(-q), the two
+signs being two targets of one walk: each residue r it keeps stands for
+k = r and k = r + p, with the sign flipped when k(N-1) is odd.
 """
 
 from __future__ import annotations
@@ -69,11 +73,12 @@ def knot_candidates(inv: LaurentPoly, p: int, N: int,
         raise ValueError("knot candidates are defined for QP_MINUS and QP_PLUS")
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime: {p}")
-    flipped = LaurentPoly({e: -c if e % 2 else c for e, c in inv.terms()},
-                          inv.var)
+    target = _residue_map(LaurentPoly({e: -c if e % 2 else c  # f(-q)
+                                       for e, c in inv.terms()}), p)
+    negated = {e: p - c for e, c in target.items()}
     hits = set()
-    for s in (1, -1):
-        for (r,) in link_candidates(flipped.scale(s), p, N, 1):
+    for s, found in zip((1, -1), _orbit_search([target, negated], p, N, 1)):
+        for (r,) in found:
             for k in (r, r + p):
                 sign = -s if k * (N - 1) % 2 else s
                 hits.add((k, "+" if sign > 0 else "-"))
@@ -97,24 +102,45 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
         raise ValueError("need at least one component")
     if N < 2:
         raise ValueError(f"N must be >= 2: {N}")
+    return frozenset(_orbit_search([_residue_map(inv, p)], p, N, m)[0])
 
-    target = {e % p: c
-              for e, c in reduce(inv, p, IdealVariant.QP_MINUS).terms()}
+
+def _residue_map(f: LaurentPoly, p: int) -> dict[int, int]:
+    """f mod (p, q^p - 1) as a map from exponent mod p to nonzero
+    coefficient."""
+    return {e % p: c for e, c in reduce(f, p, IdealVariant.QP_MINUS).terms()}
+
+
+def _orbit_search(targets: list[dict[int, int]], p: int, N: int,
+                  m: int) -> list[set[tuple[int, ...]]]:
+    """For each target, the psi-tuples whose product of residues equals it,
+    from one walk (module docstring).  Every target is probed at the first
+    one's lowest exponent, which +-f(-q) share."""
     residues = quantum_residues(p, N)
-    hits: set[tuple[int, ...]] = set()
+    probe = min(targets[0], default=0)
+    wants = {t.get(probe, 0) for t in targets}
+    probes = [[((probe - d) % p, c) for d, c in r.items()]
+              for r in residues] if m > 1 else []
+    hits: list[set[tuple[int, ...]]] = [set() for _ in targets]
 
     def extend(prefix: dict[int, int], ks: tuple[int, ...]) -> None:
         if len(ks) == m:
-            if prefix == target:
-                signed = itertools.product(*({k, -k % p} for k in ks))
-                hits.update(perm for t in signed
-                            for perm in itertools.permutations(t))
+            for target, found in zip(targets, hits):
+                if prefix == target:
+                    signed = itertools.product(*({k, -k % p} for k in ks))
+                    found.update(perm for t in signed
+                                 for perm in itertools.permutations(t))
             return
-        for k in range(ks[-1] if ks else 0, len(residues)):
+        last = len(ks) == m - 1
+        for k in range(ks[-1], len(residues)):
+            if last and sum(prefix.get(e, 0) * c
+                            for e, c in probes[k]) % p not in wants:
+                continue
             extend(_cyclic_product(prefix, residues[k], p), ks + (k,))
 
-    extend({0: 1}, ())
-    return frozenset(hits)
+    for k, r in enumerate(residues):
+        extend(r, (k,))
+    return hits
 
 
 def quantum_residues(p: int, N: int) -> list[dict[int, int]]:

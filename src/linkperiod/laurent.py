@@ -287,47 +287,6 @@ def congruent(f: LaurentPoly, g: LaurentPoly, p: int, variant: IdealVariant) -> 
     return reduce(f, p, variant) == reduce(g, p, variant)
 
 
-def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Return h with h * g == f, or raise if no Laurent polynomial works.
-
-    Division by zero raises ZeroDivisionError; an inexact quotient raises
-    InexactDivisionError.
-    """
-    if g.is_zero():
-        raise ZeroDivisionError("division of Laurent polynomial by zero")
-    if f.is_zero():
-        return LaurentPoly.zero(f.var)
-
-    # Long division from the top degree; exactness forces leading-term
-    # divisibility at every step, and the leading term then cancels.
-    rem = dict(f._c)
-    g_top = g.max_exponent()
-    g_lead = g._c[g_top]
-    g_items = list(g._c.items())
-    # An exact quotient h has min exponent f_min - g_min; going below
-    # that means the division cannot terminate.
-    qe_floor = f.min_exponent() - g.min_exponent()
-    quot: dict[int, int] = {}
-    while rem:
-        top = max(rem)
-        lead = rem[top]
-        if lead % g_lead != 0:
-            raise InexactDivisionError("quotient is not a Laurent polynomial")
-        qc = lead // g_lead
-        qe = top - g_top
-        if qe < qe_floor:
-            raise InexactDivisionError("quotient is not a Laurent polynomial")
-        quot[qe] = qc
-        for e, v in g_items:
-            k = e + qe
-            nv = rem.get(k, 0) - qc * v
-            if nv:
-                rem[k] = nv
-            else:
-                rem.pop(k, None)
-    return LaurentPoly(quot, f.var)
-
-
 def digit_width(bound: int) -> int:
     """The fewest whole bytes of bits whose signed digits hold every
     integer of absolute value at most bound."""

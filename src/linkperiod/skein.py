@@ -54,22 +54,31 @@ route is also the independent reference the tests compare the Hecke
 route against.
 
 The quantum, Jones and Alexander specializations take a to a monomial
-x^k and z to x - x^-1 by one Horner pass from the top z power down, on
-one packed integer: each term is added in with one shift, and the
-factor x - x^-1 = x^-1 (x^2 - 1) is (acc << 2C) - acc with the lowest
-exponent moved down by one, two integer operations whatever the width
-of the polynomial.  A digit is at most the sum of the absolute HOMFLY
-coefficients times 2^(number of factors), which fixes C.  When P has
-negative z powers the pass runs down to the lowest of them, and the
-decoded result is divided exactly by that power of x - x^-1.
+and z to x - x^-1 by one Horner pass from the top z power down, on one
+packed integer: each term is added with one shift, and the factor
+x - x^-1 = x^-1 (x^2 - 1) is (acc << 2C) - acc with the lowest exponent
+moved down by one, two integer operations whatever the width of the
+polynomial.  For k negative z powers the pass runs down to the lowest,
+and one divmod by (2^(2C) - 1)^k = (x^2 - 1)^k clears them; the quantum
+invariant is then multiplied by [N]_x, packed as the sum of 2^(2Cj) over
+j < N, and laurent.unpack decodes once.  The span + 1 digits before the
+division add up to at most D, the sum of |c| 2^(s + k) over the HOMFLY
+terms c a^r z^s.  A quotient digit sums them with weights at most
+C(span/2 + k - 1, k - 1), so it is at most D C(span/2 + k, k), and [N]
+makes that N times more.  C holds 2^k times this bound, so the remainder
+of the polynomial division by (x^2 - 1)^k, fewer than 2k digits below
+2^(C-2), is a multiple of (2^(2C) - 1)^k at x = 2^C only when it is
+zero: a nonzero integer remainder is exactly an inexact quotient.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 from .diagram import (BraidWord, ParseError, PlanarDiagram, pd_from_braid,
                       writhe)
-from .laurent import (BiLaurent, LaurentPoly, digit_width, exact_divide,
-                      quantum_integer, unpack)
+from .laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
+                      digit_width, unpack)
 
 DEFAULT_MAX_CROSSINGS = 24
 
@@ -350,26 +359,31 @@ def homfly(d: "PlanarDiagram | BraidWord",
         return _homfly_diagram(pd_from_braid(d) if braid else d)
 
 
-def _specialize(P: BiLaurent, a_exp: int, var: str) -> LaurentPoly:
-    """Evaluate P at a -> x^a_exp, z -> x - x^-1, with x named var, by the
-    Horner pass over z that the module docstring describes."""
+def _specialize(P: BiLaurent, a_exp: int, var: str, N: int = 1) -> LaurentPoly:
+    """[N]_x times P at a -> x^a_exp, z -> x - x^-1, with x named var, by
+    the Horner pass over z that the module docstring describes."""
     by_power: dict[int, list[tuple[int, int]]] = {}
     for (r, s), v in P._c.items():
         by_power.setdefault(s, []).append((a_exp * r, v))
-    s_min = min(by_power, default=0)
-    top, bottom = max(by_power, default=0), min(s_min, 0)
+    top, k = max(by_power, default=0), max(-min(by_power, default=0), 0)
     low = min((e for terms in by_power.values() for e, _ in terms),
-              default=0) - (top - bottom)
-    width = digit_width(sum(map(abs, P._c.values())) << (top - bottom))
+              default=0) - (top + k)
+    span = max((e + s for s, terms in by_power.items() for e, _ in terms),
+               default=0) - low + k
+    bound = (sum(abs(v) << (s + k) for (_, s), v in P._c.items())
+             * comb(span // 2 + k, k) * N)
+    width = digit_width(bound << k)
     acc = 0
-    for s in range(top, bottom - 1, -1):
+    for s in range(top, -k - 1, -1):
         acc = (acc << 2 * width) - acc
         for e, v in by_power.get(s, ()):
-            acc += v << width * (e - low - s + bottom)
-    value = LaurentPoly(unpack(acc, width, low), var)
-    if s_min >= 0:
-        return value
-    return exact_divide(value, LaurentPoly({1: 1, -1: -1}, var) ** -s_min)
+            acc += v << width * (e - low - s - k)
+    x2m1 = (1 << 2 * width) - 1               # x^2 - 1
+    acc, rest = divmod(acc, x2m1 ** k)
+    if rest:
+        raise InexactDivisionError("quotient is not a Laurent polynomial")
+    acc *= ((1 << 2 * width * N) - 1) // x2m1  # x^(N-1) [N]_x
+    return LaurentPoly(unpack(acc, width, low + k - (N - 1)), var)
 
 
 def quantum_sln(P: BiLaurent, N: int, m: int = 1) -> LaurentPoly:
@@ -379,7 +393,7 @@ def quantum_sln(P: BiLaurent, N: int, m: int = 1) -> LaurentPoly:
     if P.z_min() < 1 - m:
         raise ValueError("z-exponents below 1-m: not the polynomial of an "
                          f"{m}-component link")
-    return quantum_integer(N) * _specialize(P, -N, "q")
+    return _specialize(P, -N, "q", N)
 
 
 def jones(P: BiLaurent) -> LaurentPoly:

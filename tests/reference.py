@@ -14,10 +14,11 @@ and `all_k_plus_candidates` checks the quantum-plus criterion of
 `criteria.knot_candidates` by reducing each of the 2p signed candidate
 sums modulo (p, q^p + 1).
 `termwise_specialize` checks the Horner pass of `skein._specialize` by
-substituting into every HOMFLY term on its own.  `hecke_homfly` checks
-the packed Hecke-algebra route of `skein._homfly_braid`: the same
-Morton-Short pass with one `BiLaurent` per basis element, built term by
-term.  `murasugi_by_powers`
+substituting into every HOMFLY term on its own, and clears negative z
+powers by `exact_divide`, a long division of Laurent polynomials.
+`hecke_homfly` checks the packed Hecke-algebra route of
+`skein._homfly_braid`: the same Morton-Short pass with one `BiLaurent`
+per basis element, built term by term.  `murasugi_by_powers`
 checks `classical.murasugi_candidates` by dividing Delta and -Delta by
 Phi_lambda^(p-1), raised by square-and-multiply, and testing that the
 quotient is a polynomial in t^p.
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 from linkperiod import criteria, skein, statemodel
 from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
                                _arc_cycles, closure_components, writhe)
-from linkperiod.laurent import (BiLaurent, IdealVariant, LaurentPoly,
-                                exact_divide, reduce)
+from linkperiod.laurent import (BiLaurent, IdealVariant, InexactDivisionError,
+                                LaurentPoly, reduce)
 
 
 def _add(acc: dict[int, int], w: dict[int, int], d: int, k: int = 1) -> None:
@@ -112,11 +113,19 @@ def strand_component(b: BraidWord) -> dict[int, int]:
 def all_tuple_link_candidates(inv: LaurentPoly, p: int, N: int,
                               m: int) -> frozenset:
     """Every psi in {0..p-1}^m whose candidate sum is congruent to inv mod
-    (p, q^p - 1), found by trying all p^m tuples."""
-    target = reduce(inv, p, IdealVariant.QP_MINUS)
-    return frozenset(
-        psi for psi in itertools.product(range(p), repeat=m)
-        if reduce(criteria.rhs_sum(N, psi), p, IdealVariant.QP_MINUS) == target)
+    (p, q^p - 1), found by trying all p^m tuples.  Reduction is a ring
+    map, so the reduced sums are built one coordinate at a time, each step
+    multiplying by the reduced rhs_sum of one coordinate."""
+    def reduced(f: LaurentPoly) -> LaurentPoly:
+        return reduce(f, p, IdealVariant.QP_MINUS)
+
+    factors = [reduced(criteria.rhs_sum(N, (k,))) for k in range(p)]
+    table = {(): LaurentPoly.one()}
+    for _ in range(m):
+        table = {psi + (k,): reduced(f * factors[k])
+                 for psi, f in table.items() for k in range(p)}
+    target = reduced(inv)
+    return frozenset(psi for psi, f in table.items() if f == target)
 
 
 def all_k_plus_candidates(inv: LaurentPoly, p: int, N: int) -> frozenset:
@@ -134,17 +143,61 @@ def all_k_plus_candidates(inv: LaurentPoly, p: int, N: int) -> frozenset:
     return frozenset(hits)
 
 
+def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Return h with h * g == f, or raise if no Laurent polynomial works.
+
+    Division by zero raises ZeroDivisionError; an inexact quotient raises
+    InexactDivisionError.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("division of Laurent polynomial by zero")
+    if f.is_zero():
+        return LaurentPoly.zero(f.var)
+
+    # Long division from the top degree; exactness forces leading-term
+    # divisibility at every step, and the leading term then cancels.
+    rem = dict(f._c)
+    g_top = g.max_exponent()
+    g_lead = g._c[g_top]
+    g_items = list(g._c.items())
+    # An exact quotient h has min exponent f_min - g_min; going below
+    # that means the division cannot terminate.
+    qe_floor = f.min_exponent() - g.min_exponent()
+    quot: dict[int, int] = {}
+    while rem:
+        top = max(rem)
+        lead = rem[top]
+        if lead % g_lead != 0:
+            raise InexactDivisionError("quotient is not a Laurent polynomial")
+        qc = lead // g_lead
+        qe = top - g_top
+        if qe < qe_floor:
+            raise InexactDivisionError("quotient is not a Laurent polynomial")
+        quot[qe] = qc
+        for e, v in g_items:
+            k = e + qe
+            nv = rem.get(k, 0) - qc * v
+            if nv:
+                rem[k] = nv
+            else:
+                rem.pop(k, None)
+    return LaurentPoly(quot, f.var)
+
+
 def termwise_specialize(P: BiLaurent, a_image: LaurentPoly,
                         z_image: LaurentPoly, var: str) -> LaurentPoly:
-    """Evaluate P at a -> a_image, z -> z_image one term at a time, raising
-    z_image afresh for each; negative z powers are cleared by exact
-    division by z_image."""
+    """Evaluate P at a -> a_image, z -> z_image one term at a time, each
+    times its power of z_image from a table built by repeated
+    multiplication; negative z powers are cleared by exact division by
+    z_image."""
     s_min = min((s for (_, s) in P._c), default=0)
+    powers = [LaurentPoly.one(var)]
+    for _ in range(max((s for (_, s) in P._c), default=0) - s_min):
+        powers.append(powers[-1] * z_image)
     shifted = LaurentPoly.zero(var)
     for (r, s), v in P._c.items():
         term = a_image.compose_power(r) if r != 0 else LaurentPoly.one(var)
-        term = term * (z_image ** (s - s_min))
-        shifted = shifted + term.scale(v)
+        shifted = shifted + (term * powers[s - s_min]).scale(v)
     if s_min >= 0:
         return shifted * (z_image ** s_min)
     return exact_divide(shifted, z_image ** (-s_min))

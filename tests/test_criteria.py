@@ -2,6 +2,7 @@ import math
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -105,6 +106,17 @@ class TestKnotCandidates:
             tracemalloc.stop()
         assert peak < 2_000_000
 
+    def test_plus_builds_one_search(self, monkeypatch):
+        # Both signs of +-f(-q) are targets of one walk: one reduction and
+        # one set of residues per call.
+        spies = [mock.Mock(wraps=criteria.reduce),
+                 mock.Mock(wraps=criteria.quantum_residues)]
+        monkeypatch.setattr(criteria, "reduce", spies[0])
+        monkeypatch.setattr(criteria, "quantum_residues", spies[1])
+        c = criteria.knot_candidates(TREFOIL_Q2, 3, 2, IdealVariant.QP_PLUS)
+        assert c == frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
+        assert [spy.call_count for spy in spies] == [1, 1]
+
     def test_plus_rejects_p2(self):
         with pytest.raises(ValueError):
             criteria.knot_candidates(TREFOIL_Q2, 2, 2, IdealVariant.QP_PLUS)
@@ -197,6 +209,41 @@ class TestLinkCandidates:
                     (b.text(), p, N)
                 if q == p:
                     assert tuple(x % p for x in linking_tuple(b)) in hits
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+    @pytest.mark.parametrize("m", (1, 2, 3, 4))
+    def test_n_at_least_p(self, p, m):
+        # At N = p the residue r_0 = {0: N mod p} is empty, and at p = 2
+        # every residue is; p times the invariant reduces to the zero
+        # target, which every tuple through an empty residue matches.  The
+        # probe then reads coefficient 0 of the product.  At m = 4 only
+        # N = p: the p^4 reference takes seconds at N = p + 1.
+        rng = random.Random(137 + 100 * p + m)
+        b = random_closure(rng, m, (2, 5), (0, 8), p)
+        P = skein.homfly(b, max_crossings=len(b))
+        for N in (p, p + 1) if m < 4 else (p,):
+            inv = skein.quantum_sln(P, N, m)
+            hits = criteria.link_candidates(inv, p, N, m)
+            assert hits == all_tuple_link_candidates(inv, p, N, m), \
+                (b.text(), p, N)
+            assert tuple(x % p for x in linking_tuple(b)) in hits
+            zero = inv.scale(p)
+            assert criteria.link_candidates(zero, p, N, m) == \
+                all_tuple_link_candidates(zero, p, N, m), (b.text(), p, N)
+
+    def test_products_on_the_four_component_control(self, monkeypatch):
+        # The CI control, the closure of (s1^2 s2^2 s3^2)^41, is 41-periodic.
+        # At p = 41, N = 2 the walk used to form one product per prefix,
+        # C(25, 4) - 1 = 12,649 of them.  A probe of one coefficient at
+        # the last coordinate leaves fewer than C(24, 3) = 2,024 plus one
+        # per hit.
+        control = BraidWord(4, (1, 1, 2, 2, 3, 3) * 41)
+        inv = skein.quantum_sln(skein.homfly(control, max_crossings=246), 2, 4)
+        spy = mock.Mock(wraps=criteria._cyclic_product)
+        monkeypatch.setattr(criteria, "_cyclic_product", spy)
+        hits = criteria.link_candidates(inv, 41, 2, 4)
+        assert tuple(x % 41 for x in linking_tuple(control)) in hits
+        assert spy.call_count < 12_649 / 4
 
     def test_periodic_controls_keep_axis_linking(self):
         # The paper's necessary condition for links: the closure of w^p

@@ -4,9 +4,9 @@ import pytest
 
 from linkperiod.laurent import (BiLaurent, IdealVariant, InexactDivisionError,
                                 LaurentPoly, congruent, digit_width,
-                                exact_divide, format_bilaurent, format_poly,
+                                format_bilaurent, format_poly,
                                 quantum_integer, reduce, unpack)
-from reference import parity_split
+from reference import exact_divide, parity_split
 
 Q = LaurentPoly.monomial
 

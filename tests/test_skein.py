@@ -9,7 +9,8 @@ from linkperiod import skein
 from linkperiod.diagram import (BraidWord, Crossing, ParseError,
                                 PlanarDiagram, closure_components, parse_pd,
                                 pd_from_braid)
-from linkperiod.laurent import BiLaurent, LaurentPoly, quantum_integer
+from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
+                                quantum_integer)
 from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
                                  HOPF_Q2, TREFOIL, TREFOIL_HOMFLY, TREFOIL_Q2,
                                  TREFOIL_Q3)
@@ -587,15 +588,15 @@ class TestP0:
             assert sum(c for _, c in p0.terms()) == 1
 
 
-def termwise_values(P, m):
-    """What quantum_sln (N = 2, 3, 4), jones, and for knots alexander and
+def termwise_values(P, m, Ns=(2, 3, 4)):
+    """What quantum_sln (each N of Ns), jones, and for knots alexander and
     p0_part should return, by reference.termwise_specialize."""
     def x_minus_inverse(var):
         return LaurentPoly({1: 1, -1: -1}, var)
 
     out = {N: quantum_integer(N) * termwise_specialize(
         P, LaurentPoly.monomial(-N), x_minus_inverse("q"), "q")
-        for N in (2, 3, 4)}
+        for N in Ns}
     v = termwise_specialize(P, LaurentPoly.monomial(2, var="s"),
                             x_minus_inverse("s"), "s")
     if all(e % 2 == 0 for e in v.exponents()):
@@ -614,8 +615,8 @@ def termwise_values(P, m):
     return out
 
 
-def specialized_values(P, m):
-    out = {N: skein.quantum_sln(P, N, m) for N in (2, 3, 4)}
+def specialized_values(P, m, Ns=(2, 3, 4)):
+    out = {N: skein.quantum_sln(P, N, m) for N in Ns}
     out["jones"] = skein.jones(P)
     if m == 1:
         out["alexander"] = skein.alexander(P)
@@ -623,8 +624,8 @@ def specialized_values(P, m):
     return out
 
 
-def assert_same_values(P, m):
-    got, want = specialized_values(P, m), termwise_values(P, m)
+def assert_same_values(P, m, Ns=(2, 3, 4)):
+    got, want = specialized_values(P, m, Ns), termwise_values(P, m, Ns)
     assert got == want
     assert {k: v.var for k, v in got.items()} == \
         {k: v.var for k, v in want.items()}
@@ -658,6 +659,61 @@ class TestSpecializeAgainstTermwise:
     ], ids=["z-powers-all-positive", "one"])
     def test_knot_shaped(self, P):
         assert_same_values(P, 1)
+
+    def test_closures_of_one_to_six_components(self):
+        # Up to five negative z powers, so the packed integer is divided by
+        # (x^2 - 1)^k for k up to 5, then multiplied by [N] for N up to 8.
+        rng = random.Random(71)
+        for m in range(1, 7):
+            found = 0
+            while found < 6:
+                n = rng.randint(m, 7)
+                b = BraidWord(n, tuple(
+                    rng.choice((1, -1)) * rng.randint(1, n - 1)
+                    for _ in range(rng.randint(0, 14))) if n > 1 else ())
+                if len(closure_components(b)) != m:
+                    continue
+                found += 1
+                P = skein.homfly(b)
+                assert P.z_min() == 1 - m
+                assert_same_values(P, m, range(2, 9))
+
+    def test_torus_links(self):
+        # T(2, 2j): digits of the quotient by x^2 - 1 grow with j.
+        for j in range(1, 31):
+            b = BraidWord(2, (1,) * (2 * j))
+            assert_same_values(skein.homfly(b, max_crossings=len(b)), 2,
+                               range(2, 9))
+
+    def test_four_component_control(self):
+        # The 246-letter closure of (s1^2 s2^2 s3^2)^41: z powers from -3
+        # to 243, so the Horner pass runs 247 steps on one integer.
+        b = BraidWord(4, (1, 1, 2, 2, 3, 3) * 41)
+        P = skein.homfly(b, max_crossings=len(b))
+        assert (P.z_min(), max(s for _, s in P._c)) == (-3, 243)
+        assert_same_values(P, 4, range(2, 9))
+
+    def test_width_holds_the_binomial_factor(self):
+        # The 6-component unlink: P = delta^5, whose packed dividend has
+        # digits adding up to 32.  At N = 10 its invariant [10]^6 has a
+        # coefficient of 55,252, and 32 * 10 * 2^5 alone would give 16-bit
+        # digits, which hold at most 32,767; the factor C(span/2 + 5, 5)
+        # of the width makes room for the quotient.
+        P = skein.homfly(BraidWord(6))
+        assert P == skein.DELTA ** 5
+        inv = skein.quantum_sln(P, 10, 6)
+        assert inv == quantum_integer(10) ** 6
+        assert max(c for _, c in inv.terms()) == 55252
+        assert_same_values(P, 6, range(2, 11))
+
+    @pytest.mark.parametrize("specialize", [
+        skein.jones, lambda P: skein.quantum_sln(P, 3, 2)],
+        ids=["jones", "quantum_sln"])
+    def test_inexact_quotient_raises(self, specialize):
+        # z^-1 alone is no link's polynomial: 1 / (x - x^-1) is not a
+        # Laurent polynomial.
+        with pytest.raises(InexactDivisionError):
+            specialize(BiLaurent({(0, -1): 1}))
 
     def test_odd_positive_z_powers(self):
         # s_min = 1 > 0, a branch no HOMFLY of a real link reaches.
