@@ -23,8 +23,17 @@ from .laurent import (BiLaurent, IdealVariant, LaurentPoly, format_bilaurent,
                       format_poly, is_prime)
 
 
+#: The most crossings (braid letters) an input may have unless
+#: --max-crossings says otherwise.
+DEFAULT_MAX_CROSSINGS = 24
+
+
 class UsageError(ValueError):
     pass
+
+
+class ResourceLimitError(RuntimeError):
+    """The input has more crossings (braid letters) than the limit."""
 
 
 def _cli_input(args) -> tuple[str, str]:
@@ -50,19 +59,32 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def _invariants(kind, text, n_list, max_crossings):
-    """Parses one input and computes its HOMFLY and its quantum SL(N)
-    invariant at each N of n_list.  Returns (the report keys every report
-    shares, what HOMFLY was computed from: the BraidWord of a braid input
-    or the PlanarDiagram of a PD input, the diagram, HOMFLY, N -> quantum
+    """Parses one input, turns it into a braid and a diagram of the same
+    link, and computes its HOMFLY and its quantum SL(N) invariant at each N
+    of n_list.  A braid input's diagram is its closure; a PD code is read
+    as a braid by Vogel's algorithm, once, and only after the crossing
+    limit passes, as the algorithm is super-linear in the crossing count.
+    A PD code with no planar realization is refused.  Returns (the report
+    keys every report shares, the braid, the diagram, HOMFLY, N -> quantum
     invariant)."""
     if kind == "braid":
-        source = parse_braid(text)
-        diagram = pd_from_braid(source)
+        braid = parse_braid(text)
+        diagram = pd_from_braid(braid)
     elif kind == "pd":
-        source = diagram = parse_pd(text)
+        diagram = parse_pd(text)
     else:
         raise UsageError(f"input_type must be braid or pd: {kind!r}")
-    P = skein.homfly(source, max_crossings=max_crossings)
+    size = len(diagram.crossings)
+    if size > max_crossings:
+        raise ResourceLimitError(
+            f"{size} crossings exceed the limit of {max_crossings}")
+    if kind == "pd":
+        # Imported here: a process given only braids never loads it.
+        from .vogel import braid_from_pd
+        braid = braid_from_pd(diagram)
+        if braid is None:
+            raise ParseError("this PD code is not planar")
+    P = skein.homfly(braid, diagram)
     m = diagram.component_count()
     quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
     report = {
@@ -71,21 +93,17 @@ def _invariants(kind, text, n_list, max_crossings):
         "components": m,
         "quantum": {str(N): f.serialize() for N, f in quantum.items()},
     }
-    return report, source, diagram, P, quantum
+    return report, braid, diagram, P, quantum
 
 
 def build_invariant_report(kind, text, n_list, oracle=False,
-                           max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
-    report, source, diagram, P, quantum = _invariants(kind, text, n_list,
-                                                      max_crossings)
+                           max_crossings=DEFAULT_MAX_CROSSINGS) -> dict:
+    report, braid, diagram, P, quantum = _invariants(kind, text, n_list,
+                                                     max_crossings)
     report["writhe"] = diagram.writhe()
     report["homfly"] = P.serialize()
     if oracle:
-        if kind == "pd":
-            # skein.homfly refuses a diagram with no Vogel braid.
-            from .vogel import braid_from_pd
-            source = braid_from_pd(diagram)
-        states = statemodel.invariant_statesums(source, n_list)
+        states = statemodel.invariant_statesums(braid, n_list)
         for N, inv in quantum.items():
             if states[N] != inv:
                 raise RuntimeError(
@@ -195,7 +213,7 @@ def _check_options(args) -> tuple[list[int], list[str]]:
 
 
 def build_check_report(kind, text, p, n_list, names,
-                       max_crossings=skein.DEFAULT_MAX_CROSSINGS) -> dict:
+                       max_crossings=DEFAULT_MAX_CROSSINGS) -> dict:
     """Parses one input and runs the named criteria on it in order; p and
     the names must have passed `_check_options`."""
     report, _, _, P, quantum = _invariants(kind, text, n_list, max_crossings)
@@ -420,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--criteria": dict(default=",".join(ALL_CRITERIA),
                            help="comma list of criteria to run"),
         "--max-crossings": dict(type=_positive_int,
-                                default=skein.DEFAULT_MAX_CROSSINGS),
+                                default=DEFAULT_MAX_CROSSINGS),
         "--out": dict(help="write the report to this path"),
         "--format": dict(choices=("json", "text"), default="text"),
         "--oracle": dict(action="store_true", help="cross-check the quantum "

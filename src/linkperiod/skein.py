@@ -35,13 +35,12 @@ terms, any other term meets at most m-2 generators), so B, the fewest
 whole bytes of bits whose signed digits hold 2^(L + n(n-1)/2), lets
 laurent.unpack decode P exactly, once, at the end.
 
-A diagram is first read as a braid by Vogel's algorithm
-(vogel.braid_from_pd), one strand per Seifert circle, and takes the
-Hecke route as that braid.  A PD code that no planar diagram realizes
-is refused: the skein route below assumes planarity, and on such a code
-its answer would depend on the arc labels.  An input whose braid goes
-past HECKE_MAX_TERMS takes the skein route on the input's diagram: one
-loop expands P(D) as a linear combination of diagrams until all of them
+A braid that goes past HECKE_MAX_TERMS takes the skein route on a
+diagram of the same link: the one the caller gives, such as the PD code
+the braid was read from (cli reads a PD code as a braid by Vogel's
+algorithm and refuses a non-planar one, on which this route's answer
+would depend on the arc labels), or else the braid's closure.  One loop
+expands P(D) as a linear combination of diagrams until all of them
 are descending, which is exponential in the crossing count.  Traverse
 the closure from fixed base points in component order; the first
 crossing first reached on its under-strand is either switched (strictly
@@ -75,12 +74,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .diagram import (BraidWord, ParseError, PlanarDiagram, pd_from_braid,
-                      writhe)
+from .diagram import BraidWord, PlanarDiagram, pd_from_braid, writhe
 from .laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
                       digit_width, unpack)
-
-DEFAULT_MAX_CROSSINGS = 24
 
 #: The most basis elements the Hecke route holds at once; 7! = 5040 keeps
 #: every braid on at most 7 strands on that route.
@@ -93,10 +89,6 @@ _A2 = BiLaurent.monomial(2, 0)       # a^2
 _AZ = BiLaurent.monomial(1, 1)       # a z
 _AM2 = BiLaurent.monomial(-2, 0)     # a^-2
 _AMZ = BiLaurent.monomial(-1, 1)     # a^-1 z
-
-
-class ResourceLimitError(RuntimeError):
-    """The input has more crossings (braid letters) than the limit."""
 
 
 class _TooManyTerms(Exception):
@@ -331,32 +323,16 @@ def _homfly_braid(b: BraidWord) -> BiLaurent:
     return BiLaurent(P)
 
 
-def homfly(d: "PlanarDiagram | BraidWord",
-           max_crossings: int = DEFAULT_MAX_CROSSINGS) -> BiLaurent:
-    """HOMFLY polynomial of a braid closure or of an oriented link diagram.
-    The limit counts the input's crossings.  A diagram takes the Hecke route
-    as the braid vogel.braid_from_pd reads off it, however long, and a
-    non-planar one is refused with ParseError; an input the Hecke route
-    cannot hold in HECKE_MAX_TERMS basis elements takes the skein route on
-    its diagram."""
-    braid = isinstance(d, BraidWord)
-    size = len(d.letters) if braid else len(d.crossings)
-    if size > max_crossings:
-        raise ResourceLimitError(
-            f"{size} crossings exceed the limit of {max_crossings}")
-    if braid:
-        b = d
-    else:
-        # Imported here: a process given only braids never loads it.
-        from .vogel import braid_from_pd
-        b = braid_from_pd(d)
-        if b is None:
-            raise ParseError("this PD code is not planar" if d.crossings
-                             else "empty diagram has no components")
+def homfly(b: BraidWord, d: PlanarDiagram | None = None) -> BiLaurent:
+    """HOMFLY polynomial of the closure of b, by the Hecke route.  A braid
+    the route cannot hold in HECKE_MAX_TERMS basis elements takes the skein
+    route on d, a diagram of the same link, or on the closure of b when d
+    is None.  A PD code passes its own diagram: the braid Vogel's algorithm
+    reads off it may have more crossings."""
     try:
         return _homfly_braid(b)
     except _TooManyTerms:
-        return _homfly_diagram(pd_from_braid(d) if braid else d)
+        return _homfly_diagram(pd_from_braid(b) if d is None else d)
 
 
 def _specialize(P: BiLaurent, a_exp: int, var: str, N: int = 1) -> LaurentPoly:

@@ -15,6 +15,7 @@ from linkperiod.laurent import (IdealVariant, LaurentPoly, congruent,
                                 quantum_integer, reduce)
 from linkperiod.selftest import (FIGURE_EIGHT, TREFOIL, TREFOIL_HOMFLY,
                                  TREFOIL_Q2, TREFOIL_Q3)
+from linkperiod.vogel import braid_from_pd
 from reference import (braid_segments, enumerate_states, is_proper,
                        parity_split, self_crossing_indices, strand_component)
 
@@ -43,7 +44,7 @@ def sweep():
         P = skein.homfly(b)
         d = pd_from_braid(b)
         assert skein._homfly_diagram(d) == P, b.text()
-        assert skein.homfly(d) == P, b.text()
+        assert skein.homfly(braid_from_pd(d), d) == P, b.text()
         m = len(linking_tuple(b))
         invs = {}
         for N in (2, 3):
@@ -268,7 +269,8 @@ def test_criterion_11_ideal_algebra_randomized():
 def test_criterion_12_markov_invariance():
     t0 = time.monotonic()
     rng = random.Random(20240918)
-    routes = (skein.homfly, lambda b: skein.homfly(pd_from_braid(b)),
+    routes = (skein.homfly,
+              lambda b: skein.homfly(braid_from_pd(pd_from_braid(b))),
               lambda b: skein._homfly_diagram(pd_from_braid(b)))
     for _ in range(50):
         n = rng.randint(2, 3)

@@ -9,10 +9,13 @@ import sys
 
 import pytest
 
-from linkperiod import cli, skein, statemodel
-from linkperiod.diagram import BraidWord, pd_from_braid
+from linkperiod import cli, skein, statemodel, vogel
+from linkperiod.diagram import (BraidWord, PlanarDiagram, parse_braid,
+                                pd_from_braid)
+from test_skein import connected_sum
 
 TREFOIL = "1 1 1"
+TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
 #: One non-planar PD code labelled two ways; the skein route gave each
 #: labelling a different HOMFLY.
@@ -46,7 +49,7 @@ class TestInvariant:
 
     def test_pd_input(self, capsys):
         code, out, _ = run_main(
-            ["invariant", "--pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
+            ["invariant", "--pd", TREFOIL_PD,
              "--format", "json"], capsys)
         assert code == 0
         rep = json.loads(out)
@@ -103,12 +106,12 @@ class TestInvariant:
             seen.append(b)
             return brackets(b, ns)
         monkeypatch.setattr(statemodel, "brackets", spy)
-        pd = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
         args = ["--n", "2,3,4", "--format", "json"]
-        code, out, _ = run_main(["invariant", "--pd", pd, "--oracle"] + args,
-                                capsys)
+        code, out, _ = run_main(
+            ["invariant", "--pd", TREFOIL_PD, "--oracle"] + args, capsys)
         assert code == 0 and len(seen) == 1
-        _, plain, _ = run_main(["invariant", "--pd", pd] + args, capsys)
+        _, plain, _ = run_main(["invariant", "--pd", TREFOIL_PD] + args,
+                               capsys)
         assert out == plain
 
     def test_oracle_on_random_pds(self, capsys):
@@ -242,21 +245,109 @@ def test_buffered_stdout_on_full_disk_exits_1(command):
 
 @pytest.mark.parametrize("command", [["invariant"], ["check", "-p", "3"]],
                          ids=["invariant", "check"])
-@pytest.mark.parametrize("given, route", [
-    (["--braid", TREFOIL], "BraidWord"),
-    (["--braid", "n=3;"], "BraidWord"),      # an empty word is falsy
-    (["--pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"], "PlanarDiagram")],
+@pytest.mark.parametrize("given", [
+    ["--braid", TREFOIL], ["--braid", "n=3;"], ["--pd", TREFOIL_PD]],
     ids=["braid", "empty-braid", "pd"])
-def test_homfly_route_follows_input_type(capsys, monkeypatch, command, given,
-                                         route):
-    homfly, seen = skein.homfly, []
+def test_homfly_route_follows_input_type(capsys, monkeypatch, command, given):
+    # Every input reaches skein.homfly as a braid together with its own
+    # diagram, which the skein fallback runs on: a braid's closure, or the
+    # parsed PD code itself rather than the closure of its Vogel braid.
+    homfly, parse_pd, seen, parsed = skein.homfly, cli.parse_pd, [], []
 
-    def spy(d, **kwargs):
-        seen.append(type(d).__name__)
-        return homfly(d, **kwargs)
+    def spy(b, d):
+        seen.append((b, d))
+        return homfly(b, d)
+
+    def parse_spy(text):
+        parsed.append(parse_pd(text))
+        return parsed[-1]
     monkeypatch.setattr(skein, "homfly", spy)
+    monkeypatch.setattr(cli, "parse_pd", parse_spy)
     code, _, _ = run_main([*command, *given], capsys)
-    assert code == 0 and seen == [route]
+    assert code == 0 and len(seen) == 1
+    (b, d), = seen
+    assert type(b) is BraidWord and type(d) is PlanarDiagram
+    if given[0] == "--pd":
+        assert d is parsed[0] and b == vogel.braid_from_pd(d)
+    else:
+        assert parsed == [] and b == parse_braid(given[1])
+        assert d == pd_from_braid(b)
+
+
+@pytest.fixture
+def vogel_reads(monkeypatch):
+    """The diagrams vogel.braid_from_pd is called on."""
+    braid_from_pd, seen = vogel.braid_from_pd, []
+
+    def spy(d):
+        seen.append(d)
+        return braid_from_pd(d)
+    monkeypatch.setattr(vogel, "braid_from_pd", spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", "--pd", TREFOIL_PD],
+    ["invariant", "--pd", TREFOIL_PD, "--oracle"],
+    ["check", "--pd", TREFOIL_PD, "-p", "3"],
+    ["batch", "links.csv", "-p", "3"]],
+    ids=["invariant", "invariant-oracle", "check", "batch"])
+def test_one_vogel_read_per_pd_input(capsys, monkeypatch, tmp_path,
+                                     vogel_reads, argv):
+    (tmp_path / "links.csv").write_text(
+        f'name,input_type,input\ntrefoil,pd,"{TREFOIL_PD}"\n')
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0 and "error" not in out
+    assert len(vogel_reads) == 1
+
+
+class TestCrossingLimit:
+    """The limit counts the input's crossings and is checked before
+    Vogel's algorithm, which is super-linear in the crossing count, reads
+    a PD code as a braid."""
+
+    def test_pd_limit(self, capsys, vogel_reads):
+        argv = ["invariant", "--pd", TREFOIL_PD, "--max-crossings"]
+        assert run_main([*argv, "2"], capsys) == (
+            2, "", "computation error: ResourceLimitError: "
+            "3 crossings exceed the limit of 2\n")
+        assert vogel_reads == []
+        assert run_main([*argv, "3"], capsys)[0] == 0
+        assert len(vogel_reads) == 1
+
+    @pytest.mark.parametrize("command", [["invariant"], ["check", "-p", "3"]],
+                             ids=["invariant", "check"])
+    def test_limit_comes_before_planarity(self, capsys, vogel_reads,
+                                          command):
+        # Exit 2 for the limit, not 1 for the non-planar code.
+        for text in NON_PLANAR:
+            code, out, err = run_main(
+                [*command, "--pd", text, "--max-crossings", "1"], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("computation error: ResourceLimitError: ")
+        assert vogel_reads == []
+
+    def test_limit_counts_the_diagram_not_its_vogel_braid(self, capsys):
+        parts = [BraidWord(2, (1,) * 7), BraidWord(2, (-1,) * 7),
+                 BraidWord(2, (1,) * 5), BraidWord(2, (-1,) * 5)]
+        d = connected_sum([pd_from_braid(b) for b in parts],
+                          random.Random(7400))
+        assert len(d.crossings) == cli.DEFAULT_MAX_CROSSINGS
+        assert len(vogel.braid_from_pd(d)) > len(d.crossings)
+        code, _, err = run_main(["invariant", "--pd", d.pd_text()], capsys)
+        assert code == 0, err
+
+
+def test_braid_input_never_loads_vogel():
+    # vogel is imported on the first PD input only.
+    code = ("import sys; from linkperiod import cli; "
+            "cli.main(['check', '--braid', '1 1 1', '-p', '3', "
+            "'--out', sys.argv[1]]); "
+            "assert 'linkperiod.vogel' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCheck:
@@ -479,7 +570,7 @@ class TestOneParser:
             ["check", "--braid", TREFOIL, "-p", "3"],
             ["check", "--braid", TREFOIL, "-p", "4"],
             ["check", "--braid", TREFOIL, "-p", "+3"],
-            ["check", "--pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]", "-p", "5"],
+            ["check", "--pd", TREFOIL_PD, "-p", "5"],
             ["invariant", "--braid", "1 -2 1 -2", "--format", "json"],
             ["invariant", "--braid", TREFOIL, "--oracle", "--n", "0"],
             ["batch", "links.csv", "-p", "3"],

@@ -87,7 +87,7 @@ class TestKnotCandidates:
         rng = random.Random(131 + p)
         for q in (1, 1, p):
             b = random_closure(rng, 1, (2, 4), (0, 8), q)
-            P = skein.homfly(b, max_crossings=len(b))
+            P = skein.homfly(b)
             for N in (2, 3, 4, 5):
                 inv = skein.quantum_sln(P, N, 1)
                 hits = criteria.knot_candidates(inv, p, N, IdealVariant.QP_PLUS)
@@ -201,7 +201,7 @@ class TestLinkCandidates:
         rng = random.Random(109 + 100 * p + m)
         for q in (1, p):
             b = random_closure(rng, m, (2, 5), (0, 8), q)
-            P = skein.homfly(b, max_crossings=len(b))
+            P = skein.homfly(b)
             for N in (2, 3, 4):
                 inv = skein.quantum_sln(P, N, m)
                 hits = criteria.link_candidates(inv, p, N, m)
@@ -220,7 +220,7 @@ class TestLinkCandidates:
         # N = p: the p^4 reference takes seconds at N = p + 1.
         rng = random.Random(137 + 100 * p + m)
         b = random_closure(rng, m, (2, 5), (0, 8), p)
-        P = skein.homfly(b, max_crossings=len(b))
+        P = skein.homfly(b)
         for N in (p, p + 1) if m < 4 else (p,):
             inv = skein.quantum_sln(P, N, m)
             hits = criteria.link_candidates(inv, p, N, m)
@@ -238,7 +238,7 @@ class TestLinkCandidates:
         # the last coordinate leaves fewer than C(24, 3) = 2,024 plus one
         # per hit.
         control = BraidWord(4, (1, 1, 2, 2, 3, 3) * 41)
-        inv = skein.quantum_sln(skein.homfly(control, max_crossings=246), 2, 4)
+        inv = skein.quantum_sln(skein.homfly(control), 2, 4)
         spy = mock.Mock(wraps=criteria._cyclic_product)
         monkeypatch.setattr(criteria, "_cyclic_product", spy)
         hits = criteria.link_candidates(inv, 41, 2, 4)

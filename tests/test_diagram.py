@@ -7,6 +7,7 @@ from linkperiod.diagram import (BraidWord, DiagramError, ParseError,
                                 closure_components, linking_tuple,
                                 parse_braid, parse_pd, pd_from_braid, power,
                                 writhe)
+from linkperiod.vogel import braid_from_pd
 from reference import segment_pd
 
 
@@ -171,7 +172,8 @@ class TestParsePd:
     def test_single_kink_is_unknot(self):
         d = parse_pd("X[1,1,2,2]")
         assert d.component_count() == 1
-        assert skein.homfly(d) == skein.homfly(BraidWord(1))
+        assert skein.homfly(braid_from_pd(d), d) == \
+            skein.homfly(BraidWord(1))
 
     def test_empty(self):
         with pytest.raises(ParseError):

@@ -6,9 +6,8 @@ import pytest
 from reference import hecke_homfly, termwise_specialize
 
 from linkperiod import skein
-from linkperiod.diagram import (BraidWord, Crossing, ParseError,
-                                PlanarDiagram, closure_components, parse_pd,
-                                pd_from_braid)
+from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
+                                closure_components, parse_pd, pd_from_braid)
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
                                 quantum_integer)
 from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
@@ -29,10 +28,11 @@ def homfly_of_diagram(b):
     return skein._homfly_diagram(pd_from_braid(b))
 
 
-def homfly_of_pd(b, **kwargs):
-    """skein.homfly on the diagram of a braid closure: the Hecke route on
-    the braid that vogel.braid_from_pd reads back."""
-    return skein.homfly(pd_from_braid(b), **kwargs)
+def homfly_of_pd(b):
+    """skein.homfly on the braid that vogel.braid_from_pd reads back from
+    the diagram of a braid closure, with that diagram for the fallback."""
+    d = pd_from_braid(b)
+    return skein.homfly(braid_from_pd(d), d)
 
 
 class TestHomfly:
@@ -63,7 +63,7 @@ class TestHomfly:
 
     def test_pd_input(self):
         d = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
-        assert skein.homfly(d) == TREFOIL_HOMFLY
+        assert skein.homfly(braid_from_pd(d), d) == TREFOIL_HOMFLY
 
     def test_reidemeister_invariance_samples(self):
         # sigma1 sigma1^-1 closes to the 2-unlink, sigma1 sigma2 sigma1 =
@@ -79,10 +79,6 @@ class TestHomfly:
             inner = BraidWord(2, letters)
             padded = BraidWord(3, letters)  # strand 3 untouched
             assert self.homfly(padded) == self.homfly(inner) * skein.DELTA
-
-    def test_crossing_limit(self):
-        with pytest.raises(skein.ResourceLimitError):
-            self.homfly(BraidWord(2, (1,) * 5), max_crossings=4)
 
     def test_skein_relation_random(self):
         # a^-1 P(L+) - a P(L-) = z P(L0) at a random positive-crossing site.
@@ -107,14 +103,6 @@ class TestHomfly:
 
 class TestHomflyOnDiagram(TestHomfly):
     homfly = staticmethod(homfly_of_diagram)
-
-    def test_crossing_limit(self):
-        # The skein route itself takes no limit; skein.homfly applies the
-        # limit to the diagram's crossings before it picks a route.
-        d = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
-        with pytest.raises(skein.ResourceLimitError):
-            skein.homfly(d, max_crossings=2)
-        assert skein.homfly(d, max_crossings=3) == skein._homfly_diagram(d)
 
 
 class TestHomflyViaBraidFromPd(TestHomfly):
@@ -144,11 +132,9 @@ LONG_SEEDS = range(300, 308)
 
 class TestLongBraids:
     """Properties of the Hecke-trace route at sizes the exhaustive sweep
-    cannot reach.  Words that grow past 24 letters lift the limit."""
+    cannot reach."""
 
-    @staticmethod
-    def homfly(b):
-        return skein.homfly(b, max_crossings=100)
+    homfly = staticmethod(skein.homfly)
 
     @pytest.mark.parametrize("seed", LONG_SEEDS)
     def test_conjugation_and_stabilization(self, seed):
@@ -247,7 +233,7 @@ class TestHeckeTermLimit:
         # 2^16 basis elements either way round, past HECKE_MAX_TERMS.
         b = kinks(64, [-1, 1] * 16)
         seen = self.fallbacks(monkeypatch)
-        assert skein.homfly(b, max_crossings=100) == skein.DELTA ** 31
+        assert skein.homfly(b) == skein.DELTA ** 31
         assert seen == [b]
 
     @pytest.mark.parametrize("limit", (1, 2, 8))
@@ -398,7 +384,7 @@ class TestBraidFromPd:
             moves, odd = divmod(len(b) - len(d.crossings), 2)
             assert odd == 0 and 0 <= moves <= (s - 1) * (s - 2) // 2
             most = max(most, moves)
-            assert skein.homfly(d) == expected
+            assert skein.homfly(b, d) == expected
             if len(d.crossings) <= 10:
                 assert skein._homfly_diagram(d) == expected
         assert most > 0
@@ -410,8 +396,7 @@ class TestBraidFromPd:
             d = pd_from_braid(b)
             back = braid_from_pd(d)
             assert (back.n, len(back)) == (b.n, len(b))
-            assert skein.homfly(back, max_crossings=100) == \
-                skein.homfly(b, max_crossings=100)
+            assert skein.homfly(back) == skein.homfly(b)
 
     @pytest.mark.parametrize("text, braid, polynomial", [
         ("X[1,1,2,2]", BraidWord(2, (-1,)), BiLaurent.one()),
@@ -427,7 +412,7 @@ class TestBraidFromPd:
     def test_small_diagrams(self, text, braid, polynomial):
         d = parse_pd(text)
         assert braid_from_pd(d) == braid
-        assert skein.homfly(d) == skein._homfly_diagram(d) == polynomial
+        assert skein.homfly(braid, d) == skein._homfly_diagram(d) == polynomial
 
     @staticmethod
     def skein_calls(monkeypatch):
@@ -441,17 +426,10 @@ class TestBraidFromPd:
         monkeypatch.setattr(skein, "_homfly_diagram", spy)
         return seen
 
-    def test_non_planar_is_refused(self, monkeypatch):
-        seen = self.skein_calls(monkeypatch)
+    def test_non_planar_is_refused(self):
+        # The CLI turns None into a ParseError (tests/test_cli.py).
         for text in NON_PLANAR:
-            d = parse_pd(text)
-            assert braid_from_pd(d) is None
-            with pytest.raises(ParseError, match="not planar"):
-                skein.homfly(d)
-            # The crossing limit comes first, as for a planar code.
-            with pytest.raises(skein.ResourceLimitError):
-                skein.homfly(d, max_crossings=1)
-        assert seen == []
+            assert braid_from_pd(parse_pd(text)) is None
 
     def test_term_limit_falls_back_to_the_given_diagram(self, monkeypatch):
         rng = random.Random(7300)
@@ -459,10 +437,12 @@ class TestBraidFromPd:
         diagrams += [connected_sum([pd_from_braid(summand(rng, 3))
                                     for _ in range(2)], rng)
                      for _ in range(5)]
-        expected = [skein.homfly(d) for d in diagrams]
+        braids = [braid_from_pd(d) for d in diagrams]
+        expected = [skein.homfly(b, d) for b, d in zip(braids, diagrams)]
         monkeypatch.setattr(skein, "HECKE_MAX_TERMS", 1)
         seen = self.skein_calls(monkeypatch)
-        assert [skein.homfly(d) for d in diagrams] == expected
+        assert [skein.homfly(b, d) for b, d in zip(braids, diagrams)] == \
+            expected
         # Every diagram too big for one basis element went to the skein
         # route as given, not as the diagram of its longer braid.
         assert len(seen) >= 10
@@ -473,13 +453,13 @@ class TestBraidFromPd:
                  BraidWord(2, (1,) * 5), BraidWord(2, (-1,) * 5)]
         d = connected_sum([pd_from_braid(b) for b in parts],
                           random.Random(7400))
-        assert len(d.crossings) == skein.DEFAULT_MAX_CROSSINGS
-        assert len(braid_from_pd(d)) > len(d.crossings)
+        braid = braid_from_pd(d)
+        assert len(d.crossings) == 24 and len(braid) > len(d.crossings)
         expected = BiLaurent.one()
         for b in parts:
             expected = expected * skein.homfly(b)
         seen = self.skein_calls(monkeypatch)
-        assert skein.homfly(d) == expected
+        assert skein.homfly(braid, d) == expected
         assert seen == []
 
 
@@ -682,14 +662,13 @@ class TestSpecializeAgainstTermwise:
         # T(2, 2j): digits of the quotient by x^2 - 1 grow with j.
         for j in range(1, 31):
             b = BraidWord(2, (1,) * (2 * j))
-            assert_same_values(skein.homfly(b, max_crossings=len(b)), 2,
-                               range(2, 9))
+            assert_same_values(skein.homfly(b), 2, range(2, 9))
 
     def test_four_component_control(self):
         # The 246-letter closure of (s1^2 s2^2 s3^2)^41: z powers from -3
         # to 243, so the Horner pass runs 247 steps on one integer.
         b = BraidWord(4, (1, 1, 2, 2, 3, 3) * 41)
-        P = skein.homfly(b, max_crossings=len(b))
+        P = skein.homfly(b)
         assert (P.z_min(), max(s for _, s in P._c)) == (-3, 243)
         assert_same_values(P, 4, range(2, 9))
 
@@ -724,7 +703,7 @@ class TestSpecializeAgainstTermwise:
         z = LaurentPoly({1: 1, -1: -1}, "x")
         polys = [BiLaurent({(1, 2): 3, (-3, 2): -1, (0, 4): 2, (2, 6): 1})]
         # Long words whose Horner digits outgrow their HOMFLY coefficients.
-        polys += [skein.homfly(b, max_crossings=60) for b in (
+        polys += [skein.homfly(b) for b in (
             BraidWord(3, (1, -2) * 20), BraidWord(2, (1,) * 60),
             BraidWord(5, (1, 2, 3, 4) * 5))]
         while len(polys) < 40:
@@ -751,8 +730,7 @@ class TestDiagramFrontier:
 
     def test_long_diagram(self):
         b = BraidWord(2, (1,) * 61)
-        assert skein._homfly_diagram(pd_from_braid(b)) == \
-            skein.homfly(b, max_crossings=61)
+        assert skein._homfly_diagram(pd_from_braid(b)) == skein.homfly(b)
 
     def test_memory_peak(self):
         d = pd_from_braid(BraidWord(3, (1, 2) * 7))
@@ -768,14 +746,11 @@ class TestDiagramFrontier:
         with pytest.raises(ValueError, match="no components"):
             skein._homfly_diagram(PlanarDiagram((), 0))
         assert braid_from_pd(PlanarDiagram((), 0)) is None
-        with pytest.raises(ValueError, match="no components"):
-            skein.homfly(PlanarDiagram((), 0))
 
 
 def test_cache_reuse_is_consistent():
-    # The skein route keeps nothing between calls; a repeat call starts
-    # afresh.
+    # HOMFLY keeps nothing between calls; a repeat call starts afresh.
     d = pd_from_braid(TREFOIL)
-    first = skein.homfly(d)
-    second = skein.homfly(d)
+    first = skein.homfly(braid_from_pd(d), d)
+    second = skein.homfly(braid_from_pd(d), d)
     assert first == second == TREFOIL_HOMFLY
