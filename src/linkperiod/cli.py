@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 
 from . import __version__, classical, criteria, skein, statemodel
 from .diagram import ParseError, parse_braid, parse_pd, pd_from_braid
-from .laurent import (BiLaurent, IdealVariant, LaurentPoly, format_bilaurent,
-                      format_poly, is_prime)
+from .laurent import (BiLaurent, LaurentPoly, format_bilaurent, format_poly,
+                      is_prime)
 
 
 #: The most crossings (braid letters) an input may have unless
@@ -141,7 +141,7 @@ def _pm(residues, p: int) -> frozenset[int]:
 
 def _quantum_minus(ctx: Context):
     if ctx.m == 1:
-        per_n = {N: criteria.knot_candidates(f, ctx.p, N, IdealVariant.QP_MINUS)
+        per_n = {N: criteria.knot_candidates(f, ctx.p, N)
                  for N, f in ctx.quantum.items()}
         linking = criteria.possible_linking(list(per_n.values()))
         entry = {"per_n": {str(N): sorted(s) for N, s in per_n.items()},
@@ -155,7 +155,7 @@ def _quantum_minus(ctx: Context):
 
 
 def _quantum_plus(ctx: Context):
-    per_n = {N: criteria.knot_candidates(f, ctx.p, N, IdealVariant.QP_PLUS)
+    per_n = {N: criteria.knot_candidates(f, ctx.p, N, plus=True)
              for N, f in ctx.quantum.items()}
     entry = {"per_n": {str(N): sorted(list(e) for e in s)
                        for N, s in per_n.items()}}
@@ -246,23 +246,19 @@ def build_check_report(kind, text, p, n_list, names,
 
 
 def _render_text(report: dict, out) -> None:
-    def poly_line(pairs, var="q"):
-        return format_poly(LaurentPoly.deserialize(pairs, var))
-
     print(f"input ({report['input']['type']}): {report['input']['value']}", file=out)
     if "homfly" in report:
-        P = BiLaurent.deserialize(report["homfly"])
         print(f"components: {report['components']}  writhe: {report['writhe']}", file=out)
-        print(f"homfly: {format_bilaurent(P)}", file=out)
+        print(f"homfly: {format_bilaurent(report['homfly'])}", file=out)
     for N, pairs in sorted(report["quantum"].items(), key=lambda kv: int(kv[0])):
-        print(f"quantum N={N}: {poly_line(pairs)}", file=out)
+        print(f"quantum N={N}: {format_poly(pairs, 'q')}", file=out)
     if "jones" in report:
         j = report["jones"]
-        print(f"jones: {poly_line(j['coeffs'], j['variable'])}", file=out)
+        print(f"jones: {format_poly(j['coeffs'], j['variable'])}", file=out)
     if "alexander" in report:
-        print(f"alexander: {poly_line(report['alexander'], 't')}", file=out)
+        print(f"alexander: {format_poly(report['alexander'], 't')}", file=out)
     if "p0" in report:
-        print(f"p0: {poly_line(report['p0'], 'a')}", file=out)
+        print(f"p0: {format_poly(report['p0'], 'a')}", file=out)
     for name, entry in report.get("criteria", {}).items():
         print(f"criterion {name}: {json.dumps(entry, sort_keys=True)}", file=out)
     if "combined_candidates" in report:

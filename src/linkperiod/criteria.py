@@ -7,8 +7,8 @@ holds up to sign.  Checking every candidate and finding none certifies
 non-periodicity.
 
 Every candidate function returns a plain frozenset: residues k mod p
-(QP_MINUS knots), (k, sign) pairs (QP_PLUS knots) or psi-tuples of
-residues (links).  The empty set reads "not p-periodic".
+(knots), (k, sign) pairs (knots, quantum-plus) or psi-tuples of residues
+(links).  The empty set reads "not p-periodic".
 
 Both quantum criteria are one search, by orbits, not by all p^m tuples.
 Modulo (p, q^p - 1) the candidate sum of psi is the product of the
@@ -26,8 +26,8 @@ representatives cost at most as many probes and fewer than
 C(p//2 + m, m - 1) products in F_p[q]/(q^p - 1), plus one per hit: at
 p = 41, m = 4, 10,626 probes and 2,022 products, where p^m = 2,825,761.
 Target, residues and products are sparse maps from exponent mod p to
-nonzero coefficient; r_k has at most N terms, so a knot (m = 1) forms
-no product and costs O(p * N).
+nonzero coefficient, the form `laurent.reduce` returns; r_k has at most
+N terms, so a knot (m = 1) forms no product and costs O(p * N).
 
 For odd p, q -> -q is a ring isomorphism from F_p[q]/(q^p + 1) onto
 F_p[q]/(q^p - 1) that sends [N]_{q^k} to (-1)^{k(N-1)} [N]_{q^k}.  So
@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import itertools
 
-from .laurent import (IdealVariant, LaurentPoly, is_odd_prime, is_prime,
-                      quantum_integer, reduce)
+from .laurent import (LaurentPoly, is_odd_prime, is_prime, quantum_integer,
+                      reduce)
 
 DEFAULT_MAX_LINK_COMPONENTS = 4
 
@@ -60,21 +60,20 @@ def rhs_sum(N: int, lambdas: tuple[int, ...]) -> LaurentPoly:
 
 
 def knot_candidates(inv: LaurentPoly, p: int, N: int,
-                    variant: IdealVariant = IdealVariant.QP_MINUS) -> frozenset:
+                    plus: bool = False) -> frozenset:
     """Linking numbers whose candidate sum is congruent to the knot invariant.
 
-    QP_MINUS gives residues k in 0..p-1 (p = 2 allowed); QP_PLUS gives
-    (k, sign) pairs, k in 0..2p-1 and sign "+" or "-".  An empty result
-    reads "not p-periodic".
+    Modulo (p, q^p - 1) these are residues k in 0..p-1 (p = 2 allowed).
+    With `plus`, modulo (p, q^p + 1) for odd p, they are (k, sign) pairs,
+    k in 0..2p-1 and sign "+" or "-".  An empty result reads "not
+    p-periodic".
     """
-    if variant is IdealVariant.QP_MINUS:
+    if not plus:
         return frozenset(k for (k,) in link_candidates(inv, p, N, 1))
-    if variant is not IdealVariant.QP_PLUS:
-        raise ValueError("knot candidates are defined for QP_MINUS and QP_PLUS")
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime: {p}")
-    target = _residue_map(LaurentPoly({e: -c if e % 2 else c  # f(-q)
-                                       for e, c in inv.terms()}), p)
+    target = reduce(LaurentPoly({e: -c if e % 2 else c  # f(-q)
+                                 for e, c in inv.terms()}), p)
     negated = {e: p - c for e, c in target.items()}
     hits = set()
     for s, found in zip((1, -1), _orbit_search([target, negated], p, N, 1)):
@@ -102,13 +101,7 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
         raise ValueError("need at least one component")
     if N < 2:
         raise ValueError(f"N must be >= 2: {N}")
-    return frozenset(_orbit_search([_residue_map(inv, p)], p, N, m)[0])
-
-
-def _residue_map(f: LaurentPoly, p: int) -> dict[int, int]:
-    """f mod (p, q^p - 1) as a map from exponent mod p to nonzero
-    coefficient."""
-    return {e % p: c for e, c in reduce(f, p, IdealVariant.QP_MINUS).terms()}
+    return frozenset(_orbit_search([reduce(inv, p)], p, N, m)[0])
 
 
 def _orbit_search(targets: list[dict[int, int]], p: int, N: int,
@@ -169,7 +162,7 @@ def _cyclic_product(f: dict[int, int], g: dict[int, int],
 
 
 def possible_linking(sets: list[frozenset]) -> frozenset[int]:
-    """Residues in every given QP_MINUS candidate set (one per tested N);
+    """Residues in every given (p, q^p - 1) candidate set (one per tested N);
     each set is closed under k -> -k.  Empty means "not p-periodic"."""
     if not sets:
         raise ValueError("need candidate sets for at least one N")

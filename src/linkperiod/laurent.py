@@ -1,9 +1,11 @@
 """Exact integer Laurent polynomial arithmetic in one and two variables.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
-One-variable polynomials carry a variable tag (purely informational);
-two-variable polynomials are fixed in the pair (a, z).  Both share one
-sparse core: the normalising constructor, +, -, scale and powers.
+One-variable polynomials carry a variable tag, which arithmetic and
+equality ignore; the Jones check reads it, as a polynomial in s = sqrt(t)
+is folded with period 2p.  Two-variable polynomials are fixed in the pair
+(a, z).  Both share one sparse core: the normalising constructor, +, -,
+scale and powers.  `reduce` is the one fold modulo (p, q^period - 1).
 
 A packed polynomial is the integer sum of c_e * 2^(width * e) (Kronecker
 substitution): adding is one integer addition, multiplying by the
@@ -14,8 +16,7 @@ exactly, and the integer is 0 only for the zero polynomial.
 
 from __future__ import annotations
 
-import enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class InexactDivisionError(ArithmeticError):
@@ -186,16 +187,12 @@ class LaurentPoly(_SparsePoly):
         return sum(self._c.values())
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({format_poly(self)!r})"
+        return f"LaurentPoly({format_poly(self.terms(), self.var)!r})"
 
     # -- serialization -----------------------------------------------------
 
     def serialize(self) -> list[list[int]]:
         return [[e, v] for e, v in self.terms()]
-
-    @classmethod
-    def deserialize(cls, pairs: Iterable[Iterable[int]], var: str = "q") -> "LaurentPoly":
-        return cls({e: v for e, v in pairs}, var)
 
 
 class BiLaurent(_SparsePoly):
@@ -239,52 +236,18 @@ class BiLaurent(_SparsePoly):
     def serialize(self) -> list[list]:
         return [[[r, s], v] for (r, s), v in self.terms()]
 
-    @classmethod
-    def deserialize(cls, triples) -> "BiLaurent":
-        return cls({(k[0], k[1]): v for k, v in triples})
 
-
-class IdealVariant(enum.Enum):
-    """The three congruence ideals: (p, q^p - 1), (p, q^p + 1), (p, q^2p - 1)."""
-
-    QP_MINUS = "qp-minus"
-    QP_PLUS = "qp-plus"
-    Q2P_MINUS = "q2p-minus"
-
-
-def reduce(f: LaurentPoly, p: int, variant: IdealVariant) -> LaurentPoly:
-    """Canonical representative of f modulo the chosen ideal.
-
-    QP_MINUS folds exponents mod p into the window (-p/2, p/2).  QP_PLUS
-    folds mod 2p into the same window, negating the coefficient for each
-    fold across an odd multiple of p (q^p = -1).  Q2P_MINUS folds mod 2p
-    into (-p, p].  Coefficients are reduced to {0, ..., p-1}, so f and g
-    are congruent exactly when their representatives are equal.  QP_PLUS
-    needs an odd prime; the other two accept p = 2.
-    """
-    plus = variant is IdealVariant.QP_PLUS
-    if not is_prime(p) or (plus and p == 2):
-        raise ValueError(
-            f"modulus must be {'an odd prime' if plus else 'prime'}: {p}")
-
+def reduce(f: LaurentPoly, p: int, period: int | None = None) -> dict[int, int]:
+    """f modulo (p, q^period - 1), the period being p unless given: the
+    map from each exponent mod period to its coefficient mod p, zeros
+    dropped.  f and g are congruent exactly when their maps are equal."""
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime: {p}")
+    n = p if period is None else period
     c: dict[int, int] = {}
-    if variant is IdealVariant.Q2P_MINUS:
-        for i, v in f._c.items():
-            j = ((i + p - 1) % (2 * p)) - p + 1
-            c[j] = c.get(j, 0) + v
-    else:
-        half = (p - 1) // 2
-        for i, v in f._c.items():
-            j = ((i + half) % p) - half
-            if plus and (i - j) // p % 2:
-                v = -v
-            c[j] = c.get(j, 0) + v
-    return LaurentPoly({e: v % p for e, v in c.items()}, f.var)
-
-
-def congruent(f: LaurentPoly, g: LaurentPoly, p: int, variant: IdealVariant) -> bool:
-    """True iff f and g have the same normal form modulo the ideal."""
-    return reduce(f, p, variant) == reduce(g, p, variant)
+    for e, v in f._c.items():
+        c[e % n] = c.get(e % n, 0) + v
+    return {e: v % p for e, v in c.items() if v % p}
 
 
 def digit_width(bound: int) -> int:
@@ -325,18 +288,20 @@ def _signed_join(terms) -> str:
     return ("-" if text[0] == "-" else "") + text[2:]
 
 
-def format_poly(f: LaurentPoly) -> str:
-    """Render in ascending exponent order with explicit signs."""
+def format_poly(pairs, var: str) -> str:
+    """Render serialized (exponent, coefficient) pairs of a polynomial in
+    var, in ascending exponent order with explicit signs."""
     def body(e: int, mag: int) -> str:
         if e == 0:
             return str(mag)
-        x = f.var if e == 1 else f"{f.var}^{e}"
+        x = var if e == 1 else f"{var}^{e}"
         return x if mag == 1 else f"{mag}{x}"
-    return _signed_join((v, body(e, abs(v))) for e, v in f.terms())
+    return _signed_join((v, body(e, abs(v))) for e, v in sorted(pairs))
 
 
-def format_bilaurent(f: BiLaurent) -> str:
-    """Render a polynomial in (a, z), sorted by (a-exp, z-exp)."""
+def format_bilaurent(triples) -> str:
+    """Render serialized ((a-exp, z-exp), coefficient) terms of a
+    polynomial in (a, z), sorted by (a-exp, z-exp)."""
     def body(r: int, s: int, mag: int) -> str:
         factors = []
         if mag != 1 or (r == 0 and s == 0):
@@ -346,4 +311,5 @@ def format_bilaurent(f: BiLaurent) -> str:
         if s != 0:
             factors.append("z" if s == 1 else f"z^{s}")
         return "".join(factors)
-    return _signed_join((v, body(r, s, abs(v))) for (r, s), v in f.terms())
+    return _signed_join((v, body(r, s, abs(v)))
+                        for (r, s), v in sorted(triples))

@@ -211,18 +211,8 @@ def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
     return out
 
 
-def bracket(b: BraidWord, N: int) -> LaurentPoly:
-    """The state sum of the braid closure at one N."""
-    return brackets(b, (N,))[N]
-
-
 def invariant_statesums(b: BraidWord, ns) -> dict[int, LaurentPoly]:
     """N -> q^(-writhe * N) * bracket: the state-sum route to the quantum
     invariants of the braid closure, for every N in `ns` from one pass."""
     w = writhe(b)
     return {N: br.shift(-w * N) for N, br in brackets(b, ns).items()}
-
-
-def invariant_statesum(b: BraidWord, N: int) -> LaurentPoly:
-    """The state-sum invariant of the braid closure at one N."""
-    return invariant_statesums(b, (N,))[N]

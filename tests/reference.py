@@ -12,7 +12,9 @@ the ideal-algebra tests.  `all_tuple_link_candidates` checks
 `criteria.link_candidates` by trying every one of the p^m psi-tuples,
 and `all_k_plus_candidates` checks the quantum-plus criterion of
 `criteria.knot_candidates` by reducing each of the 2p signed candidate
-sums modulo (p, q^p + 1).
+sums with `reduce_plus`, the fold modulo (p, q^p + 1) that the library
+does not have: it runs that criterion on +-f(-q) modulo (p, q^p - 1).
+The ideal-algebra tests use `reduce_plus` too.
 `termwise_specialize` checks the Horner pass of `skein._specialize` by
 substituting into every HOMFLY term on its own, and clears negative z
 powers by `exact_divide`, a long division of Laurent polynomials.
@@ -38,8 +40,8 @@ from dataclasses import dataclass
 from linkperiod import criteria, skein, statemodel
 from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
                                _arc_cycles, closure_components, writhe)
-from linkperiod.laurent import (BiLaurent, IdealVariant, InexactDivisionError,
-                                LaurentPoly, reduce)
+from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
+                                reduce)
 
 
 def _add(acc: dict[int, int], w: dict[int, int], d: int, k: int = 1) -> None:
@@ -117,7 +119,7 @@ def all_tuple_link_candidates(inv: LaurentPoly, p: int, N: int,
     map, so the reduced sums are built one coordinate at a time, each step
     multiplying by the reduced rhs_sum of one coordinate."""
     def reduced(f: LaurentPoly) -> LaurentPoly:
-        return reduce(f, p, IdealVariant.QP_MINUS)
+        return LaurentPoly(reduce(f, p))
 
     factors = [reduced(criteria.rhs_sum(N, (k,))) for k in range(p)]
     table = {(): LaurentPoly.one()}
@@ -128,17 +130,26 @@ def all_tuple_link_candidates(inv: LaurentPoly, p: int, N: int,
     return frozenset(psi for psi, f in table.items() if f == target)
 
 
+def reduce_plus(f: LaurentPoly, p: int) -> dict[int, int]:
+    """f modulo (p, q^p + 1), in the form of `laurent.reduce`: each
+    exponent e goes to e mod p, its coefficient negated once for each p
+    it drops (q^p = -1), and coefficients are taken mod p."""
+    c: dict[int, int] = {}
+    for e, v in f.terms():
+        c[e % p] = c.get(e % p, 0) + (-v if e // p % 2 else v)
+    return {e: v % p for e, v in c.items() if v % p}
+
+
 def all_k_plus_candidates(inv: LaurentPoly, p: int, N: int) -> frozenset:
     """Every (k, sign), k in 0..2p-1, with sign * [N]_{q^k} congruent to
     inv mod (p, q^p + 1), found by trying all 2p values of k."""
-    variant = IdealVariant.QP_PLUS
-    target = reduce(inv, p, variant)
+    target = reduce_plus(inv, p)
     hits = set()
     for k in range(2 * p):
         rhs = criteria.rhs_sum(N, (k,))
-        if reduce(rhs, p, variant) == target:
+        if reduce_plus(rhs, p) == target:
             hits.add((k, "+"))
-        if reduce(-rhs, p, variant) == target:
+        if reduce_plus(-rhs, p) == target:
             hits.add((k, "-"))
     return frozenset(hits)
 

@@ -11,13 +11,13 @@ import pytest
 
 from linkperiod import classical, cli, criteria, skein, statemodel
 from linkperiod.diagram import BraidWord, linking_tuple, pd_from_braid, power
-from linkperiod.laurent import (IdealVariant, LaurentPoly, congruent,
-                                quantum_integer, reduce)
+from linkperiod.laurent import LaurentPoly, quantum_integer, reduce
 from linkperiod.selftest import (FIGURE_EIGHT, TREFOIL, TREFOIL_HOMFLY,
                                  TREFOIL_Q2, TREFOIL_Q3)
 from linkperiod.vogel import braid_from_pd
 from reference import (braid_segments, enumerate_states, is_proper,
-                       parity_split, self_crossing_indices, strand_component)
+                       parity_split, reduce_plus, self_crossing_indices,
+                       strand_component)
 
 LETTERS = (-2, -1, 1, 2)
 
@@ -49,7 +49,7 @@ def sweep():
         invs = {}
         for N in (2, 3):
             via_skein = skein.quantum_sln(P, N, m)
-            via_states = statemodel.invariant_statesum(b, N)
+            via_states = statemodel.invariant_statesums(b, (N,))[N]
             invs[N] = (via_skein, via_states)
         rows.append((b, P, m, invs))
     return rows, time.monotonic() - t0
@@ -61,7 +61,8 @@ def test_criterion_01_unknot_identity():
     P = skein.homfly(unknot)
     for N in range(2, 6):
         assert skein.quantum_sln(P, N) == quantum_integer(N)
-        assert statemodel.invariant_statesum(unknot, N) == quantum_integer(N)
+        assert statemodel.invariant_statesums(unknot, (N,))[N] == \
+            quantum_integer(N)
     assert time.monotonic() - t0 < 1
 
 
@@ -98,17 +99,17 @@ def test_criterion_04_periodic_congruence_controls():
             P = skein.homfly(wp)
             for N in (2, 3):
                 inv = skein.quantum_sln(P, N, len(lams))
-                assert congruent(inv, criteria.rhs_sum(N, lams), p,
-                                 IdealVariant.QP_MINUS), (w.text(), p, N)
+                assert reduce(inv, p) == \
+                    reduce(criteria.rhs_sum(N, lams), p), (w.text(), p, N)
     assert time.monotonic() - t0 < 120
 
 
 def test_criterion_05_plus_ideal_sign():
     t0 = time.monotonic()
     target = -LaurentPoly({2: 1, -2: 1})
-    assert congruent(TREFOIL_Q2, target, 3, IdealVariant.QP_PLUS)
+    assert reduce_plus(TREFOIL_Q2, 3) == reduce_plus(target, 3)
     # lambda = 2 is even, so the predicted sign at even N is minus.
-    plus = criteria.knot_candidates(TREFOIL_Q2, 3, 2, IdealVariant.QP_PLUS)
+    plus = criteria.knot_candidates(TREFOIL_Q2, 3, 2, plus=True)
     assert (2, "-") in plus
     assert time.monotonic() - t0 < 1
 
@@ -141,9 +142,7 @@ def test_criterion_08_classical_criteria():
     V = skein.jones(TREFOIL_HOMFLY)
     assert classical.traczyk_jones_check(V, 3)
     # Both sides reduce to 1 mod (3, t^3 - 1).
-    assert reduce(LaurentPoly(dict(V.terms())), 3,
-                  IdealVariant.QP_MINUS) == reduce(LaurentPoly({0: 1}), 3,
-                                                   IdealVariant.QP_MINUS)
+    assert reduce(V, 3) == reduce(LaurentPoly({0: 1}), 3)
     delta3 = skein.alexander(TREFOIL_HOMFLY)
     assert classical.murasugi_candidates(delta3, 3) == frozenset({2})
     delta8 = skein.alexander(skein.homfly(FIGURE_EIGHT))
@@ -248,21 +247,19 @@ def test_criterion_11_ideal_algebra_randomized():
         # Exponent folding: i = j mod p reduces identically.
         i = rng.randint(-60, 60)
         j = i + p * rng.randint(-8, 8)
-        assert reduce(Q(i), p, IdealVariant.QP_MINUS) == \
-            reduce(Q(j), p, IdealVariant.QP_MINUS)
+        assert reduce(Q(i), p) == reduce(Q(j), p)
         # Parity-homogeneous members of (p, q^p - 1) lie in the other
         # two ideals as well.
         par = rng.choice(("even", "odd"))
         f = (Q(p) - Q(0)) * rand_poly(par) + rand_poly(par).scale(p)
         for part in parity_split(f):
-            if reduce(part, p, IdealVariant.QP_MINUS).is_zero():
-                assert reduce(part, p, IdealVariant.QP_PLUS).is_zero()
-                assert reduce(part, p, IdealVariant.Q2P_MINUS).is_zero()
+            if not reduce(part, p):
+                assert not reduce_plus(part, p)
+                assert not reduce(part, p, 2 * p)
         # Joint membership in both degree-p ideals gives the 2p ideal.
         g = rand_poly()
-        if reduce(g, p, IdealVariant.QP_MINUS).is_zero() and \
-                reduce(g, p, IdealVariant.QP_PLUS).is_zero():
-            assert reduce(g, p, IdealVariant.Q2P_MINUS).is_zero()
+        if not reduce(g, p) and not reduce_plus(g, p):
+            assert not reduce(g, p, 2 * p)
     assert time.monotonic() - t0 < 10
 
 

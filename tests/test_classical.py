@@ -50,6 +50,29 @@ class TestJonesSymmetry:
         with pytest.raises(ValueError):
             classical.traczyk_jones_check(TREFOIL_JONES, 6)
 
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_s_form_of_a_knot_gets_the_t_verdict(self, p):
+        # A knot's V in s = sqrt(t) has its t-exponents doubled and is
+        # folded with period 2p, which pairs its residues with those of
+        # the t-form folded with period p: the verdicts must agree.
+        rng = random.Random(100 + p)
+        verdicts = []
+        while len(verdicts) < 12:
+            n = rng.randint(2, 4)
+            gens = [e for e in range(1 - n, n) if e]
+            b = BraidWord(n, tuple(rng.choice(gens)
+                                   for _ in range(rng.randint(1, 10))))
+            if len(linking_tuple(b)) != 1:
+                continue
+            V = skein.jones(skein.homfly(b))
+            assert V.var == "t"
+            S = LaurentPoly({2 * e: c for e, c in V.terms()}, "s")
+            verdict = classical.traczyk_jones_check(V, p)
+            assert classical.traczyk_jones_check(S, p) == verdict, b.text()
+            verdicts.append(verdict)
+        # Some of these knots fail at p = 5 and 7; all pass at 2 and 3.
+        assert (False in verdicts) == (p > 3)
+
 
 class TestP0Jumps:
     def test_trefoil_p3(self):

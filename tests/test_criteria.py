@@ -8,8 +8,7 @@ import pytest
 
 from linkperiod import cli, criteria, skein
 from linkperiod.diagram import BraidWord, linking_tuple, power
-from linkperiod.laurent import (IdealVariant, LaurentPoly, quantum_integer,
-                                reduce)
+from linkperiod.laurent import LaurentPoly, quantum_integer, reduce
 from linkperiod.selftest import HOPF_Q2, TREFOIL_Q2, TREFOIL_Q3
 from reference import all_k_plus_candidates, all_tuple_link_candidates
 
@@ -76,7 +75,7 @@ class TestKnotCandidates:
             assert {1, p - 1} <= c
 
     def test_plus_variant_trefoil(self):
-        c = criteria.knot_candidates(TREFOIL_Q2, 3, 2, IdealVariant.QP_PLUS)
+        c = criteria.knot_candidates(TREFOIL_Q2, 3, 2, plus=True)
         assert c == frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
 
     @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
@@ -90,17 +89,16 @@ class TestKnotCandidates:
             P = skein.homfly(b)
             for N in (2, 3, 4, 5):
                 inv = skein.quantum_sln(P, N, 1)
-                hits = criteria.knot_candidates(inv, p, N, IdealVariant.QP_PLUS)
+                hits = criteria.knot_candidates(inv, p, N, plus=True)
                 assert hits == all_k_plus_candidates(inv, p, N), (b.text(), p, N)
 
-    @pytest.mark.parametrize("variant", [IdealVariant.QP_MINUS,
-                                         IdealVariant.QP_PLUS])
-    def test_memory_linear_in_p(self, variant):
+    @pytest.mark.parametrize("plus", [False, True], ids=["minus", "plus"])
+    def test_memory_linear_in_p(self, plus):
         # The search keeps p/2 sparse residues of at most N terms each,
         # not p/2 dense lists of p coefficients.
         tracemalloc.start()
         try:
-            criteria.knot_candidates(TREFOIL_Q2, 2003, 2, variant)
+            criteria.knot_candidates(TREFOIL_Q2, 2003, 2, plus)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -113,13 +111,13 @@ class TestKnotCandidates:
                  mock.Mock(wraps=criteria.quantum_residues)]
         monkeypatch.setattr(criteria, "reduce", spies[0])
         monkeypatch.setattr(criteria, "quantum_residues", spies[1])
-        c = criteria.knot_candidates(TREFOIL_Q2, 3, 2, IdealVariant.QP_PLUS)
+        c = criteria.knot_candidates(TREFOIL_Q2, 3, 2, plus=True)
         assert c == frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
         assert [spy.call_count for spy in spies] == [1, 1]
 
     def test_plus_rejects_p2(self):
         with pytest.raises(ValueError):
-            criteria.knot_candidates(TREFOIL_Q2, 2, 2, IdealVariant.QP_PLUS)
+            criteria.knot_candidates(TREFOIL_Q2, 2, 2, plus=True)
 
     def test_minus_p2_allowed(self):
         criteria.knot_candidates(TREFOIL_Q2, 2, 2)
@@ -190,9 +188,7 @@ class TestLinkCandidates:
             residues = criteria.quantum_residues(p, N)
             assert len(residues) == p // 2 + 1
             for k, r in enumerate(residues):
-                reduced = reduce(criteria.rhs_sum(N, (k,)), p,
-                                 IdealVariant.QP_MINUS)
-                assert r == {e % p: c for e, c in reduced.terms()}, (p, N, k)
+                assert r == reduce(criteria.rhs_sum(N, (k,)), p), (p, N, k)
 
     @pytest.mark.parametrize("p, m", ORACLE_CASES)
     def test_matches_all_tuple_oracle(self, p, m):

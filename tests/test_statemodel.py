@@ -155,22 +155,22 @@ class TestWeightsAndLoops:
         for N, len_max in ((2, 5), (3, 5), (4, 4)):
             for _ in range(10):
                 b = random_word(rng, len_max=len_max)
-                assert statemodel.bracket(b, N) == brute_bracket(b, N), \
+                assert statemodel.brackets(b, (N,))[N] == brute_bracket(b, N), \
                     (b.text(), N)
 
 
 class TestBracket:
     def test_single_positive(self):
-        assert statemodel.bracket(BraidWord(2, (1,)), 2) == \
+        assert statemodel.brackets(BraidWord(2, (1,)), (2,))[2] == \
             LaurentPoly({3: 1, 1: 1})
 
     def test_hopf(self):
-        assert statemodel.bracket(HOPF, 2) == \
+        assert statemodel.brackets(HOPF, (2,))[2] == \
             LaurentPoly({4: 1, 2: 1, 0: 1, -2: 1})
 
     def test_empty_braid(self):
         # n-strand identity braid: bracket = (sum_I q^I)^n.
-        two = statemodel.bracket(BraidWord(2), 2)
+        two = statemodel.brackets(BraidWord(2), (2,))[2]
         assert two == LaurentPoly({2: 1, 0: 2, -2: 1})
 
     def test_mirror_inverts_q(self):
@@ -178,8 +178,8 @@ class TestBracket:
         for _ in range(10):
             b = random_word(rng, len_max=5)
             mirror = BraidWord(b.n, tuple(-e for e in b.letters))
-            inv = statemodel.invariant_statesum(b, 2)
-            minv = statemodel.invariant_statesum(mirror, 2)
+            inv = statemodel.invariant_statesums(b, (2,))[2]
+            minv = statemodel.invariant_statesums(mirror, (2,))[2]
             assert minv == inv.compose_power(-1)
 
 
@@ -191,7 +191,7 @@ class TestOracle:
             m = len(linking_tuple(b))
             P = skein.homfly(b)
             for N in (2, 3):
-                assert statemodel.invariant_statesum(b, N) == \
+                assert statemodel.invariant_statesums(b, (N,))[N] == \
                     skein.quantum_sln(P, N, m)
 
     def test_markov_stabilization(self):
@@ -201,8 +201,8 @@ class TestOracle:
             b = random_word(rng, n_max=2, len_max=4)
             for s in (1, -1):
                 stab = BraidWord(b.n + 1, b.letters + (s * b.n,))
-                assert statemodel.invariant_statesum(stab, 2) == \
-                    statemodel.invariant_statesum(b, 2)
+                assert statemodel.invariant_statesums(stab, (2,))[2] == \
+                    statemodel.invariant_statesums(b, (2,))[2]
 
 
 def random_long_word(seed, n=3, length=40):
@@ -222,35 +222,35 @@ class TestLongBraids:
 
     @pytest.mark.parametrize("b", WORDS, ids=IDS)
     def test_conjugation(self, b):
-        inv = statemodel.invariant_statesum(b, 3)
+        inv = statemodel.invariant_statesums(b, (3,))[3]
         for r in (1, 7, 23):
             rotated = BraidWord(b.n, b.letters[r:] + b.letters[:r])
-            assert statemodel.invariant_statesum(rotated, 3) == inv
+            assert statemodel.invariant_statesums(rotated, (3,))[3] == inv
 
     @pytest.mark.parametrize("b", WORDS, ids=IDS)
     def test_stabilization(self, b):
-        inv = statemodel.invariant_statesum(b, 3)
+        inv = statemodel.invariant_statesums(b, (3,))[3]
         for s in (1, -1):
             stab = BraidWord(b.n + 1, b.letters + (s * b.n,))
-            assert statemodel.invariant_statesum(stab, 3) == inv
+            assert statemodel.invariant_statesums(stab, (3,))[3] == inv
 
     @pytest.mark.parametrize("b", WORDS, ids=IDS)
     def test_mirror_inverts_q(self, b):
         mirror = BraidWord(b.n, tuple(-e for e in b.letters))
-        assert statemodel.invariant_statesum(mirror, 3) == \
-            statemodel.invariant_statesum(b, 3).compose_power(-1)
+        assert statemodel.invariant_statesums(mirror, (3,))[3] == \
+            statemodel.invariant_statesums(b, (3,))[3].compose_power(-1)
 
     def test_resource_guard(self, monkeypatch):
         # On three strands at N = 3 the pass starts from 13 rank patterns
         # and T(3,20) fills the whole bound of 55 entries (1 + 2 * 9 + 36
         # rearrangements of the patterns with 1, 2 and 3 blocks).
         b = self.WORDS[0]
-        expected = statemodel.bracket(b, 3)
+        expected = statemodel.brackets(b, (3,))[3]
         monkeypatch.setattr(statemodel, "MAX_STATES", 54)
         with pytest.raises(statemodel.StateResourceError, match="N=3"):
-            statemodel.bracket(b, 3)
+            statemodel.brackets(b, (3,))[3]
         monkeypatch.setattr(statemodel, "MAX_STATES", 55)
-        assert statemodel.bracket(b, 3) == expected
+        assert statemodel.brackets(b, (3,))[3] == expected
         # The starting table is refused before it is built.
         monkeypatch.setattr(statemodel, "MAX_STATES", 12)
 
@@ -258,11 +258,11 @@ class TestLongBraids:
             raise AssertionError("starting table built past the guard")
         monkeypatch.setattr(statemodel, "_rank_patterns", no_patterns)
         with pytest.raises(statemodel.StateResourceError):
-            statemodel.bracket(b, 3)
+            statemodel.brackets(b, (3,))[3]
         monkeypatch.undo()
         t0 = time.monotonic()
         with pytest.raises(statemodel.StateResourceError):
-            statemodel.bracket(BraidWord(60, (1,)), 2)
+            statemodel.brackets(BraidWord(60, (1,)), (2,))[2]
         assert time.monotonic() - t0 < 1
 
     def test_resource_guard_names_largest_n(self, monkeypatch):
@@ -412,6 +412,6 @@ class TestProperStates:
 def test_writhe_normalization():
     # q^(-w N) prefactor: bracket and invariant differ by exactly that shift.
     b = TREFOIL
-    br = statemodel.bracket(b, 2)
-    inv = statemodel.invariant_statesum(b, 2)
+    br = statemodel.brackets(b, (2,))[2]
+    inv = statemodel.invariant_statesums(b, (2,))[2]
     assert inv == br.shift(-writhe(b) * 2)
