@@ -1,9 +1,8 @@
 """Classical non-periodicity criteria used for cross-validation: the
-Jones self-symmetry test (a zero test by `laurent.reduce`, with period
-2p for a polynomial in s = sqrt(t)), the coefficient-jump test on the
-z-degree-zero HOMFLY part, and Murasugi's Alexander-polynomial test over
-the field of p elements, where f(t)^p = f(t^p), so no polynomial is
-raised to a power."""
+Jones self-symmetry test (a zero test by `laurent.reduce`), the
+coefficient-jump test on the z-degree-zero HOMFLY part, and Murasugi's
+Alexander-polynomial test over the field of p elements, where
+f(t)^p = f(t^p), so no polynomial is raised to a power."""
 
 from __future__ import annotations
 
@@ -21,12 +20,16 @@ __all__ = [
 def traczyk_jones_check(V: LaurentPoly, p: int) -> bool:
     """Jones symmetry test: V(t) = V(1/t) mod (p, t^p - 1).
 
-    V may be given in t (knots) or in s = sqrt(t) (links); in s the
-    ideal becomes (p, s^2p - 1), so the fold takes period 2p.  A
-    p-periodic link always passes, so failure certifies non-periodicity.
+    V may be given in t (knots) or in s = sqrt(t) (links); in the
+    s-variable the ideal becomes (p, s^2p - 1).  A p-periodic link
+    always passes, so failure certifies non-periodicity.
     """
-    period = p if V.var == "t" else 2 * p
-    return not reduce(V - V.compose_power(-1), p, period)
+    # Folding mod p is enough in s as well.  V is in s only for a link
+    # with an even number m of components, and then every exponent is
+    # odd.  For odd p, two odd exponents agree mod 2p exactly when they
+    # agree mod p.  At p = 2, V - V(1/s) folds mod 4 to c(s - s^3), and
+    # c = V(1) = (-2)^(m-1) = 0 mod 2.
+    return not reduce(V - V.compose_power(-1), p)
 
 
 def traczyk_p0_candidates(P0: LaurentPoly, p: int) -> frozenset[int]:

@@ -1,11 +1,9 @@
 """Exact integer Laurent polynomial arithmetic in one and two variables.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
-One-variable polynomials carry a variable tag, which arithmetic and
-equality ignore; the Jones check reads it, as a polynomial in s = sqrt(t)
-is folded with period 2p.  Two-variable polynomials are fixed in the pair
-(a, z).  Both share one sparse core: the normalising constructor, +, -,
-scale and powers.  `reduce` is the one fold modulo (p, q^period - 1).
+One-variable polynomials carry a variable tag (purely informational);
+two-variable polynomials are fixed in the pair (a, z).  Both share one
+sparse core: the normalising constructor, +, -, scale and powers.
 
 A packed polynomial is the integer sum of c_e * 2^(width * e) (Kronecker
 substitution): adding is one integer addition, multiplying by the
@@ -237,16 +235,15 @@ class BiLaurent(_SparsePoly):
         return [[[r, s], v] for (r, s), v in self.terms()]
 
 
-def reduce(f: LaurentPoly, p: int, period: int | None = None) -> dict[int, int]:
-    """f modulo (p, q^period - 1), the period being p unless given: the
-    map from each exponent mod period to its coefficient mod p, zeros
-    dropped.  f and g are congruent exactly when their maps are equal."""
+def reduce(f: LaurentPoly, p: int) -> dict[int, int]:
+    """f modulo (p, q^p - 1): the map from each exponent mod p to its
+    coefficient mod p, zeros dropped.  f and g are congruent exactly
+    when their maps are equal."""
     if not is_prime(p):
         raise ValueError(f"modulus must be prime: {p}")
-    n = p if period is None else period
     c: dict[int, int] = {}
     for e, v in f._c.items():
-        c[e % n] = c.get(e % n, 0) + v
+        c[e % p] = c.get(e % p, 0) + v
     return {e: v % p for e, v in c.items() if v % p}
 
 
@@ -290,18 +287,20 @@ def _signed_join(terms) -> str:
 
 def format_poly(pairs, var: str) -> str:
     """Render serialized (exponent, coefficient) pairs of a polynomial in
-    var, in ascending exponent order with explicit signs."""
+    var with explicit signs; the pairs come in ascending exponent order,
+    as `LaurentPoly.serialize` emits them."""
     def body(e: int, mag: int) -> str:
         if e == 0:
             return str(mag)
         x = var if e == 1 else f"{var}^{e}"
         return x if mag == 1 else f"{mag}{x}"
-    return _signed_join((v, body(e, abs(v))) for e, v in sorted(pairs))
+    return _signed_join((v, body(e, abs(v))) for e, v in pairs)
 
 
 def format_bilaurent(triples) -> str:
     """Render serialized ((a-exp, z-exp), coefficient) terms of a
-    polynomial in (a, z), sorted by (a-exp, z-exp)."""
+    polynomial in (a, z); the terms come sorted by (a-exp, z-exp), as
+    `BiLaurent.serialize` emits them."""
     def body(r: int, s: int, mag: int) -> str:
         factors = []
         if mag != 1 or (r == 0 and s == 0):
@@ -311,5 +310,4 @@ def format_bilaurent(triples) -> str:
         if s != 0:
             factors.append("z" if s == 1 else f"z^{s}")
         return "".join(factors)
-    return _signed_join((v, body(r, s, abs(v)))
-                        for (r, s), v in sorted(triples))
+    return _signed_join((v, body(r, s, abs(v))) for (r, s), v in triples)

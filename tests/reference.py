@@ -14,7 +14,9 @@ and `all_k_plus_candidates` checks the quantum-plus criterion of
 `criteria.knot_candidates` by reducing each of the 2p signed candidate
 sums with `reduce_plus`, the fold modulo (p, q^p + 1) that the library
 does not have: it runs that criterion on +-f(-q) modulo (p, q^p - 1).
-The ideal-algebra tests use `reduce_plus` too.
+The ideal-algebra tests use `reduce_plus` too, and `reduce_2p`, the fold
+modulo (p, q^2p - 1), which also checks that the Jones test of a link's
+polynomial in s = sqrt(t) needs only the library's period p.
 `termwise_specialize` checks the Horner pass of `skein._specialize` by
 substituting into every HOMFLY term on its own, and clears negative z
 powers by `exact_divide`, a long division of Laurent polynomials.
@@ -137,6 +139,15 @@ def reduce_plus(f: LaurentPoly, p: int) -> dict[int, int]:
     c: dict[int, int] = {}
     for e, v in f.terms():
         c[e % p] = c.get(e % p, 0) + (-v if e // p % 2 else v)
+    return {e: v % p for e, v in c.items() if v % p}
+
+
+def reduce_2p(f: LaurentPoly, p: int) -> dict[int, int]:
+    """f modulo (p, q^2p - 1), in the form of `laurent.reduce`: exponents
+    mod 2p, coefficients mod p."""
+    c: dict[int, int] = {}
+    for e, v in f.terms():
+        c[e % (2 * p)] = c.get(e % (2 * p), 0) + v
     return {e: v % p for e, v in c.items() if v % p}
 
 

@@ -16,8 +16,8 @@ from linkperiod.selftest import (FIGURE_EIGHT, TREFOIL, TREFOIL_HOMFLY,
                                  TREFOIL_Q2, TREFOIL_Q3)
 from linkperiod.vogel import braid_from_pd
 from reference import (braid_segments, enumerate_states, is_proper,
-                       parity_split, reduce_plus, self_crossing_indices,
-                       strand_component)
+                       parity_split, reduce_2p, reduce_plus,
+                       self_crossing_indices, strand_component)
 
 LETTERS = (-2, -1, 1, 2)
 
@@ -255,11 +255,11 @@ def test_criterion_11_ideal_algebra_randomized():
         for part in parity_split(f):
             if not reduce(part, p):
                 assert not reduce_plus(part, p)
-                assert not reduce(part, p, 2 * p)
+                assert not reduce_2p(part, p)
         # Joint membership in both degree-p ideals gives the 2p ideal.
         g = rand_poly()
         if not reduce(g, p) and not reduce_plus(g, p):
-            assert not reduce(g, p, 2 * p)
+            assert not reduce_2p(g, p)
     assert time.monotonic() - t0 < 10
 
 

@@ -6,7 +6,7 @@ from linkperiod import classical, skein
 from linkperiod.diagram import BraidWord, linking_tuple, power
 from linkperiod.laurent import LaurentPoly
 from linkperiod.selftest import FIG8_HOMFLY
-from reference import gf_mul, gf_pow, murasugi_by_powers
+from reference import gf_mul, gf_pow, murasugi_by_powers, reduce_2p
 
 TREFOIL_JONES = LaurentPoly({1: 1, 3: 1, 4: -1}, "t")
 TREFOIL_DELTA = LaurentPoly({2: 1, 1: -1, 0: 1}, "t")
@@ -51,10 +51,10 @@ class TestJonesSymmetry:
             classical.traczyk_jones_check(TREFOIL_JONES, 6)
 
     @pytest.mark.parametrize("p", (2, 3, 5, 7))
-    def test_s_form_of_a_knot_gets_the_t_verdict(self, p):
-        # A knot's V in s = sqrt(t) has its t-exponents doubled and is
-        # folded with period 2p, which pairs its residues with those of
-        # the t-form folded with period p: the verdicts must agree.
+    def test_link_s_form_needs_only_period_p(self, p):
+        # A link's V in s = sqrt(t) is tested mod (p, s^2p - 1); the check
+        # folds mod p only, which must give the same verdict on the
+        # s-forms `skein.jones` returns (all exponents odd, V(1) even).
         rng = random.Random(100 + p)
         verdicts = []
         while len(verdicts) < 12:
@@ -62,15 +62,13 @@ class TestJonesSymmetry:
             gens = [e for e in range(1 - n, n) if e]
             b = BraidWord(n, tuple(rng.choice(gens)
                                    for _ in range(rng.randint(1, 10))))
-            if len(linking_tuple(b)) != 1:
-                continue
             V = skein.jones(skein.homfly(b))
-            assert V.var == "t"
-            S = LaurentPoly({2 * e: c for e, c in V.terms()}, "s")
-            verdict = classical.traczyk_jones_check(V, p)
-            assert classical.traczyk_jones_check(S, p) == verdict, b.text()
+            if V.var != "s":
+                continue
+            verdict = not reduce_2p(V - V.compose_power(-1), p)
+            assert classical.traczyk_jones_check(V, p) == verdict, b.text()
             verdicts.append(verdict)
-        # Some of these knots fail at p = 5 and 7; all pass at 2 and 3.
+        # Some of these links fail at p = 5 and 7; all pass at 2 and 3.
         assert (False in verdicts) == (p > 3)
 
 

@@ -6,7 +6,7 @@ import pytest
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
                                 digit_width, format_bilaurent, format_poly,
                                 quantum_integer, reduce, unpack)
-from reference import exact_divide, parity_split, reduce_plus
+from reference import exact_divide, parity_split, reduce_2p, reduce_plus
 
 Q = LaurentPoly.monomial
 
@@ -31,21 +31,22 @@ class TestReduce:
             assert reduce_plus(Q(p), p) == {0: p - 1}
 
     def test_q2p_window(self):
-        assert reduce(Q(7) + Q(-7), 5, 10) == {7: 1, 3: 1}
+        # The reference fold modulo (p, q^2p - 1).
+        assert reduce_2p(Q(7) + Q(-7), 5) == {7: 1, 3: 1}
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError, match="^modulus must be prime: 9$"):
             reduce(Q(1), 9)
         with pytest.raises(ValueError, match="^modulus must be prime: 4$"):
-            reduce(Q(1), 4, 8)
+            reduce(Q(1), 4)
 
     def test_p2_allowed_for_qp_minus(self):
         assert reduce(Q(3) + Q(1), 2) == {}
 
     def test_p2_allowed_for_q2p_minus(self):
         # Mod (2, q^4 - 1): q^3 and q^-1 fold together, q^4 + 1 -> 0.
-        assert reduce(Q(3), 2, 4) == reduce(Q(-1), 2, 4) == {3: 1}
-        assert reduce(Q(4) + Q(0), 2, 4) == {}
+        assert reduce_2p(Q(3), 2) == reduce_2p(Q(-1), 2) == {3: 1}
+        assert reduce_2p(Q(4) + Q(0), 2) == {}
 
 
 class TestCongruent:
@@ -93,7 +94,7 @@ class TestIdealImplications:
         # (q^p - 1) g + p h with parity-homogeneous g, h and then split
         # into parity parts; homogeneous parts that still reduce to zero
         # modulo (p, q^p - 1) must vanish modulo the other two ideals too
-        # (the reference fold for q^p + 1, period 2p for q^2p - 1).
+        # (the reference folds `reduce_plus` and `reduce_2p`).
         rng = random.Random(11)
         hits = 0
         for _ in range(300):
@@ -108,7 +109,7 @@ class TestIdealImplications:
                 if not reduce(part, p):
                     hits += 1
                     assert not reduce_plus(part, p)
-                    assert not reduce(part, p, 2 * p)
+                    assert not reduce_2p(part, p)
         assert hits > 0
 
     def test_joint_membership_gives_q2p(self):
@@ -117,7 +118,7 @@ class TestIdealImplications:
             p = rng.choice((3, 5))
             f = _random_poly(rng)
             if not reduce(f, p) and not reduce_plus(f, p):
-                assert not reduce(f, p, 2 * p)
+                assert not reduce_2p(f, p)
 
     def test_canonicity_under_ideal_shifts(self):
         rng = random.Random(17)
@@ -282,7 +283,7 @@ def test_format_zero_and_negative_leading_term():
     assert format_bilaurent([]) == "0"
     assert format_poly(LaurentPoly({-2: -1, 0: 3, 1: -1}).serialize(), "t") \
         == "-t^-2 + 3 - t"
-    assert format_poly([[2, 2], [0, -4]], "q") == "-4 + 2q^2"
+    assert format_poly([[0, -4], [2, 2]], "q") == "-4 + 2q^2"
     assert format_bilaurent(
         BiLaurent({(-1, 0): -2, (0, 0): 1, (1, 1): -1}).serialize()) \
         == "-2a^-1 + 1 - az"
