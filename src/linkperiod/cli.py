@@ -109,8 +109,12 @@ def build_invariant_report(kind, text, n_list, oracle=False,
                 raise RuntimeError(
                     f"internal inconsistency: state-sum and Hecke-trace "
                     f"routes disagree at N={N}")
-    V = skein.jones(P)
-    report["jones"] = {"variable": V.var, "coeffs": V.serialize()}
+    # V is in s = sqrt(t), and is reported in t when every exponent is
+    # even, as it is for a knot and for any odd number of components.
+    variable, V = "s", skein.jones(P).serialize()
+    if all(e % 2 == 0 for e, _ in V):
+        variable, V = "t", [[e // 2, c] for e, c in V]
+    report["jones"] = {"variable": variable, "coeffs": V}
     if report["components"] == 1:
         report["alexander"] = skein.alexander(P).serialize()
         report["p0"] = skein.p0_part(P).serialize()
@@ -334,18 +338,18 @@ BATCH_FIELDS = ("name", "input_type", "input")
 
 def cmd_batch(args) -> int:
     n_list, names = _check_options(args)
+    # utf-8-sig drops the byte order mark that spreadsheets write first.
     try:
-        fh = open(args.csv, newline="")
-    except OSError as exc:
+        with open(args.csv, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            header = [f.strip() for f in reader.fieldnames or ()]
+            if header != list(BATCH_FIELDS):
+                raise UsageError(
+                    'batch CSV needs the header "name,input_type,input"')
+            reader.fieldnames = list(BATCH_FIELDS)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read {args.csv}: {exc}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                [f.strip() for f in reader.fieldnames] != list(BATCH_FIELDS):
-            raise UsageError(
-                'batch CSV needs the header "name,input_type,input"')
-        reader.fieldnames = list(BATCH_FIELDS)
-        rows = list(reader)
     reports = []
     for row in rows:
         name = row["name"]

@@ -15,11 +15,7 @@ from typing import NamedTuple
 
 
 class ParseError(ValueError):
-    """Malformed braid or PD input."""
-
-
-class DiagramError(ValueError):
-    """Structurally invalid diagram."""
+    """Malformed braid or PD input, or an invalid braid or diagram."""
 
 
 @dataclass(frozen=True)
@@ -31,11 +27,11 @@ class BraidWord:
 
     def __post_init__(self):
         if self.n < 1:
-            raise DiagramError(f"strand count must be >= 1: {self.n}")
+            raise ParseError(f"strand count must be >= 1: {self.n}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for e in self.letters:
             if e == 0 or abs(e) >= self.n:
-                raise DiagramError(f"invalid letter {e} for {self.n} strands")
+                raise ParseError(f"invalid letter {e} for {self.n} strands")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -62,10 +58,7 @@ def parse_braid(text: str) -> BraidWord:
             raise ParseError("braid letter 0 is not allowed")
         letters.append(e)
     n = n_declared if n_declared is not None else (1 + max((abs(e) for e in letters), default=0))
-    try:
-        return BraidWord(n, tuple(letters))
-    except DiagramError as exc:
-        raise ParseError(str(exc)) from None
+    return BraidWord(n, tuple(letters))
 
 
 def cycles(succ: dict) -> list[list]:
@@ -141,7 +134,7 @@ class PlanarDiagram:
     def __post_init__(self):
         object.__setattr__(self, "crossings", tuple(self.crossings))
         if self.free_loops < 0:
-            raise DiagramError("negative free loop count")
+            raise ParseError("negative free loop count")
         self.validate()
 
     def validate(self):
@@ -149,16 +142,16 @@ class PlanarDiagram:
         outs: dict[int, int] = {}
         for c in self.crossings:
             if c.sign not in (1, -1):
-                raise DiagramError(f"bad crossing sign {c.sign}")
+                raise ParseError(f"bad crossing sign {c.sign}")
             for a in (c.under_in, c.over_in):
                 ins[a] = ins.get(a, 0) + 1
             for a in (c.under_out, c.over_out):
                 outs[a] = outs.get(a, 0) + 1
         if set(ins) != set(outs):
-            raise DiagramError("inconsistent arc orientation: an arc lacks a head or a tail")
+            raise ParseError("inconsistent arc orientation: an arc lacks a head or a tail")
         for a, k in ins.items():
             if k != 1 or outs[a] != 1:
-                raise DiagramError(f"arc {a} does not occur exactly twice")
+                raise ParseError(f"arc {a} does not occur exactly twice")
 
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
@@ -309,7 +302,4 @@ def parse_pd(text: str) -> PlanarDiagram:
         for s, fwd in walk:
             if s % 2:
                 chosen[s // 2] = options[s // 2][fwd == reverse]
-    try:
-        return PlanarDiagram(tuple(chosen), 0)
-    except DiagramError as exc:
-        raise ParseError(str(exc)) from None
+    return PlanarDiagram(tuple(chosen), 0)

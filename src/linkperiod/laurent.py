@@ -1,9 +1,10 @@
 """Exact integer Laurent polynomial arithmetic in one and two variables.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
-One-variable polynomials carry a variable tag (purely informational);
-two-variable polynomials are fixed in the pair (a, z).  Both share one
-sparse core: the normalising constructor, +, -, scale and powers.
+A polynomial is only its coefficient map: the letter it is written in
+(q, s, t or a for one variable, the pair (a, z) for two) is named where
+it is reported, by `format_poly` and `format_bilaurent`.  Both types share
+one sparse core: the normalising constructor, +, -, scale and powers.
 
 A packed polynomial is the integer sum of c_e * 2^(width * e) (Kronecker
 substitution): adding is one integer addition, multiplying by the
@@ -13,8 +14,6 @@ exactly, and the integer is 0 only for the zero polynomial.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 
 class InexactDivisionError(ArithmeticError):
@@ -107,37 +106,26 @@ class _SparsePoly:
 
 
 class LaurentPoly(_SparsePoly):
-    """A Laurent polynomial with integer coefficients, stored sparsely.
+    """A Laurent polynomial in one variable with integer coefficients,
+    stored sparsely."""
 
-    The variable tag is ignored by equality and arithmetic.
-    """
-
-    __slots__ = ("var",)
+    __slots__ = ()
     _key = int
     _ONE = 0
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None, var: str = "q"):
-        super().__init__(coeffs)
-        object.__setattr__(self, "var", var)
-
-    def _like(self, coeffs) -> "LaurentPoly":
-        out = super()._like(coeffs)
-        object.__setattr__(out, "var", self.var)
-        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, var: str = "q") -> "LaurentPoly":
-        return cls({}, var)
+    def zero(cls) -> "LaurentPoly":
+        return cls({})
 
     @classmethod
-    def one(cls, var: str = "q") -> "LaurentPoly":
-        return cls({0: 1}, var)
+    def one(cls) -> "LaurentPoly":
+        return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1, var: str = "q") -> "LaurentPoly":
-        return cls({exponent: coeff}, var)
+    def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
+        return cls({exponent: coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -170,22 +158,23 @@ class LaurentPoly(_SparsePoly):
         return self._like(c)
 
     def shift(self, d: int) -> "LaurentPoly":
-        """Multiply by var**d."""
+        """Multiply by the variable to the power d."""
         return self._like({e + d: v for e, v in self._c.items()})
 
     def compose_power(self, k: int) -> "LaurentPoly":
-        """Substitute var -> var**k (k may be negative or zero)."""
+        """Substitute x -> x^k for the variable x (k may be negative or
+        zero)."""
         c: dict[int, int] = {}
         for e, v in self._c.items():
             c[e * k] = c.get(e * k, 0) + v
         return self._like(c)
 
     def evaluate_one(self) -> int:
-        """Value at var = 1, i.e. the coefficient sum."""
+        """The value at 1, i.e. the coefficient sum."""
         return sum(self._c.values())
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({format_poly(self.terms(), self.var)!r})"
+        return f"LaurentPoly({dict(self.terms())!r})"
 
     # -- serialization -----------------------------------------------------
 
@@ -269,11 +258,11 @@ def unpack(x: int, width: int, low: int = 0) -> dict[int, int]:
     return out
 
 
-def quantum_integer(N: int, var: str = "q") -> LaurentPoly:
+def quantum_integer(N: int) -> LaurentPoly:
     """q^(N-1) + q^(N-3) + ... + q^(-N+1), for N >= 1."""
     if N < 1:
         raise ValueError(f"N must be >= 1: {N}")
-    return LaurentPoly({e: 1 for e in range(-N + 1, N, 2)}, var)
+    return LaurentPoly({e: 1 for e in range(-N + 1, N, 2)})
 
 
 def _signed_join(terms) -> str:

@@ -39,9 +39,9 @@ def _checks():
         skein.quantum_sln(skein.homfly(HOPF), 2, m=2) == HOPF_Q2
 
     yield "jones.trefoil", lambda: \
-        skein.jones(TREFOIL_HOMFLY) == LaurentPoly({4: -1, 3: 1, 1: 1}, "t")
+        skein.jones(TREFOIL_HOMFLY) == LaurentPoly({8: -1, 6: 1, 2: 1})
     yield "alexander.figure-eight", lambda: \
-        skein.alexander(FIG8_HOMFLY) == LaurentPoly({2: 1, 1: -3, 0: 1}, "t")
+        skein.alexander(FIG8_HOMFLY) == LaurentPoly({2: 1, 1: -3, 0: 1})
 
     def oracle():
         rng = random.Random(20240901)
@@ -93,13 +93,13 @@ def _checks():
         not classical.traczyk_jones_check(skein.jones(TREFOIL_HOMFLY), 5)
     yield "classical.murasugi-trefoil", lambda: \
         classical.murasugi_candidates(
-            LaurentPoly({2: 1, 1: -1, 0: 1}, "t"), 3) == frozenset({2})
+            LaurentPoly({2: 1, 1: -1, 0: 1}), 3) == frozenset({2})
     yield "classical.murasugi-figure-eight", lambda: \
         classical.murasugi_candidates(
-            LaurentPoly({2: 1, 1: -3, 0: 1}, "t"), 5) == frozenset()
+            LaurentPoly({2: 1, 1: -3, 0: 1}), 5) == frozenset()
     yield "classical.p0-trefoil", lambda: \
         classical.traczyk_p0_candidates(
-            LaurentPoly({2: 2, 4: -1}, "a"), 3) == frozenset({1, 2})
+            LaurentPoly({2: 2, 4: -1}), 3) == frozenset({1, 2})
 
     def statesum_fixture():
         return (statemodel.brackets(BraidWord(2, (1,)), (2,))[2] ==

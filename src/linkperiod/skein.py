@@ -68,6 +68,10 @@ makes that N times more.  C holds 2^k times this bound, so the remainder
 of the polynomial division by (x^2 - 1)^k, fewer than 2k digits below
 2^(C-2), is a multiple of (2^(2C) - 1)^k at x = 2^C only when it is
 zero: a nonzero integer remainder is exactly an inexact quotient.
+
+Here x is q for the quantum invariant and s = sqrt(t) for the Jones and
+Alexander polynomials; alexander then halves the exponents into t.  A
+result is a bare coefficient map: cli names its variable in the report.
 """
 
 from __future__ import annotations
@@ -335,9 +339,9 @@ def homfly(b: BraidWord, d: PlanarDiagram | None = None) -> BiLaurent:
         return _homfly_diagram(pd_from_braid(b) if d is None else d)
 
 
-def _specialize(P: BiLaurent, a_exp: int, var: str, N: int = 1) -> LaurentPoly:
-    """[N]_x times P at a -> x^a_exp, z -> x - x^-1, with x named var, by
-    the Horner pass over z that the module docstring describes."""
+def _specialize(P: BiLaurent, a_exp: int, N: int = 1) -> LaurentPoly:
+    """[N]_x times P at a -> x^a_exp, z -> x - x^-1, by the Horner pass
+    over z that the module docstring describes."""
     by_power: dict[int, list[tuple[int, int]]] = {}
     for (r, s), v in P._c.items():
         by_power.setdefault(s, []).append((a_exp * r, v))
@@ -359,7 +363,7 @@ def _specialize(P: BiLaurent, a_exp: int, var: str, N: int = 1) -> LaurentPoly:
     if rest:
         raise InexactDivisionError("quotient is not a Laurent polynomial")
     acc *= ((1 << 2 * width * N) - 1) // x2m1  # x^(N-1) [N]_x
-    return LaurentPoly(unpack(acc, width, low + k - (N - 1)), var)
+    return LaurentPoly(unpack(acc, width, low + k - (N - 1)))
 
 
 def quantum_sln(P: BiLaurent, N: int, m: int = 1) -> LaurentPoly:
@@ -369,42 +373,36 @@ def quantum_sln(P: BiLaurent, N: int, m: int = 1) -> LaurentPoly:
     if P.z_min() < 1 - m:
         raise ValueError("z-exponents below 1-m: not the polynomial of an "
                          f"{m}-component link")
-    return _specialize(P, -N, "q", N)
+    return _specialize(P, -N, N)
 
 
 def jones(P: BiLaurent) -> LaurentPoly:
-    """Jones polynomial via a -> t, z -> sqrt(t) - 1/sqrt(t).
-
-    Computed in s = sqrt(t).  If only even s-powers occur (always the
-    case for knots) the result is reported in t; otherwise in s.
-    """
-    v = _specialize(P, 2, "s")                  # a = t = s^2
-    if all(e % 2 == 0 for e in v.exponents()):
-        return LaurentPoly({e // 2: c for e, c in v.terms()}, "t")
-    return v
+    """Jones polynomial V(s) = P(s^2, s - s^-1) in s = sqrt(t).  For an
+    m-component link every exponent is congruent to m - 1 mod 2."""
+    return _specialize(P, 2)
 
 
 def alexander(P: BiLaurent) -> LaurentPoly:
-    """Alexander polynomial of a knot, normalized to an ordinary
+    """Alexander polynomial of a knot in t, normalized to an ordinary
     polynomial with nonzero constant term and positive leading
     coefficient."""
     if P.z_min() < 0:
         raise ValueError("negative z-exponents: not a knot polynomial")
-    v = _specialize(P, 0, "s")
+    v = _specialize(P, 0)
     if any(e % 2 != 0 for e in v.exponents()):
         raise ValueError("odd half-powers of t: not a knot polynomial")
     t_poly = {e // 2: c for e, c in v.terms()}
     if not t_poly:
-        return LaurentPoly.zero("t")
+        return LaurentPoly.zero()
     shift = -min(t_poly)
     t_poly = {e + shift: c for e, c in t_poly.items()}
     if t_poly[max(t_poly)] < 0:
         t_poly = {e: -c for e, c in t_poly.items()}
-    return LaurentPoly(t_poly, "t")
+    return LaurentPoly(t_poly)
 
 
 def p0_part(P: BiLaurent) -> LaurentPoly:
     """The z-degree-zero coefficient polynomial of a knot's HOMFLY, in a."""
     if P.z_min() < 0:
         raise ValueError("negative z-exponents: not a knot polynomial")
-    return LaurentPoly({r: v for (r, s), v in P._c.items() if s == 0}, "a")
+    return LaurentPoly({r: v for (r, s), v in P._c.items() if s == 0})

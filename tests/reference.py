@@ -174,7 +174,7 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if g.is_zero():
         raise ZeroDivisionError("division of Laurent polynomial by zero")
     if f.is_zero():
-        return LaurentPoly.zero(f.var)
+        return LaurentPoly.zero()
 
     # Long division from the top degree; exactness forces leading-term
     # divisibility at every step, and the leading term then cancels.
@@ -203,22 +203,22 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
                 rem[k] = nv
             else:
                 rem.pop(k, None)
-    return LaurentPoly(quot, f.var)
+    return LaurentPoly(quot)
 
 
 def termwise_specialize(P: BiLaurent, a_image: LaurentPoly,
-                        z_image: LaurentPoly, var: str) -> LaurentPoly:
+                        z_image: LaurentPoly) -> LaurentPoly:
     """Evaluate P at a -> a_image, z -> z_image one term at a time, each
     times its power of z_image from a table built by repeated
     multiplication; negative z powers are cleared by exact division by
     z_image."""
     s_min = min((s for (_, s) in P._c), default=0)
-    powers = [LaurentPoly.one(var)]
+    powers = [LaurentPoly.one()]
     for _ in range(max((s for (_, s) in P._c), default=0) - s_min):
         powers.append(powers[-1] * z_image)
-    shifted = LaurentPoly.zero(var)
+    shifted = LaurentPoly.zero()
     for (r, s), v in P._c.items():
-        term = a_image.compose_power(r) if r != 0 else LaurentPoly.one(var)
+        term = a_image.compose_power(r) if r != 0 else LaurentPoly.one()
         shifted = shifted + (term * powers[s - s_min]).scale(v)
     if s_min >= 0:
         return shifted * (z_image ** s_min)
@@ -350,7 +350,7 @@ def parity_split(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Split f into its even-exponent and odd-exponent parts."""
     even = {e: v for e, v in f.terms() if e % 2 == 0}
     odd = {e: v for e, v in f.terms() if e % 2 != 0}
-    return LaurentPoly(even, f.var), LaurentPoly(odd, f.var)
+    return LaurentPoly(even), LaurentPoly(odd)
 
 
 def braid_segments(b: BraidWord):

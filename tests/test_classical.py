@@ -7,10 +7,11 @@ from linkperiod.diagram import BraidWord, linking_tuple, power
 from linkperiod.laurent import LaurentPoly
 from linkperiod.selftest import FIG8_HOMFLY
 from reference import gf_mul, gf_pow, murasugi_by_powers, reduce_2p
+from test_skein import random_word
 
-TREFOIL_JONES = LaurentPoly({1: 1, 3: 1, 4: -1}, "t")
-TREFOIL_DELTA = LaurentPoly({2: 1, 1: -1, 0: 1}, "t")
-FIG8_DELTA = LaurentPoly({2: 1, 1: -3, 0: 1}, "t")
+TREFOIL_JONES = LaurentPoly({2: 1, 6: 1, 8: -1})      # in s = sqrt(t)
+TREFOIL_DELTA = LaurentPoly({2: 1, 1: -1, 0: 1})
+FIG8_DELTA = LaurentPoly({2: 1, 1: -3, 0: 1})
 
 
 class TestJonesSymmetry:
@@ -29,14 +30,12 @@ class TestJonesSymmetry:
 
     def test_s_variable_link(self):
         V = skein.jones(skein.homfly(BraidWord(2, (1, 1))))
-        assert V.var == "s"
         # The check runs mod (p, s^2p - 1) without raising.
         classical.traczyk_jones_check(V, 3)
 
     def test_link_passes_at_p2(self):
         # The Hopf link, closure of sigma_1^2, is 2-periodic.
         V = skein.jones(skein.homfly(power(BraidWord(2, (1,)), 2)))
-        assert V.var == "s"
         assert classical.traczyk_jones_check(V, 2)
 
     def test_periodic_controls(self):
@@ -63,7 +62,7 @@ class TestJonesSymmetry:
             b = BraidWord(n, tuple(rng.choice(gens)
                                    for _ in range(rng.randint(1, 10))))
             V = skein.jones(skein.homfly(b))
-            if V.var != "s":
+            if all(e % 2 == 0 for e in V.exponents()):
                 continue
             verdict = not reduce_2p(V - V.compose_power(-1), p)
             assert classical.traczyk_jones_check(V, p) == verdict, b.text()
@@ -71,10 +70,33 @@ class TestJonesSymmetry:
         # Some of these links fail at p = 5 and 7; all pass at 2 and 3.
         assert (False in verdicts) == (p > 3)
 
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+    def test_t_form_gets_the_s_verdict(self, p):
+        # For a knot or an odd number of components every exponent of V in
+        # s = sqrt(t) is even, and the check on V must give the verdict of
+        # the t-test mod (p, t^p - 1) on V in t, its exponents halved.
+        rng = random.Random(200 + p)
+        verdicts, components = [], set()
+        while len(verdicts) < 24:
+            b = random_word(rng, 5, 10)
+            m = len(linking_tuple(b))
+            if m % 2 == 0:
+                continue
+            V = skein.jones(skein.homfly(b))
+            t_form = LaurentPoly({e // 2: c for e, c in V.terms()})
+            verdict = classical.traczyk_jones_check(V, p)
+            assert classical.traczyk_jones_check(t_form, p) == verdict, \
+                b.text()
+            verdicts.append(verdict)
+            components.add(m)
+        assert {1, 3} <= components
+        # Some of these fail from p = 5 on; all pass at 2 and 3.
+        assert (False in verdicts) == (p > 3)
+
 
 class TestP0Jumps:
     def test_trefoil_p3(self):
-        c = classical.traczyk_p0_candidates(LaurentPoly({2: 2, 4: -1}, "a"), 3)
+        c = classical.traczyk_p0_candidates(LaurentPoly({2: 2, 4: -1}), 3)
         assert c == frozenset({1, 2})
 
     def test_figure_eight_all_survive(self):
@@ -84,19 +106,19 @@ class TestP0Jumps:
         assert c <= frozenset(range(3))
 
     def test_unknot_everything_survives(self):
-        c = classical.traczyk_p0_candidates(LaurentPoly({0: 1}, "a"), 5)
+        c = classical.traczyk_p0_candidates(LaurentPoly({0: 1}), 5)
         # Jumps at +-1 mod 5 restrict to lambda = +-1.
         assert c == frozenset({1, 4})
 
     def test_zero_polynomial(self):
-        c = classical.traczyk_p0_candidates(LaurentPoly.zero("a"), 3)
+        c = classical.traczyk_p0_candidates(LaurentPoly.zero(), 3)
         assert c == frozenset({0, 1, 2})
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(ValueError):
-            classical.traczyk_p0_candidates(LaurentPoly({1: 1}, "a"), 3)
+            classical.traczyk_p0_candidates(LaurentPoly({1: 1}), 3)
         with pytest.raises(ValueError):
-            classical.traczyk_p0_candidates(LaurentPoly({0: 1}, "a"), 2)
+            classical.traczyk_p0_candidates(LaurentPoly({0: 1}), 2)
 
 
 class TestMurasugi:
@@ -109,13 +131,13 @@ class TestMurasugi:
 
     def test_trivial_polynomial(self):
         # Delta = 1 factors as f^q * Phi_1^(q-1) with f = 1.
-        one = LaurentPoly({0: 1}, "t")
+        one = LaurentPoly({0: 1})
         assert 1 in classical.murasugi_candidates(one, 3)
 
     def test_vanishing_mod_p_inconclusive(self):
         assert classical.murasugi_candidates(
-            LaurentPoly({0: 3, 1: 3}, "t"), 3) is None
-        assert classical.murasugi_candidates(LaurentPoly.zero("t"), 3) is None
+            LaurentPoly({0: 3, 1: 3}), 3) is None
+        assert classical.murasugi_candidates(LaurentPoly.zero(), 3) is None
 
     def test_knots_never_vanish_mod_p(self):
         # A knot has Delta(1) = nabla(0) = +-1, so the check command's
@@ -160,7 +182,7 @@ class TestMurasugi:
                 unit, offset = rng.choice([1, -1]), rng.randint(-3, 3)
                 coeffs = {e + offset: unit * c + p * rng.randint(-2, 2)
                           for e, c in enumerate(dense)}
-            delta = LaurentPoly(coeffs, "t")
+            delta = LaurentPoly(coeffs)
             got = classical.murasugi_candidates(delta, p)
             assert got == murasugi_by_powers(delta, p), (coeffs, p)
             cases += bool(got)

@@ -489,6 +489,31 @@ class TestBatch:
         code, _, _ = run_main(["batch", "/nonexistent.csv", "-p", "3"], capsys)
         assert code == 1
 
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a byte order mark first.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(self.CSV, encoding="utf-8")
+        marked.write_text(self.CSV, encoding="utf-8-sig")
+        _, want, _ = run_main(["batch", str(plain), "-p", "5"], capsys)
+        code, out, err = run_main(["batch", str(marked), "-p", "5"], capsys)
+        assert (code, out, err) == (0, want, "")
+
+    def test_undecodable_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "links.csv"
+        path.write_bytes(self.CSV.encode() + b"odd,braid,1 \xff\n")
+        code, out, err = run_main(["batch", str(path), "-p", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+    def test_oversized_field_is_usage_error(self, capsys, tmp_path):
+        # The csv module refuses a field over 131,072 characters.
+        path = tmp_path / "links.csv"
+        path.write_text(self.CSV + "big,braid," + "1 " * 70000 + "\n")
+        code, out, err = run_main(["batch", str(path), "-p", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            f"error: cannot read {path}: field larger than field limit")
+
 
 class TestSelftest:
     def test_passes(self, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from linkperiod import skein
-from linkperiod.diagram import (BraidWord, DiagramError, ParseError,
+from linkperiod.diagram import (BraidWord, ParseError,
                                 closure_components, linking_tuple,
                                 parse_braid, parse_pd, pd_from_braid, power,
                                 writhe)
@@ -206,9 +206,9 @@ class TestParsePd:
 
 
 def test_braidword_validation():
-    with pytest.raises(DiagramError):
+    with pytest.raises(ParseError):
         BraidWord(0)
-    with pytest.raises(DiagramError):
+    with pytest.raises(ParseError):
         BraidWord(2, (2,))
-    with pytest.raises(DiagramError):
+    with pytest.raises(ParseError):
         BraidWord(2, (0,))

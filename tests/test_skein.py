@@ -490,54 +490,53 @@ class TestQuantumSln:
 
 
 class TestJones:
+    """skein.jones returns V in s = sqrt(t): the trefoil's t + t^3 - t^4 is
+    s^2 + s^6 - s^8."""
+
     def test_trefoil(self):
         V = skein.jones(TREFOIL_HOMFLY)
-        assert V.var == "t"
-        assert V == LaurentPoly({1: 1, 3: 1, 4: -1}, "t")
+        assert V == LaurentPoly({2: 1, 6: 1, 8: -1})
 
     def test_figure_eight(self):
         V = skein.jones(FIG8_HOMFLY)
-        assert V == LaurentPoly({-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}, "t")
+        assert V == LaurentPoly({-4: 1, -2: -1, 0: 1, 2: -1, 4: 1})
 
     def test_unknot(self):
-        assert skein.jones(BiLaurent.one()) == LaurentPoly({0: 1}, "t")
+        assert skein.jones(BiLaurent.one()) == LaurentPoly({0: 1})
 
     def test_hopf_reported_in_s(self):
+        # A link of two components has only odd powers of s.
         V = skein.jones(HOPF_HOMFLY)
-        assert V.var == "s"
-        assert all(e % 2 == 1 for e in V.exponents())
+        assert V == LaurentPoly({1: -1, 5: -1})
 
     def test_sl2_bridge(self):
-        # [2]_q * V(q^-2) equals the N=2 quantum invariant for knots.
-        from linkperiod.diagram import closure_components
+        # (-1)^(m-1) [2]_q V(s = q^-1) equals the N=2 quantum invariant of
+        # an m-component link.
         rng = random.Random(47)
         bracket2 = LaurentPoly({1: 1, -1: 1})
-        found = 0
-        while found < 10:
-            letters = tuple(rng.choice((1, -1, 2, -2))
-                            for _ in range(rng.randint(0, 6)))
-            b = BraidWord(3, letters)
-            if len(closure_components(b)) != 1:
-                continue
-            found += 1
+        seen = []
+        for _ in range(100):
+            b = random_word(rng, 4, 10)
+            m = len(closure_components(b))
             P = skein.homfly(b)
-            V = skein.jones(P)
-            assert V.var == "t"
-            vq = LaurentPoly({-2 * e: c for e, c in V.terms()})
-            assert bracket2 * vq == skein.quantum_sln(P, 2)
+            vq = skein.jones(P).compose_power(-1)
+            assert (bracket2 * vq).scale((-1) ** (m - 1)) == \
+                skein.quantum_sln(P, 2, m), b.text()
+            seen.append(m)
+        assert set(seen) == {1, 2, 3, 4} and seen.count(1) >= 10
 
 
 class TestAlexander:
     def test_trefoil(self):
         assert skein.alexander(TREFOIL_HOMFLY) == \
-            LaurentPoly({2: 1, 1: -1, 0: 1}, "t")
+            LaurentPoly({2: 1, 1: -1, 0: 1})
 
     def test_figure_eight(self):
         assert skein.alexander(FIG8_HOMFLY) == \
-            LaurentPoly({2: 1, 1: -3, 0: 1}, "t")
+            LaurentPoly({2: 1, 1: -3, 0: 1})
 
     def test_unknot(self):
-        assert skein.alexander(BiLaurent.one()) == LaurentPoly({0: 1}, "t")
+        assert skein.alexander(BiLaurent.one()) == LaurentPoly({0: 1})
 
     def test_rejects_links(self):
         with pytest.raises(ValueError):
@@ -546,11 +545,11 @@ class TestAlexander:
 
 class TestP0:
     def test_trefoil(self):
-        assert skein.p0_part(TREFOIL_HOMFLY) == LaurentPoly({2: 2, 4: -1}, "a")
+        assert skein.p0_part(TREFOIL_HOMFLY) == LaurentPoly({2: 2, 4: -1})
 
     def test_figure_eight(self):
         assert skein.p0_part(FIG8_HOMFLY) == \
-            LaurentPoly({-2: 1, 0: -1, 2: 1}, "a")
+            LaurentPoly({-2: 1, 0: -1, 2: 1})
 
     def test_evaluates_to_one_at_a_1(self):
         # P0(1) = 1 for every knot: check on random 3-braid knots.
@@ -571,27 +570,21 @@ class TestP0:
 def termwise_values(P, m, Ns=(2, 3, 4)):
     """What quantum_sln (each N of Ns), jones, and for knots alexander and
     p0_part should return, by reference.termwise_specialize."""
-    def x_minus_inverse(var):
-        return LaurentPoly({1: 1, -1: -1}, var)
-
+    x_minus_inverse = LaurentPoly({1: 1, -1: -1})
     out = {N: quantum_integer(N) * termwise_specialize(
-        P, LaurentPoly.monomial(-N), x_minus_inverse("q"), "q")
+        P, LaurentPoly.monomial(-N), x_minus_inverse)
         for N in Ns}
-    v = termwise_specialize(P, LaurentPoly.monomial(2, var="s"),
-                            x_minus_inverse("s"), "s")
-    if all(e % 2 == 0 for e in v.exponents()):
-        v = LaurentPoly({e // 2: c for e, c in v.terms()}, "t")
-    out["jones"] = v
+    out["jones"] = termwise_specialize(P, LaurentPoly.monomial(2),
+                                       x_minus_inverse)
     if m == 1:
-        v = termwise_specialize(P, LaurentPoly.one("s"),
-                                x_minus_inverse("s"), "s")
+        v = termwise_specialize(P, LaurentPoly.one(), x_minus_inverse)
         t = {e // 2: c for e, c in v.terms()}
         low = min(t, default=0)
         sign = -1 if t and t[max(t)] < 0 else 1
         out["alexander"] = LaurentPoly(
-            {e - low: sign * c for e, c in t.items()}, "t")
-        out["p0"] = termwise_specialize(P, LaurentPoly.monomial(1, var="a"),
-                                        LaurentPoly.zero("a"), "a")
+            {e - low: sign * c for e, c in t.items()})
+        out["p0"] = termwise_specialize(P, LaurentPoly.monomial(1),
+                                        LaurentPoly.zero())
     return out
 
 
@@ -605,10 +598,7 @@ def specialized_values(P, m, Ns=(2, 3, 4)):
 
 
 def assert_same_values(P, m, Ns=(2, 3, 4)):
-    got, want = specialized_values(P, m, Ns), termwise_values(P, m, Ns)
-    assert got == want
-    assert {k: v.var for k, v in got.items()} == \
-        {k: v.var for k, v in want.items()}
+    assert specialized_values(P, m, Ns) == termwise_values(P, m, Ns)
 
 
 class TestSpecializeAgainstTermwise:
@@ -700,7 +690,7 @@ class TestSpecializeAgainstTermwise:
 
     def test_every_small_power_of_a(self):
         rng = random.Random(67)
-        z = LaurentPoly({1: 1, -1: -1}, "x")
+        z = LaurentPoly({1: 1, -1: -1})
         polys = [BiLaurent({(1, 2): 3, (-3, 2): -1, (0, 4): 2, (2, 6): 1})]
         # Long words whose Horner digits outgrow their HOMFLY coefficients.
         polys += [skein.homfly(b) for b in (
@@ -711,8 +701,8 @@ class TestSpecializeAgainstTermwise:
         assert min(P.z_min() for P in polys) <= -4
         for P in polys:
             for k in range(-5, 6):
-                assert skein._specialize(P, k, "x") == termwise_specialize(
-                    P, LaurentPoly.monomial(k, var="x"), z, "x")
+                assert skein._specialize(P, k) == termwise_specialize(
+                    P, LaurentPoly.monomial(k), z)
 
 
 class TestDiagramFrontier:
