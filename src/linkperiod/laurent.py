@@ -59,6 +59,14 @@ class _SparsePoly:
         object.__setattr__(out, "_c", {k: v for k, v in coeffs.items() if v})
         return out
 
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({cls._ONE: 1})
+
     def is_zero(self) -> bool:
         return not self._c
 
@@ -112,16 +120,6 @@ class LaurentPoly(_SparsePoly):
     __slots__ = ()
     _key = int
     _ONE = 0
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
 
     @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
@@ -191,14 +189,6 @@ class BiLaurent(_SparsePoly):
     @staticmethod
     def _key(k) -> tuple[int, int]:
         return (int(k[0]), int(k[1]))
-
-    @classmethod
-    def zero(cls) -> "BiLaurent":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "BiLaurent":
-        return cls({(0, 0): 1})
 
     @classmethod
     def monomial(cls, a_exp: int, z_exp: int, coeff: int = 1) -> "BiLaurent":
