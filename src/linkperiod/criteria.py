@@ -27,7 +27,9 @@ C(p//2 + m, m - 1) products in F_p[q]/(q^p - 1), plus one per hit: at
 p = 41, m = 4, 10,626 probes and 2,022 products, where p^m = 2,825,761.
 Target, residues and products are sparse maps from exponent mod p to
 nonzero coefficient, the form `laurent.reduce` returns; r_k has at most
-N terms, so a knot (m = 1) forms no product and costs O(p * N).
+N terms, so a knot (m = 1) forms no product and costs O(p * N) time;
+its search reads each r_k once, in order, so only a link's search keeps
+the p//2 + 1 residues.
 
 For odd p, q -> -q is a ring isomorphism from F_p[q]/(q^p + 1) onto
 F_p[q]/(q^p - 1) that sends [N]_{q^k} to (-1)^{k(N-1)} [N]_{q^k}.  So
@@ -39,6 +41,7 @@ k = r and k = r + p, with the sign flipped when k(N-1) is odd.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 from .laurent import (LaurentPoly, is_odd_prime, is_prime, quantum_integer,
                       reduce)
@@ -110,10 +113,12 @@ def _orbit_search(targets: list[dict[int, int]], p: int, N: int,
     from one walk (module docstring).  Every target is probed at the first
     one's lowest exponent, which +-f(-q) share."""
     residues = quantum_residues(p, N)
-    probe = min(targets[0], default=0)
-    wants = {t.get(probe, 0) for t in targets}
-    probes = [[((probe - d) % p, c) for d, c in r.items()]
-              for r in residues] if m > 1 else []
+    if m > 1:
+        residues = list(residues)
+        probe = min(targets[0], default=0)
+        wants = {t.get(probe, 0) for t in targets}
+        probes = [[((probe - d) % p, c) for d, c in r.items()]
+                  for r in residues]
     hits: list[set[tuple[int, ...]]] = [set() for _ in targets]
 
     def extend(prefix: dict[int, int], ks: tuple[int, ...]) -> None:
@@ -136,17 +141,17 @@ def _orbit_search(targets: list[dict[int, int]], p: int, N: int,
     return hits
 
 
-def quantum_residues(p: int, N: int) -> list[dict[int, int]]:
-    """r_k, the residue of [N]_{q^k} mod (p, q^p - 1), for k = 0..p//2:
-    k * I mod p -> multiplicity mod p over I in I_N, zeros dropped."""
-    out = []
+def quantum_residues(p: int, N: int) -> Iterator[dict[int, int]]:
+    """r_k, the residue of [N]_{q^k} mod (p, q^p - 1), for k = 0..p//2 in
+    order: k * I mod p -> multiplicity mod p over I in I_N, zeros dropped.
+    Yielded one at a time, so a knot's search, which reads each r_k
+    once, holds one of them at a time."""
     for k in range(p // 2 + 1):
         r: dict[int, int] = {}
         for label in range(-N + 1, N, 2):
             e = k * label % p
             r[e] = r.get(e, 0) + 1
-        out.append({e: c % p for e, c in r.items() if c % p})
-    return out
+        yield {e: c % p for e, c in r.items() if c % p}
 
 
 def _cyclic_product(f: dict[int, int], g: dict[int, int],

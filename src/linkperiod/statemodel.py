@@ -39,30 +39,39 @@ back to its own slot.  Each strand closes into its own spliced loop,
 and the norm is the sum of the starting labels.  Summed over the
 labellings with one pattern whose blocks have sizes m_0..m_(k-1), the
 closed weight is multiplied by sum over v_0 < ... < v_(k-1) in I_N of
-q^(m_0 v_0 + ... + m_(k-1) v_(k-1)), a small DP over I_N.  Only that
-factor depends on N, so one pass over the patterns with at most max(N)
-blocks serves every N.
+q^(m_0 v_0 + ... + m_(k-1) v_(k-1)); with v = 2u - N + 1 that is
+q^(-(N-1)n) times a sum over u_0 < ... < u_(k-1) in 0..N-1, packed by a
+shift DP over u.  Only that factor depends on N, so one pass over the
+patterns with at most max(N) blocks serves every N, each N summed
+packed and read by one laurent.unpack.
 
-Packing.  A weight is a Laurent polynomial in q.  Taking q^-1 out of
-every letter leaves local weights that are polynomials: q^2 or 1 for
-rule 2 / 5, +-(q^2 - 1) for rule 1 / 4 and q for rule 3 / 6.  So a
-weight of the pass is q^-L X(q) after L letters, and X is kept as the
-one integer X(2^width) (Kronecker substitution): a letter costs a shift
-and a subtraction per entry, whatever the number of terms.  Each entry
-after a letter is its old value times a local weight with absolute
-coefficient sum at most 2, plus q times one other entry's old value, so
-coefficient sums grow at most threefold per letter; a slot width
-(laurent.digit_width) whose signed digits hold the patterns times 3^L
-lets the shared decoder laurent.unpack read every closed sum exactly.
+Packing.  A weight is one integer, its value at q = 2^width (Kronecker
+substitution) with exponents raised to be nonnegative: every entry
+starts as q^0, and before each block of ROOM letters all weights gain
+q^(block length).  The local weights are q^+-1 (rule 2 / 5), one
+shift; +-(q - q^-1) (rule 1 / 4), (x << width) - (x >> width); and 1
+(rule 3 / 6).  A block has no more factors q^-1 than letters, so the
+right shift is exact (the digit it drops is 0); raising per block, not
+by L at once, keeps a weight near 2k digits after k letters.  Only the
+brackets must fit the signed digits (laurent.digit_width): N^n starting
+labellings and absolute coefficient sums at most tripling per letter
+give max(N)^n * 3^L.
+
+Rows.  Row i of the table maps a starting pattern's number to the
+weight of the states now at pattern i.  Per generator used, the
+patterns are paired once by the swap of its slots, (i, j) with the
+larger rank left in i.  A positive letter gives i the old row of j plus
+the splice of i's, and j the old row of i; a negative one exchanges i
+and j.  Each old row is read once, so rows move by reference and merge
+in place.
 
 Table bound.  The pass starts from the sum over k <= min(n, max N) of
 k! * S(n, k) patterns (S the Stirling numbers of the second kind: 13 on
 three strands, 75 on four).  A current pattern is a rearrangement of its
 starting one, so the table never holds more than the sum over those
 patterns of n! / (m_0! ... m_(k-1)!) entries (55 on three strands, 1,077
-on four, against N^n * n! for a pass keyed by labels and slot
-permutation), whatever the braid length, and each letter maps every
-entry to at most two.
+on four), whatever the braid length, and each letter maps every entry
+to at most two.
 """
 
 from __future__ import annotations
@@ -75,6 +84,8 @@ from .laurent import LaurentPoly, digit_width, unpack
 
 #: The most table entries `brackets` holds at once.
 MAX_STATES = 2_000_000
+#: Letters per raise of the weights.
+ROOM = 24
 
 
 class StateResourceError(RuntimeError):
@@ -85,12 +96,6 @@ def labels_range(N: int) -> list[int]:
     if N < 2:
         raise ValueError(f"N must be >= 2: {N}")
     return list(range(-N + 1, N, 2))
-
-
-def _add(acc: dict[int, int], w: dict[int, int], d: int, k: int = 1) -> None:
-    """acc += k * q^d * w, both as exponent -> coefficient maps."""
-    for x, c in w.items():
-        acc[x + d] = acc.get(x + d, 0) + k * c
 
 
 # -- rank patterns ------------------------------------------------------------
@@ -118,59 +123,37 @@ def _rank_patterns(n: int, blocks: int):
             yield tuple(order[r] for r in rgs)
 
 
-def _ordered_sum(sizes: tuple[int, ...], N: int) -> dict[int, int]:
-    """sum over v_0 < ... < v_(k-1) in I_N of q^(sum sizes[i] * v_i)."""
-    k = len(sizes)
-    dp: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
-    for v in labels_range(N):
-        for i in range(k, 0, -1):
-            _add(dp[i], dp[i - 1], sizes[i - 1] * v)
-    return dp[k]
+def _ordered_sum(sizes: tuple[int, ...], N: int, width: int) -> int:
+    """sum over v_0 < ... < v_(k-1) in I_N of q^(sum sizes[i] * v_i),
+    times q^((N-1) * sum(sizes)), packed at `width`."""
+    dp = [1] + [0] * len(sizes)
+    for u in range(N):
+        for i in range(len(sizes), 0, -1):
+            dp[i] += dp[i - 1] << 2 * sizes[i - 1] * u * width
+    return dp[-1]
 
 
 # -- transfer pass ------------------------------------------------------------
 
-def _rank_transfer(table: dict, e: int, width: int) -> dict:
-    """The table after letter e, with q^-1 taken out of its weights:
-    every entry moves to at most two."""
-    j = abs(e) - 1
-    equal = 2 * width if e > 0 else 0                     # q^2 or 1
-    nxt: dict = {}
-
-    def merge(cur, row):
-        acc = nxt.get(cur)
-        if acc is None:
-            nxt[cur] = row
-        else:
-            for s, w in row.items():
-                acc[s] = acc.get(s, 0) + w
-
-    for cur, row in table.items():
-        lc, ld = cur[j], cur[j + 1]
-        if lc == ld:                                      # rule 2 / 5
-            # No other entry reaches two equal ranks at j, j + 1, and
-            # the old row is read only here, so it may move as it is.
-            nxt[cur] = {s: w << equal for s, w in row.items()} if equal else row
-            continue
-        if (lc > ld) == (e > 0):                          # rule 1 / 4
-            if e > 0:
-                merge(cur, {s: (w << 2 * width) - w for s, w in row.items()})
-            else:
-                merge(cur, {s: w - (w << 2 * width) for s, w in row.items()})
-        merge(cur[:j] + (ld, lc) + cur[j + 2:],           # rule 3 / 6
-              {s: w << width for s, w in row.items()})
-    return nxt
+def _swaps(patterns: list, index: dict, j: int):
+    """The patterns with equal ranks at slots j, j + 1, and the pairs
+    (i, i') swapped there, the larger rank on the left in i."""
+    equal, pairs = [], []
+    for i, r in enumerate(patterns):
+        if r[j] == r[j + 1]:
+            equal.append(i)
+        elif r[j] > r[j + 1]:
+            pairs.append((i, index[r[:j] + (r[j + 1], r[j]) + r[j + 2:]]))
+    return equal, pairs
 
 
 def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
     """N -> sum over all states of the vertex weights times q^norm, for
-    every N in `ns`, from one transfer pass.
+    every N in `ns`, from one transfer pass (module docstring).
 
-    The table maps the current rank pattern of the slots to a row, which
-    maps the index of a starting pattern to a packed weight (see the
-    module docstring).  Raises StateResourceError when the table would
-    hold more than MAX_STATES entries; the starting table is refused
-    before it is built, with the largest N in the message.
+    Raises StateResourceError when the table would hold more than
+    MAX_STATES entries; the starting table is refused before it is
+    built, with the largest N in the message.
     """
     ns = sorted(set(ns))
     if not ns:
@@ -185,30 +168,42 @@ def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
                 f"more than {MAX_STATES} state-sum table entries on "
                 f"{b.text()!r} at N={top}")
 
-    guard(_pattern_count(b.n, top))
-    patterns = list(_rank_patterns(b.n, top))
-    L = len(b.letters)
-    width = digit_width(len(patterns) * 3 ** L)
-    table = {r: {i: 1} for i, r in enumerate(patterns)}
-    for e in b.letters:
-        table = _rank_transfer(table, e, width)
-        guard(sum(map(len, table.values())))
+    n, L = b.n, len(b.letters)
+    guard(_pattern_count(n, top))
+    patterns = list(_rank_patterns(n, top))
     index = {r: i for i, r in enumerate(patterns)}
+    w = digit_width(top ** n * 3 ** L)
+    table = [{i: 1} for i in range(len(patterns))]
+    swaps = {j: _swaps(patterns, index, j)
+             for j in {abs(e) - 1 for e in b.letters}}
+    for t, e in enumerate(b.letters):
+        if t % ROOM == 0:
+            d = min(ROOM, L - t) * w
+            for row in table:
+                for s, x in row.items():
+                    row[s] = x << d
+        equal, pairs = swaps[abs(e) - 1]
+        for i in equal:                                   # rule 2 / 5
+            row = table[i]
+            table[i] = ({s: x << w for s, x in row.items()} if e > 0
+                        else {s: x >> w for s, x in row.items()})
+        for i, k in pairs:
+            if e < 0:
+                i, k = k, i
+            row, flat = table[i], table[k]
+            for s, x in row.items():                      # rule 1 / 4
+                x = (x << w) - (x >> w) if e > 0 else (x >> w) - (x << w)
+                flat[s] = flat.get(s, 0) + x
+            table[i], table[k] = flat, row                # rule 3 / 6
+        guard(sum(map(len, table)))
     closed: dict[tuple[int, ...], int] = {}
-    for cur, row in table.items():
-        w = row.get(index[cur])
-        if w is not None:
-            sizes = tuple(cur.count(r) for r in range(max(cur) + 1))
-            closed[sizes] = closed.get(sizes, 0) + w
-    weights = {sizes: unpack(w, width, -L) for sizes, w in closed.items()}
-    out = {}
-    for N in ns:
-        total: dict[int, int] = {}
-        for sizes, w in weights.items():
-            for d, c in _ordered_sum(sizes, N).items():
-                _add(total, w, d, c)
-        out[N] = LaurentPoly(total)
-    return out
+    for i, r in enumerate(patterns):
+        if i in table[i]:
+            sizes = tuple(map(r.count, range(max(r) + 1)))
+            closed[sizes] = closed.get(sizes, 0) + table[i][i]
+    return {N: LaurentPoly(unpack(
+        sum(x * _ordered_sum(sizes, N, w) for sizes, x in closed.items()),
+        w, -L - (N - 1) * n)) for N in ns}
 
 
 def invariant_statesums(b: BraidWord, ns) -> dict[int, LaurentPoly]:

@@ -104,6 +104,19 @@ class TestKnotCandidates:
             tracemalloc.stop()
         assert peak < 2_000_000
 
+    @pytest.mark.parametrize("plus", [False, True], ids=["minus", "plus"])
+    def test_memory_flat_in_p(self, plus):
+        # A knot's search reads each residue once, in order, so it holds
+        # one at a time: at p = 200,003 it stays under the bound that
+        # p = 2,003 meets above; holding all p/2 residues takes about 30 MB.
+        tracemalloc.start()
+        try:
+            criteria.knot_candidates(TREFOIL_Q2, 200_003, 2, plus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     def test_plus_builds_one_search(self, monkeypatch):
         # Both signs of +-f(-q) are targets of one walk: one reduction and
         # one set of residues per call.
@@ -185,7 +198,7 @@ class TestLinkCandidates:
     def test_residues_match_reduced_rhs_sum(self, p):
         # r_k is built from the labels directly, not by reducing rhs_sum.
         for N in range(2, 7):
-            residues = criteria.quantum_residues(p, N)
+            residues = list(criteria.quantum_residues(p, N))
             assert len(residues) == p // 2 + 1
             for k, r in enumerate(residues):
                 assert r == reduce(criteria.rhs_sum(N, (k,)), p), (p, N, k)

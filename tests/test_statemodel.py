@@ -7,7 +7,7 @@ import pytest
 
 from linkperiod import skein, statemodel
 from linkperiod.diagram import BraidWord, linking_tuple, power, writhe
-from linkperiod.laurent import LaurentPoly, quantum_integer
+from linkperiod.laurent import LaurentPoly, quantum_integer, unpack
 from linkperiod.selftest import FIGURE_EIGHT, HOPF, TREFOIL
 from reference import (braid_segments, enumerate_states, is_proper,
                        self_crossing_indices, slot_bracket, strand_component)
@@ -346,7 +346,9 @@ class TestRankPass:
                         statemodel.labels_range(N), len(sizes)):
                     d = sum(m * v for m, v in zip(sizes, vs))
                     brute[d] = brute.get(d, 0) + 1
-                assert statemodel._ordered_sum(sizes, N) == brute, (sizes, N)
+                packed = statemodel._ordered_sum(sizes, N, 8)
+                assert unpack(packed, 8, -(N - 1) * sum(sizes)) == brute, \
+                    (sizes, N)
 
     def test_pattern_count(self):
         for n in range(1, 6):
@@ -356,6 +358,49 @@ class TestRankPass:
                     statemodel._pattern_count(n, blocks)
                 assert all(set(r) == set(range(max(r) + 1)) and
                            max(r) < blocks for r in patterns)
+
+
+class TestCentredPass:
+    """The pass starts every weight at q^0, raises the exponents of all
+    weights before each block of ROOM letters by the block's length, and
+    takes q^-1 by a right shift of the packed integer."""
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    @pytest.mark.parametrize("base", [(2, (1,)), (3, (1, 2))],
+                             ids=["s1", "s1s2"])
+    def test_powers_agree_with_skein(self, base, sign):
+        # An all-negative word shifts the all-equal states down to the
+        # exponent floor, an all-positive one up to twice the offset.
+        n, letters = base
+        for k in range(1, 41):
+            b = power(BraidWord(n, tuple(sign * e for e in letters)), k)
+            P = skein.homfly(b)
+            m = len(linking_tuple(b))
+            invs = statemodel.invariant_statesums(b, [2, 3, 4, 5])
+            for N, inv in invs.items():
+                assert inv == skein.quantum_sln(P, N, m), (b.text(), N)
+
+    @pytest.mark.parametrize("room", [1, 2, 7])
+    def test_block_length_does_not_matter(self, room, monkeypatch):
+        # Short blocks put the raise between any two letters, including
+        # right after a run of q^-1 factors that reached the floor.
+        rng = random.Random(409 + room)
+        words = [random_n_word(rng, n, 30) for n in (2, 3, 4) for _ in range(3)]
+        words += [BraidWord(3, (-1, -2) * 12), BraidWord(2, (-1,) * 15)]
+        expected = [statemodel.brackets(b, [2, 3, 4]) for b in words]
+        monkeypatch.setattr(statemodel, "ROOM", room)
+        for b, want in zip(words, expected):
+            assert statemodel.brackets(b, [2, 3, 4]) == want, b.text()
+
+    def test_words_that_skip_a_generator(self):
+        # Slots 2 and 3 never meet: only sigma_1 and sigma_3 are indexed.
+        rng = random.Random(401)
+        for _ in range(8):
+            b = BraidWord(4, tuple(rng.choice((1, -1, 3, -3))
+                                   for _ in range(rng.randint(1, 10))))
+            got = statemodel.brackets(b, [2, 3, 4, 5])
+            for N in (2, 3, 4, 5):
+                assert got[N] == slot_bracket(b, N), (b.text(), N)
 
 
 class TestProperStates:
