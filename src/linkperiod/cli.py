@@ -8,7 +8,6 @@ Exit codes: 0 success (including "undecided"), 1 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -337,6 +336,7 @@ BATCH_FIELDS = ("name", "input_type", "input")
 
 
 def cmd_batch(args) -> int:
+    import csv      # imported here: only batch reads a CSV
     n_list, names = _check_options(args)
     # utf-8-sig drops the byte order mark that spreadsheets write first.
     try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -18,20 +17,53 @@ class ParseError(ValueError):
     """Malformed braid or PD input, or an invalid braid or diagram."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class _Value:
+    """An immutable value whose fields are its __slots__: equal fields make
+    equal objects of one class, with equal hashes.  Plain slots rather than
+    a frozen dataclass, which would cost every process the dataclasses
+    import and the code it generates."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class BraidWord(_Value):
     """A braid word on `n` strands; letters are nonzero ints with |e| < n."""
 
-    n: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParseError(f"strand count must be >= 1: {self.n}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for e in self.letters:
-            if e == 0 or abs(e) >= self.n:
-                raise ParseError(f"invalid letter {e} for {self.n} strands")
+    def __init__(self, n: int, letters: tuple[int, ...] = ()):
+        if n < 1:
+            raise ParseError(f"strand count must be >= 1: {n}")
+        letters = tuple(letters)
+        for e in letters:
+            if e == 0 or abs(e) >= n:
+                raise ParseError(f"invalid letter {e} for {n} strands")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -124,16 +156,16 @@ class Crossing(NamedTuple):
         return (self.under_in, self.over_out, self.under_out, self.over_in)
 
 
-@dataclass(frozen=True)
-class PlanarDiagram:
+class PlanarDiagram(_Value):
     """An oriented link diagram: crossings plus crossing-free loops."""
 
-    crossings: tuple[Crossing, ...] = ()
-    free_loops: int = 0
+    __slots__ = ("crossings", "free_loops")
 
-    def __post_init__(self):
-        object.__setattr__(self, "crossings", tuple(self.crossings))
-        if self.free_loops < 0:
+    def __init__(self, crossings: tuple[Crossing, ...] = (),
+                 free_loops: int = 0):
+        object.__setattr__(self, "crossings", tuple(crossings))
+        object.__setattr__(self, "free_loops", free_loops)
+        if free_loops < 0:
             raise ParseError("negative free loop count")
         self.validate()
 
@@ -222,8 +254,9 @@ def pd_from_braid(b: BraidWord) -> PlanarDiagram:
     return PlanarDiagram(crossings, b.n - len(last))
 
 
-_PD_TOKEN = re.compile(
-    r"X\[\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\]")
+#: One crossing of PD text; re compiles and caches it on the first parse.
+_PD_TOKEN = (r"X\[\s*([0-9]+)\s*,\s*([0-9]+)\s*,"
+             r"\s*([0-9]+)\s*,\s*([0-9]+)\s*\]")
 
 
 def parse_pd(text: str) -> PlanarDiagram:
@@ -238,7 +271,7 @@ def parse_pd(text: str) -> PlanarDiagram:
         raise ParseError("empty PD input")
     tuples = []
     pos = 0
-    for m in _PD_TOKEN.finditer(text):
+    for m in re.finditer(_PD_TOKEN, text):
         if text[pos:m.start()].strip():
             raise ParseError(f"malformed PD text near: {text[pos:m.start()].strip()!r}")
         tuples.append(tuple(int(g) for g in m.groups()))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from . import classical, criteria, skein, statemodel
-from .diagram import BraidWord, linking_tuple, power
+from .diagram import BraidWord, linking_tuple, pd_from_braid, power
 from .laurent import BiLaurent, LaurentPoly, reduce
 
 TREFOIL = BraidWord(2, (1, 1, 1))
@@ -30,6 +30,14 @@ def _checks():
     yield "homfly.hopf", lambda: skein.homfly(HOPF) == HOPF_HOMFLY
     yield "homfly.figure-eight", lambda: skein.homfly(FIGURE_EIGHT) == FIG8_HOMFLY
     yield "homfly.unknot", lambda: skein.homfly(BraidWord(1)) == BiLaurent.one()
+
+    def skein_route():
+        # skein.homfly imports the route on its first fallback; checking it
+        # here finds a package without it before a long braid does.
+        from . import skeinroute
+        trefoil = pd_from_braid(TREFOIL)
+        return skeinroute.homfly_diagram(trefoil) == TREFOIL_HOMFLY
+    yield "homfly.skein-route-trefoil", skein_route
 
     yield "quantum.trefoil-n2", lambda: \
         skein.quantum_sln(skein.homfly(TREFOIL), 2) == TREFOIL_Q2

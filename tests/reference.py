@@ -39,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from linkperiod import criteria, skein, statemodel
+from linkperiod import criteria, skein, skeinroute, statemodel
 from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
                                _arc_cycles, closure_components, writhe)
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
@@ -233,9 +233,9 @@ def _times_generator(element: dict, i: int, sign: int) -> dict:
     """element * T_i^sign in the basis T_w, one BiLaurent per w."""
     out: dict = {}
     for w, c in element.items():
-        skein._add(out, w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:], c)
+        skeinroute._add(out, w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:], c)
         if (w[i - 1] > w[i]) == (sign > 0):
-            skein._add(out, w, _Z * c if sign > 0 else -(_Z * c))
+            skeinroute._add(out, w, _Z * c if sign > 0 else -(_Z * c))
     return out
 
 
@@ -248,13 +248,13 @@ def _ocneanu_trace(element: dict, n: int) -> BiLaurent:
             p = w.index(m - 1)
             u = w[:p] + w[p + 1:]
             if p == m - 1:
-                skein._add(lower, u, skein.DELTA * c)
+                skeinroute._add(lower, u, skein.DELTA * c)
                 continue
             part = {u: _AM1 * c}
             for g in range(m - 2, p, -1):
                 part = _times_generator(part, g, 1)
             for v, d in part.items():
-                skein._add(lower, v, d)
+                skeinroute._add(lower, v, d)
         element = lower
     return element.get((0,), BiLaurent.zero())
 

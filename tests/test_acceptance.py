@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from linkperiod import classical, cli, criteria, skein, statemodel
+from linkperiod import (classical, cli, criteria, skein, skeinroute,
+                        statemodel)
 from linkperiod.diagram import BraidWord, linking_tuple, pd_from_braid, power
 from linkperiod.laurent import LaurentPoly, quantum_integer, reduce
 from linkperiod.selftest import (FIGURE_EIGHT, TREFOIL, TREFOIL_HOMFLY,
@@ -43,7 +44,7 @@ def sweep():
     for b in sweep_words():
         P = skein.homfly(b)
         d = pd_from_braid(b)
-        assert skein._homfly_diagram(d) == P, b.text()
+        assert skeinroute.homfly_diagram(d) == P, b.text()
         assert skein.homfly(braid_from_pd(d), d) == P, b.text()
         m = len(linking_tuple(b))
         invs = {}
@@ -266,7 +267,7 @@ def test_criterion_12_markov_invariance():
     rng = random.Random(20240918)
     routes = (skein.homfly,
               lambda b: skein.homfly(braid_from_pd(pd_from_braid(b))),
-              lambda b: skein._homfly_diagram(pd_from_braid(b)))
+              lambda b: skeinroute.homfly_diagram(pd_from_braid(b)))
     for _ in range(50):
         n = rng.randint(2, 3)
         letters = tuple(rng.choice([e for e in LETTERS if abs(e) < n])

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from linkperiod import cli, skein, statemodel, vogel
+from linkperiod import cli, skein, skeinroute, statemodel, vogel
 from linkperiod.diagram import (BraidWord, PlanarDiagram, parse_braid,
                                 pd_from_braid)
 from test_skein import connected_sum
@@ -340,14 +340,22 @@ class TestCrossingLimit:
 
 
 def test_braid_input_never_loads_vogel():
-    # vogel is imported on the first PD input only.
-    code = ("import sys; from linkperiod import cli; "
+    # vogel is imported on the first PD input only, the skein route on the
+    # first braid past skein.HECKE_MAX_TERMS and csv by batch; diagram's
+    # value classes need neither dataclasses nor inspect.  Modules loaded
+    # before cli (by site) do not count.
+    code = ("import sys; before = set(sys.modules); "
+            "from linkperiod import cli; "
             "cli.main(['check', '--braid', '1 1 1', '-p', '3', "
             "'--out', sys.argv[1]]); "
-            "assert 'linkperiod.vogel' not in sys.modules")
+            "print(*sorted(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", code, os.devnull],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "linkperiod.skein" in added
+    assert not added & {"dataclasses", "inspect", "csv", "linkperiod.vogel",
+                        "linkperiod.skeinroute"}
 
 
 class TestCheck:
@@ -682,7 +690,7 @@ def test_number_options_take_ascii_digits(capsys, argv):
 def no_skein_route(monkeypatch):
     def no_skein(d):
         raise AssertionError("skein route run on a non-planar code")
-    monkeypatch.setattr(skein, "_homfly_diagram", no_skein)
+    monkeypatch.setattr(skeinroute, "homfly_diagram", no_skein)
 
 
 @pytest.mark.parametrize("command", [

@@ -1,9 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from linkperiod import skein
-from linkperiod.diagram import (BraidWord, ParseError,
+from linkperiod.diagram import (BraidWord, Crossing, ParseError, PlanarDiagram,
                                 closure_components, linking_tuple,
                                 parse_braid, parse_pd, pd_from_braid, power,
                                 writhe)
@@ -212,3 +214,59 @@ def test_braidword_validation():
         BraidWord(2, (2,))
     with pytest.raises(ParseError):
         BraidWord(2, (0,))
+
+
+class TestValueSemantics:
+    """BraidWord and PlanarDiagram are immutable values."""
+
+    HOPF_PD = (Crossing(1, 3, 1, 2, 4), Crossing(1, 4, 2, 1, 3))
+
+    def test_equal_fields_equal_objects(self):
+        assert BraidWord(2, (1, 1, 1)) == BraidWord(2, [1, 1, 1])
+        assert hash(BraidWord(2, (1, 1, 1))) == hash(BraidWord(2, [1, 1, 1]))
+        assert BraidWord(2, (1, 1, 1)) != BraidWord(3, (1, 1, 1))
+        assert BraidWord(2, (1,)) != BraidWord(2, (-1,))
+        d = PlanarDiagram(list(self.HOPF_PD), 1)
+        assert d == PlanarDiagram(self.HOPF_PD, 1)
+        assert hash(d) == hash(PlanarDiagram(self.HOPF_PD, 1))
+        assert d != PlanarDiagram(self.HOPF_PD, 0)
+        assert len({BraidWord(2, (1,)), BraidWord(2, [1]), BraidWord(2)}) == 2
+
+    def test_other_types_are_not_equal(self):
+        assert BraidWord(1) != PlanarDiagram()
+        assert BraidWord(2, (1,)) != (2, (1,))
+
+    def test_fields_cannot_be_assigned(self):
+        b, d = BraidWord(2, (1,)), PlanarDiagram(self.HOPF_PD)
+        for obj, name, value in ((b, "n", 3), (b, "letters", ()),
+                                 (d, "free_loops", 2), (d, "crossings", ()),
+                                 (b, "other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert (b.n, b.letters) == (2, (1,))
+        assert (d.crossings, d.free_loops) == (self.HOPF_PD, 0)
+
+    def test_defaults(self):
+        assert BraidWord(3).letters == ()
+        empty = PlanarDiagram()
+        assert (empty.crossings, empty.free_loops) == ((), 0)
+        assert PlanarDiagram(self.HOPF_PD).free_loops == 0
+
+    def test_keyword_construction(self):
+        assert BraidWord(n=2, letters=(1, 1)) == BraidWord(2, (1, 1))
+        assert PlanarDiagram(free_loops=2) == PlanarDiagram((), 2)
+        assert PlanarDiagram(crossings=self.HOPF_PD, free_loops=1) == \
+            PlanarDiagram(self.HOPF_PD, 1)
+
+    def test_copy_and_pickle(self):
+        for obj in (BraidWord(3, (1, -2)), PlanarDiagram(self.HOPF_PD, 1)):
+            assert copy.copy(obj) == copy.deepcopy(obj) == obj
+            assert pickle.loads(pickle.dumps(obj)) == obj
+
+    def test_planar_diagram_validation(self):
+        with pytest.raises(ParseError, match="negative free loop count"):
+            PlanarDiagram((), -1)
+        with pytest.raises(ParseError, match="does not occur exactly twice"):
+            PlanarDiagram(self.HOPF_PD * 2)

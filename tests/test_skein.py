@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from reference import hecke_homfly, termwise_specialize
 
-from linkperiod import skein
+from linkperiod import skein, skeinroute
 from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
                                 closure_components, parse_pd, pd_from_braid)
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
@@ -25,7 +25,7 @@ NON_PLANAR = ("X[1,2,3,4] X[3,4,1,2]", "X[1,3,2,4] X[4,3,1,2]",
 
 def homfly_of_diagram(b):
     """The skein route on the diagram of a braid closure."""
-    return skein._homfly_diagram(pd_from_braid(b))
+    return skeinroute.homfly_diagram(pd_from_braid(b))
 
 
 def homfly_of_pd(b):
@@ -386,7 +386,7 @@ class TestBraidFromPd:
             most = max(most, moves)
             assert skein.homfly(b, d) == expected
             if len(d.crossings) <= 10:
-                assert skein._homfly_diagram(d) == expected
+                assert skeinroute.homfly_diagram(d) == expected
         assert most > 0
 
     def test_closures_need_no_moves(self):
@@ -412,18 +412,19 @@ class TestBraidFromPd:
     def test_small_diagrams(self, text, braid, polynomial):
         d = parse_pd(text)
         assert braid_from_pd(d) == braid
-        assert skein.homfly(braid, d) == skein._homfly_diagram(d) == polynomial
+        assert skein.homfly(braid, d) == skeinroute.homfly_diagram(d) == \
+            polynomial
 
     @staticmethod
     def skein_calls(monkeypatch):
         seen = []
-        real = skein._homfly_diagram
+        real = skeinroute.homfly_diagram
 
         def spy(d):
             seen.append(d)
             return real(d)
 
-        monkeypatch.setattr(skein, "_homfly_diagram", spy)
+        monkeypatch.setattr(skeinroute, "homfly_diagram", spy)
         return seen
 
     def test_non_planar_is_refused(self):
@@ -713,20 +714,20 @@ class TestDiagramFrontier:
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            skein._homfly_diagram(parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"))
+            skeinroute.homfly_diagram(parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"))
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(old)
 
     def test_long_diagram(self):
         b = BraidWord(2, (1,) * 61)
-        assert skein._homfly_diagram(pd_from_braid(b)) == skein.homfly(b)
+        assert skeinroute.homfly_diagram(pd_from_braid(b)) == skein.homfly(b)
 
     def test_memory_peak(self):
         d = pd_from_braid(BraidWord(3, (1, 2) * 7))
         tracemalloc.start()
         try:
-            skein._homfly_diagram(d)
+            skeinroute.homfly_diagram(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -734,7 +735,7 @@ class TestDiagramFrontier:
 
     def test_empty_diagram_has_no_components(self):
         with pytest.raises(ValueError, match="no components"):
-            skein._homfly_diagram(PlanarDiagram((), 0))
+            skeinroute.homfly_diagram(PlanarDiagram((), 0))
         assert braid_from_pd(PlanarDiagram((), 0)) is None
 
 
