@@ -37,8 +37,9 @@ def traczyk_p0_candidates(P0: LaurentPoly, p: int) -> frozenset[int]:
 
     Consecutive even-exponent coefficients c_2i, c_2i+2 must agree mod p
     except possibly where 2i+1 = +-lambda mod p.  Returns all residues
-    lambda consistent with the observed jump positions; empty means the
-    knot is not p-periodic.
+    lambda consistent with the jump positions, closed under lambda ->
+    -lambda: every residue when nothing jumps, {j, -j} when the jumps lie
+    in it, else none, which means the knot is not p-periodic.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime: {p}")
@@ -46,15 +47,14 @@ def traczyk_p0_candidates(P0: LaurentPoly, p: int) -> frozenset[int]:
         raise ValueError("odd exponent in the z-degree-zero part")
     if P0.is_zero():
         return frozenset(range(p))
-    lo = P0.min_exponent() - 2
-    hi = P0.max_exponent()
-    jumps = set()
-    for e in range(lo, hi + 1, 2):
-        if (P0.coeff(e) - P0.coeff(e + 2)) % p != 0:
-            jumps.add((e + 1) % p)
-    return frozenset(
-        lam for lam in range(p)
-        if jumps <= {lam % p, (-lam) % p})
+    jumps = {(e + 1) % p
+             for e in range(P0.min_exponent() - 2, P0.max_exponent() + 1, 2)
+             if (P0.coeff(e) - P0.coeff(e + 2)) % p}
+    if not jumps:
+        return frozenset(range(p))
+    j = jumps.pop()
+    pair = frozenset({j, -j % p})
+    return pair if jumps <= pair else frozenset()
 
 
 def murasugi_candidates(delta: LaurentPoly, p: int) -> frozenset[int] | None:

@@ -17,7 +17,8 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import __version__, classical, criteria, skein, statemodel
-from .diagram import ParseError, parse_braid, parse_pd, pd_from_braid
+from .diagram import (ParseError, closure_components, parse_braid, parse_pd,
+                      pd_from_braid, writhe)
 from .laurent import (BiLaurent, LaurentPoly, format_bilaurent, format_poly,
                       is_prime)
 
@@ -58,33 +59,35 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def _invariants(kind, text, n_list, max_crossings):
-    """Parses one input, turns it into a braid and a diagram of the same
-    link, and computes its HOMFLY and its quantum SL(N) invariant at each N
-    of n_list.  A braid input's diagram is its closure; a PD code is read
-    as a braid by Vogel's algorithm, once, and only after the crossing
-    limit passes, as the algorithm is super-linear in the crossing count.
-    A PD code with no planar realization is refused.  Returns (the report
-    keys every report shares, the braid, the diagram, HOMFLY, N -> quantum
-    invariant)."""
+    """Parses one input and computes its HOMFLY and its quantum SL(N)
+    invariant at each N of n_list.  The crossing limit is checked on the
+    parse, before anything is derived from it.  Then a braid's closure
+    diagram is built for its one reader, the skein fallback; a PD code is
+    read as a braid by Vogel's algorithm, once, and refused when it has no
+    planar realization.  Link facts (components, writhe) are read off the
+    braid.  Returns (the report keys every report shares, the braid,
+    HOMFLY, N -> quantum invariant)."""
     if kind == "braid":
         braid = parse_braid(text)
-        diagram = pd_from_braid(braid)
+        size = len(braid)
     elif kind == "pd":
         diagram = parse_pd(text)
+        size = len(diagram.crossings)
     else:
         raise UsageError(f"input_type must be braid or pd: {kind!r}")
-    size = len(diagram.crossings)
     if size > max_crossings:
         raise ResourceLimitError(
             f"{size} crossings exceed the limit of {max_crossings}")
-    if kind == "pd":
+    if kind == "braid":
+        diagram = pd_from_braid(braid)
+    else:
         # Imported here: a process given only braids never loads it.
         from .vogel import braid_from_pd
         braid = braid_from_pd(diagram)
         if braid is None:
             raise ParseError("this PD code is not planar")
     P = skein.homfly(braid, diagram)
-    m = diagram.component_count()
+    m = len(closure_components(braid))
     quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
     report = {
         "tool": {"name": "linkperiod", "version": __version__},
@@ -92,14 +95,13 @@ def _invariants(kind, text, n_list, max_crossings):
         "components": m,
         "quantum": {str(N): f.serialize() for N, f in quantum.items()},
     }
-    return report, braid, diagram, P, quantum
+    return report, braid, P, quantum
 
 
 def build_invariant_report(kind, text, n_list, oracle=False,
                            max_crossings=DEFAULT_MAX_CROSSINGS) -> dict:
-    report, braid, diagram, P, quantum = _invariants(kind, text, n_list,
-                                                     max_crossings)
-    report["writhe"] = diagram.writhe()
+    report, braid, P, quantum = _invariants(kind, text, n_list, max_crossings)
+    report["writhe"] = writhe(braid)
     report["homfly"] = P.serialize()
     if oracle:
         states = statemodel.invariant_statesums(braid, n_list)
@@ -122,11 +124,11 @@ def build_invariant_report(kind, text, n_list, oracle=False,
 
 # -- periodicity criteria ---------------------------------------------------
 #
-# Each criterion maps a Context to (report entry, residue sets).  The
-# residue sets are None when the criterion narrows nothing; a list holding
-# an empty set when it certifies "not p-periodic" (nothing is merged); and
-# otherwise +-closed sets of residues mod p that the linking number with
-# the axis may take, intersected in order into the combined candidates.
+# Each criterion maps a Context to (report entry, residue sets).  Each set
+# holds the residues mod p that the linking number with the axis may take,
+# closed under k -> -k; the sets are intersected in order into the combined
+# candidates.  An empty list narrows nothing, and a list holding an empty
+# set certifies "not p-periodic" (nothing is merged).
 # Criteria call the layer functions through their modules at call time,
 # so anything that patches a module attribute sees every call.
 
@@ -154,7 +156,7 @@ def _quantum_minus(ctx: Context):
              for N, f in ctx.quantum.items()}
     entry = {"per_n": {str(N): sorted(list(t) for t in s)
                        for N, s in per_n.items()}}
-    return entry, [frozenset()] if not all(per_n.values()) else None
+    return entry, [frozenset()] if not all(per_n.values()) else []
 
 
 def _quantum_plus(ctx: Context):
@@ -167,12 +169,12 @@ def _quantum_plus(ctx: Context):
 
 def _jones(ctx: Context):
     ok = classical.traczyk_jones_check(skein.jones(ctx.P), ctx.p)
-    return {"passes": ok}, None if ok else [frozenset()]
+    return {"passes": ok}, [] if ok else [frozenset()]
 
 
 def _p0(ctx: Context):
     lams = classical.traczyk_p0_candidates(skein.p0_part(ctx.P), ctx.p)
-    return {"candidates": sorted(lams)}, [_pm(lams, ctx.p)]
+    return {"candidates": sorted(lams)}, [lams]
 
 
 def _alexander(ctx: Context):
@@ -186,7 +188,7 @@ def _alexander(ctx: Context):
 class Criterion(NamedTuple):
     knots_only: bool
     odd_p_only: bool
-    run: Callable[[Context], tuple[dict, list[frozenset] | None]]
+    run: Callable[[Context], tuple[dict, list[frozenset]]]
 
 
 #: Every criterion, in the default order of `--criteria`.
@@ -219,7 +221,7 @@ def build_check_report(kind, text, p, n_list, names,
                        max_crossings=DEFAULT_MAX_CROSSINGS) -> dict:
     """Parses one input and runs the named criteria on it in order; p and
     the names must have passed `_check_options`."""
-    report, _, _, P, quantum = _invariants(kind, text, n_list, max_crossings)
+    report, _, P, quantum = _invariants(kind, text, n_list, max_crossings)
     m = report["components"]
     report.update(p=p, n_list=n_list, criteria={}, notes=[])
     ctx = Context(P, quantum, p, m)
@@ -234,8 +236,6 @@ def build_check_report(kind, text, p, n_list, names,
             report["notes"].append(f"criterion {name} skipped: odd p only")
             continue
         report["criteria"][name], residue_sets = crit.run(ctx)
-        if residue_sets is None:
-            continue
         if not all(residue_sets):
             excluded = True
             continue

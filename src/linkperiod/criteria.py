@@ -46,7 +46,8 @@ from collections.abc import Iterator
 from .laurent import (LaurentPoly, is_odd_prime, is_prime, quantum_integer,
                       reduce)
 
-DEFAULT_MAX_LINK_COMPONENTS = 4
+#: Most components of a link: its report lists up to 2^m * m! tuples per hit.
+MAX_LINK_COMPONENTS = 4
 
 
 def rhs_sum(N: int, lambdas: tuple[int, ...]) -> LaurentPoly:
@@ -96,14 +97,13 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
     components (see the module docstring)."""
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
-    if m > DEFAULT_MAX_LINK_COMPONENTS:
+    if m > MAX_LINK_COMPONENTS:
         raise ValueError(
-            f"psi enumeration over p^{m} tuples exceeds the guard "
-            f"(m <= {DEFAULT_MAX_LINK_COMPONENTS})")
+            f"{m} components exceed the limit of {MAX_LINK_COMPONENTS}: the "
+            "report lists every tuple of each matching orbit, up to 2^m * m! "
+            "per hit")
     if m < 1:
         raise ValueError("need at least one component")
-    if N < 2:
-        raise ValueError(f"N must be >= 2: {N}")
     return frozenset(_orbit_search([reduce(inv, p)], p, N, m)[0])
 
 
@@ -112,6 +112,8 @@ def _orbit_search(targets: list[dict[int, int]], p: int, N: int,
     """For each target, the psi-tuples whose product of residues equals it,
     from one walk (module docstring).  Every target is probed at the first
     one's lowest exponent, which +-f(-q) share."""
+    if N < 2:
+        raise ValueError(f"N must be >= 2: {N}")
     residues = quantum_residues(p, N)
     if m > 1:
         residues = list(residues)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from . import classical, criteria, skein, statemodel
+from . import classical, cli, criteria, skein, statemodel
 from .diagram import BraidWord, linking_tuple, pd_from_braid, power
 from .laurent import BiLaurent, LaurentPoly, reduce
 
@@ -52,18 +52,15 @@ def _checks():
         skein.alexander(FIG8_HOMFLY) == LaurentPoly({2: 1, 1: -3, 0: 1})
 
     def oracle():
+        # The `invariant --oracle` path, which raises when the routes differ.
         rng = random.Random(20240901)
         for _ in range(20):
             n = rng.choice((2, 3))
             length = rng.randint(0, 5)
             letters = tuple(rng.choice([e for e in (-2, -1, 1, 2) if abs(e) < n])
                             for _ in range(length))
-            b = BraidWord(n, letters)
-            P = skein.homfly(b)
-            m = len(linking_tuple(b))
-            states = statemodel.invariant_statesums(b, (2, 3))
-            if any(skein.quantum_sln(P, N, m) != states[N] for N in (2, 3)):
-                return False
+            cli.build_invariant_report("braid", BraidWord(n, letters).text(),
+                                       [2, 3], oracle=True)
         return True
     yield "oracle.skein-vs-statesum", oracle
 

@@ -25,7 +25,9 @@ powers by `exact_divide`, a long division of Laurent polynomials.
 per basis element, built term by term.  `murasugi_by_powers`
 checks `classical.murasugi_candidates` by dividing Delta and -Delta by
 Phi_lambda^(p-1), raised by square-and-multiply, and testing that the
-quotient is a polynomial in t^p.
+quotient is a polynomial in t^p.  `p0_by_residues` checks the
+coefficient-jump test of `classical.traczyk_p0_candidates`, which reads
+its answer off the jump set, by testing every residue against the jumps.
 `braid_segments` merges the (row, slot) cells of a braid closure into
 arcs with a union-find over all k·n cells; `segment_pd` builds the
 closure's diagram on it, and checks the one pass over the letters of
@@ -344,6 +346,19 @@ def murasugi_by_powers(delta: LaurentPoly, p: int) -> frozenset[int] | None:
                 feasible.add(lam)
                 break
     return frozenset(feasible)
+
+
+def p0_by_residues(P0: LaurentPoly, p: int) -> frozenset[int]:
+    """Every residue lambda mod p whose pair {lambda, -lambda} holds each
+    jump of the z-degree-zero part, tested one residue at a time."""
+    if P0.is_zero():
+        return frozenset(range(p))
+    jumps = set()
+    for e in range(P0.min_exponent() - 2, P0.max_exponent() + 1, 2):
+        if (P0.coeff(e) - P0.coeff(e + 2)) % p != 0:
+            jumps.add((e + 1) % p)
+    return frozenset(lam for lam in range(p)
+                     if jumps <= {lam % p, (-lam) % p})
 
 
 def parity_split(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

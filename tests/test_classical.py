@@ -6,7 +6,8 @@ from linkperiod import classical, skein
 from linkperiod.diagram import BraidWord, linking_tuple, power
 from linkperiod.laurent import LaurentPoly
 from linkperiod.selftest import FIG8_HOMFLY
-from reference import gf_mul, gf_pow, murasugi_by_powers, reduce_2p
+from reference import (gf_mul, gf_pow, murasugi_by_powers, p0_by_residues,
+                       reduce_2p)
 from test_skein import random_word
 
 TREFOIL_JONES = LaurentPoly({2: 1, 6: 1, 8: -1})      # in s = sqrt(t)
@@ -113,6 +114,33 @@ class TestP0Jumps:
     def test_zero_polynomial(self):
         c = classical.traczyk_p0_candidates(LaurentPoly.zero(), 3)
         assert c == frozenset({0, 1, 2})
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_matches_scan_over_residues(self, p):
+        def block(lo, hi):
+            """Coefficient 1 at lo, lo + 2, ..., hi: jumps at lo - 1 and
+            hi + 1 only."""
+            return LaurentPoly({e: 1 for e in range(lo, hi + 1, 2)})
+
+        parts = {
+            "no jump": LaurentPoly({0: p, 2: 2 * p}),
+            "single jump at 0": block(p + 1, 3 * p - 1),
+            "single jump at 1": block(2, 2 * p),
+            "jump pair {3, -3}": block(4, 4 * p - 4),
+            "jumps at 1 and 7": block(2, 6),
+        }
+        assert classical.traczyk_p0_candidates(parts["no jump"], p) == \
+            frozenset(range(p))
+        assert classical.traczyk_p0_candidates(
+            parts["single jump at 0"], p) == frozenset({0})
+        rng = random.Random(p)
+        for i in range(40):
+            lo = rng.randrange(-6, 1)
+            parts[i] = LaurentPoly({2 * (lo + k): rng.randrange(-3, 4)
+                                    for k in range(rng.randrange(1, 6))})
+        for name, P0 in parts.items():
+            assert classical.traczyk_p0_candidates(P0, p) == \
+                p0_by_residues(P0, p), name
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -328,6 +328,19 @@ class TestCrossingLimit:
             assert err.startswith("computation error: ResourceLimitError: ")
         assert vogel_reads == []
 
+    def test_braid_limit_comes_before_the_closure(self, capsys, monkeypatch):
+        closures = []
+
+        def spy(b):
+            closures.append(b)
+            return pd_from_braid(b)
+        monkeypatch.setattr(cli, "pd_from_braid", spy)
+        word = " ".join(["1"] * (cli.DEFAULT_MAX_CROSSINGS + 1))
+        assert run_main(["check", "-p", "3", "--braid", word], capsys) == (
+            2, "", "computation error: ResourceLimitError: "
+            "25 crossings exceed the limit of 24\n")
+        assert closures == []
+
     def test_limit_counts_the_diagram_not_its_vogel_braid(self, capsys):
         parts = [BraidWord(2, (1,) * 7), BraidWord(2, (-1,) * 7),
                  BraidWord(2, (1,) * 5), BraidWord(2, (-1,) * 5)]
@@ -550,6 +563,20 @@ class TestSelftest:
                        "[FAIL] fake.fails\n"
                        "[FAIL] fake.raises: ValueError: no fixture\n"
                        "1/3 checks passed\n")
+
+    def test_oracle_check_runs_the_oracle_path(self, capsys, monkeypatch):
+        brackets = statemodel.brackets
+
+        def off_at_3(b, ns):
+            out = brackets(b, ns)
+            out[3] = out[3].shift(2)
+            return out
+        monkeypatch.setattr(statemodel, "brackets", off_at_3)
+        code, out, _ = run_main(["selftest", "--filter", "oracle"], capsys)
+        assert code == 3
+        assert out == ("[FAIL] oracle.skein-vs-statesum: RuntimeError: "
+                       "internal inconsistency: state-sum and Hecke-trace "
+                       "routes disagree at N=3\n0/1 checks passed\n")
 
     def test_filter_matching_nothing_is_a_usage_error(self, capsys):
         code, out, err = run_main(["selftest", "--filter", "zzz"], capsys)

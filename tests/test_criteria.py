@@ -132,6 +132,13 @@ class TestKnotCandidates:
         with pytest.raises(ValueError):
             criteria.knot_candidates(TREFOIL_Q2, 2, 2, plus=True)
 
+    @pytest.mark.parametrize("plus", [False, True], ids=["minus", "plus"])
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_n_below_2_rejected(self, N, plus):
+        # An empty set would read "not 3-periodic" for the trefoil.
+        with pytest.raises(ValueError, match=f"^N must be >= 2: {N}$"):
+            criteria.knot_candidates(TREFOIL_Q2, 3, N, plus=plus)
+
     def test_minus_p2_allowed(self):
         criteria.knot_candidates(TREFOIL_Q2, 2, 2)
 
@@ -181,7 +188,9 @@ class TestLinkCandidates:
         assert (1, 1) in hits
 
     def test_component_guard(self):
-        message = "psi enumeration over p^5 tuples exceeds the guard (m <= 4)"
+        message = ("5 components exceed the limit of 4: the report lists "
+                   "every tuple of each matching orbit, up to 2^m * m! per "
+                   "hit")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             criteria.link_candidates(HOPF_Q2, 3, 2, 5)
 

@@ -7,7 +7,8 @@ from reference import hecke_homfly, termwise_specialize
 
 from linkperiod import skein, skeinroute
 from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
-                                closure_components, parse_pd, pd_from_braid)
+                                closure_components, parse_pd, pd_from_braid,
+                                writhe)
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
                                 quantum_integer)
 from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
@@ -383,6 +384,9 @@ class TestBraidFromPd:
             assert b.n == s
             moves, odd = divmod(len(b) - len(d.crossings), 2)
             assert odd == 0 and 0 <= moves <= (s - 1) * (s - 2) // 2
+            # The moves keep the link facts that cli reads off the braid.
+            assert (writhe(b), len(closure_components(b))) == \
+                (d.writhe(), d.component_count())
             most = max(most, moves)
             assert skein.homfly(b, d) == expected
             if len(d.crossings) <= 10:
