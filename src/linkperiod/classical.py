@@ -57,7 +57,7 @@ def traczyk_p0_candidates(P0: LaurentPoly, p: int) -> frozenset[int]:
     return pair if jumps <= pair else frozenset()
 
 
-def murasugi_candidates(delta: LaurentPoly, p: int) -> frozenset[int] | None:
+def murasugi_candidates(delta: LaurentPoly, p: int) -> frozenset[int]:
     """Alexander factorization test over the field of p elements.
 
     A p-periodic knot forces Delta(t) = +-f(t)^p * Phi_lambda^(p-1) mod p
@@ -68,14 +68,15 @@ def murasugi_candidates(delta: LaurentPoly, p: int) -> frozenset[int] | None:
     The sign changes nothing.  Coefficient i of Delta * Phi_lambda is the
     window sum Delta_(i-lambda+1) + ... + Delta_i, a difference of two
     prefix sums, so each lambda costs O(d + lambda) for degree d.  Returns
-    the feasible lambda set (empty certifies non-p-periodicity), or None
-    when Delta vanishes mod p (inconclusive).
+    the feasible lambda set; empty certifies non-p-periodicity.  A Delta
+    that vanishes mod p is refused: a knot has Delta(1) = +-1.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
     terms = {e: c % p for e, c in delta.terms() if c % p}
     if not terms:
-        return None
+        raise ValueError(
+            f"Delta vanishes mod {p}, which no knot's Alexander polynomial does")
     # Any t-power unit left by normalization is dropped.
     lo = min(terms)
     d = max(terms) - lo

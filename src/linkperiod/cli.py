@@ -61,12 +61,15 @@ def _parse_n_list(text: str) -> list[int]:
 def _invariants(kind, text, n_list, max_crossings):
     """Parses one input and computes its HOMFLY and its quantum SL(N)
     invariant at each N of n_list.  The crossing limit is checked on the
-    parse, before anything is derived from it.  Then a braid's closure
-    diagram is built for its one reader, the skein fallback; a PD code is
-    read as a braid by Vogel's algorithm, once, and refused when it has no
-    planar realization.  Link facts (components, writhe) are read off the
-    braid.  Returns (the report keys every report shares, the braid,
-    HOMFLY, N -> quantum invariant)."""
+    parse, before anything is derived from it.  Then the closure diagram
+    of every braid within the limit is built, though only the skein
+    fallback of `skein.homfly` reads it (ROADMAP item 8 stops building it
+    in a benchmark change, as `bench/test_bench.py` asserts time spent in
+    `pd_from_braid` on a braid); a PD code is read as a braid by Vogel's
+    algorithm, once, and refused when it has no planar realization.  Link
+    facts (components, writhe) are read off the braid.  Returns (the
+    report keys every report shares, the braid, HOMFLY, N -> quantum
+    invariant)."""
     if kind == "braid":
         braid = parse_braid(text)
         size = len(braid)
@@ -178,8 +181,6 @@ def _p0(ctx: Context):
 
 
 def _alexander(ctx: Context):
-    # A knot has Delta(1) = +-1, so Delta never vanishes mod p and
-    # murasugi_candidates never returns None here.
     lams = classical.murasugi_candidates(skein.alexander(ctx.P), ctx.p)
     # "r": 1 says the test ran at q = p^1; reports keep the key.
     return {"r": 1, "candidates": sorted(lams)}, [_pm(lams, ctx.p)]

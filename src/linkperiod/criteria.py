@@ -43,8 +43,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from .laurent import (LaurentPoly, is_odd_prime, is_prime, quantum_integer,
-                      reduce)
+from .laurent import LaurentPoly, is_prime, quantum_integer, reduce
 
 #: Most components of a link: its report lists up to 2^m * m! tuples per hit.
 MAX_LINK_COMPONENTS = 4
@@ -74,7 +73,7 @@ def knot_candidates(inv: LaurentPoly, p: int, N: int,
     """
     if not plus:
         return frozenset(k for (k,) in link_candidates(inv, p, N, 1))
-    if not is_odd_prime(p):
+    if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime: {p}")
     target = reduce(LaurentPoly({e: -c if e % 2 else c  # f(-q)
                                  for e, c in inv.terms()}), p)

@@ -12,42 +12,11 @@ import itertools
 import re
 from typing import NamedTuple
 
+from .laurent import _Value
+
 
 class ParseError(ValueError):
     """Malformed braid or PD input, or an invalid braid or diagram."""
-
-
-class _Value:
-    """An immutable value whose fields are its __slots__: equal fields make
-    equal objects of one class, with equal hashes.  Plain slots rather than
-    a frozen dataclass, which would cost every process the dataclasses
-    import and the code it generates."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class BraidWord(_Value):
@@ -184,16 +153,6 @@ class PlanarDiagram(_Value):
         for a, k in ins.items():
             if k != 1 or outs[a] != 1:
                 raise ParseError(f"arc {a} does not occur exactly twice")
-
-    def writhe(self) -> int:
-        return sum(c.sign for c in self.crossings)
-
-    def components(self) -> list[tuple[int, ...]]:
-        """Closed components as arc cycles (excluding free loops)."""
-        return [tuple(cyc) for cyc in _arc_cycles(self.crossings)]
-
-    def component_count(self) -> int:
-        return len(self.components()) + self.free_loops
 
     def pd_text(self) -> str:
         return " ".join(

@@ -5,6 +5,8 @@ A polynomial is only its coefficient map: the letter it is written in
 (q, s, t or a for one variable, the pair (a, z) for two) is named where
 it is reported, by `format_poly` and `format_bilaurent`.  Both types share
 one sparse core: the normalising constructor, +, -, scale and powers.
+It derives from `_Value`, the one immutable value base, which the braids
+and diagrams of `diagram` use too: equality, hashing, copies and pickles.
 
 A packed polynomial is the integer sum of c_e * 2^(width * e) (Kronecker
 substitution): adding is one integer addition, multiplying by the
@@ -20,9 +22,9 @@ class InexactDivisionError(ArithmeticError):
     """Raised when a Laurent polynomial quotient does not exist exactly."""
 
 
-def is_odd_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
-        return False
+        return p == 2
     d = 3
     while d * d <= p:
         if p % d == 0:
@@ -31,14 +33,45 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-def is_prime(p: int) -> bool:
-    return p == 2 or is_odd_prime(p)
+class _Value:
+    """An immutable value whose fields are its __slots__: equal fields make
+    equal objects of one class, with equal hashes, and a copy or a pickle
+    rebuilds it through the constructor.  Plain slots rather than a frozen
+    dataclass, which would cost every process the dataclasses import and
+    the code it generates.  The braids and diagrams of `diagram` and both
+    polynomial types below are such values."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
-class _SparsePoly:
-    """What both polynomial types share: an immutable, hashable map from
-    exponent key to nonzero int coefficient (the zero polynomial has an
-    empty map).  A subclass sets `_key`, which normalizes one key, and
+class _SparsePoly(_Value):
+    """What both polynomial types share: a value whose one field is a map
+    from exponent key to nonzero int coefficient (the zero polynomial has
+    an empty map).  A subclass sets `_key`, which normalizes one key, and
     `_ONE`, the key of the constant term."""
 
     __slots__ = ("_c",)
@@ -49,8 +82,9 @@ class _SparsePoly:
             key(k): int(v) for k, v in coeffs.items() if v != 0
         } if coeffs else {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def _fields(self) -> tuple:
+        # The subclasses' own __slots__ are empty.
+        return (self._c,)
 
     def _like(self, coeffs):
         """A result of this type from a map with normalized keys and int
@@ -104,12 +138,8 @@ class _SparsePoly:
             n >>= 1
         return out
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._c == other._c
-
     def __hash__(self) -> int:
+        # The field is a dict, which does not hash.
         return hash(frozenset(self._c.items()))
 
 

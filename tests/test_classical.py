@@ -163,14 +163,15 @@ class TestMurasugi:
         assert 1 in classical.murasugi_candidates(one, 3)
 
     def test_vanishing_mod_p_inconclusive(self):
-        assert classical.murasugi_candidates(
-            LaurentPoly({0: 3, 1: 3}), 3) is None
-        assert classical.murasugi_candidates(LaurentPoly.zero(), 3) is None
+        # No knot's Delta vanishes mod p, so such a Delta is refused.
+        for delta in (LaurentPoly({0: 3, 1: 3}), LaurentPoly.zero()):
+            with pytest.raises(ValueError, match="^Delta vanishes mod 3"):
+                classical.murasugi_candidates(delta, 3)
 
     def test_knots_never_vanish_mod_p(self):
         # A knot has Delta(1) = nabla(0) = +-1, so the check command's
-        # Alexander criterion, which runs on knots only, is never
-        # inconclusive.
+        # Alexander criterion, which runs on knots only, never meets the
+        # refusal of a Delta that vanishes mod p.
         rng = random.Random(3)
         knots = 0
         while knots < 300:
@@ -184,7 +185,8 @@ class TestMurasugi:
             delta = skein.alexander(skein.homfly(b))
             assert delta.evaluate_one() in (1, -1), b
             for p in (2, 3, 5, 7, 11, 13):
-                assert classical.murasugi_candidates(delta, p) is not None
+                assert isinstance(classical.murasugi_candidates(delta, p),
+                                  frozenset)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("size", [1, 2])
@@ -211,8 +213,14 @@ class TestMurasugi:
                 coeffs = {e + offset: unit * c + p * rng.randint(-2, 2)
                           for e, c in enumerate(dense)}
             delta = LaurentPoly(coeffs)
+            expected = murasugi_by_powers(delta, p)
+            if expected is None:
+                # Delta vanishes mod p.
+                with pytest.raises(ValueError):
+                    classical.murasugi_candidates(delta, p)
+                continue
             got = classical.murasugi_candidates(delta, p)
-            assert got == murasugi_by_powers(delta, p), (coeffs, p)
+            assert got == expected, (coeffs, p)
             cases += bool(got)
         assert cases >= 20
 

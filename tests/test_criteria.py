@@ -128,9 +128,11 @@ class TestKnotCandidates:
         assert c == frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
         assert [spy.call_count for spy in spies] == [1, 1]
 
-    def test_plus_rejects_p2(self):
-        with pytest.raises(ValueError):
-            criteria.knot_candidates(TREFOIL_Q2, 2, 2, plus=True)
+    @pytest.mark.parametrize("p", [1, 2, 4, 9])
+    def test_plus_rejects_p2(self, p):
+        # Quantum-plus needs an odd prime.
+        with pytest.raises(ValueError, match=f"^p must be an odd prime: {p}$"):
+            criteria.knot_candidates(TREFOIL_Q2, p, 2, plus=True)
 
     @pytest.mark.parametrize("plus", [False, True], ids=["minus", "plus"])
     @pytest.mark.parametrize("N", [0, 1])

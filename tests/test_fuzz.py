@@ -11,8 +11,9 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from linkperiod import cli
-from linkperiod.diagram import (BraidWord, ParseError, closure_components,
-                                parse_braid, parse_pd, pd_from_braid, writhe)
+from linkperiod.diagram import (BraidWord, ParseError, _arc_cycles,
+                                closure_components, parse_braid, parse_pd,
+                                pd_from_braid, writhe)
 
 #: Fixed examples and no example database, so every run tries the same
 #: inputs; no deadline, because timing is not what these tests check.
@@ -101,9 +102,10 @@ def test_braid_closure_agrees_with_its_diagram(b):
     # diagram pd_from_braid draws, whose arcs run 1..2k consecutively
     # along each component.
     d = pd_from_braid(b)
-    assert len(closure_components(b)) == d.component_count()
-    assert writhe(b) == d.writhe()
-    arcs = [a for comp in d.components() for a in comp]
+    loops = _arc_cycles(d.crossings)
+    assert len(closure_components(b)) == len(loops) + d.free_loops
+    assert writhe(b) == sum(c.sign for c in d.crossings)
+    arcs = [a for loop in loops for a in loop]
     assert arcs == list(range(1, 2 * len(b) + 1))
 
 

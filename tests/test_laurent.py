@@ -1,11 +1,14 @@
+import copy
 import json
+import math
+import pickle
 import random
 
 import pytest
 
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
                                 digit_width, format_bilaurent, format_poly,
-                                quantum_integer, reduce, unpack)
+                                is_prime, quantum_integer, reduce, unpack)
 from reference import exact_divide, parity_split, reduce_2p, reduce_plus
 
 Q = LaurentPoly.monomial
@@ -263,6 +266,28 @@ class TestSharedCore:
     def test_hash_agrees_with_equality(self, kind):
         f, g, _ = SAMPLES[kind]
         assert len({f * g, g * f, f, f ** 1}) == 2
+
+    def test_copy_pickle_and_delete(self, kind):
+        f, g, one = SAMPLES[kind]
+        for h in (f, g, one, type(f)()):
+            for twin in (copy.copy(h), copy.deepcopy(h),
+                         pickle.loads(pickle.dumps(h))):
+                assert type(twin) is type(h)
+                assert twin == h and hash(twin) == hash(h)
+        assert copy.deepcopy(f) != g
+        with pytest.raises(AttributeError):
+            delattr(f, "_c")
+        assert f.terms() == SAMPLES[kind][0].terms() != []
+
+
+def test_is_prime_matches_a_sieve():
+    top = 10_000
+    sieve = [False, False] + [True] * (top - 1)
+    for d in range(2, math.isqrt(top) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [p for p in range(-5, top + 1) if is_prime(p)] == \
+        [p for p in range(top + 1) if sieve[p]]
 
 
 def test_types_never_compare_equal():

@@ -7,8 +7,8 @@ from reference import hecke_homfly, termwise_specialize
 
 from linkperiod import skein, skeinroute
 from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
-                                closure_components, parse_pd, pd_from_braid,
-                                writhe)
+                                _arc_cycles, closure_components, parse_pd,
+                                pd_from_braid, writhe)
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
                                 quantum_integer)
 from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
@@ -386,7 +386,8 @@ class TestBraidFromPd:
             assert odd == 0 and 0 <= moves <= (s - 1) * (s - 2) // 2
             # The moves keep the link facts that cli reads off the braid.
             assert (writhe(b), len(closure_components(b))) == \
-                (d.writhe(), d.component_count())
+                (sum(c.sign for c in d.crossings),
+                 len(_arc_cycles(d.crossings)) + d.free_loops)
             most = max(most, moves)
             assert skein.homfly(b, d) == expected
             if len(d.crossings) <= 10:
