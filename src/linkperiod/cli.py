@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 from . import __version__, classical, criteria, skein, statemodel
 from .diagram import (ParseError, closure_components, parse_braid, parse_pd,
                       pd_from_braid, writhe)
-from .laurent import (BiLaurent, LaurentPoly, format_bilaurent, format_poly,
-                      is_prime)
+from .laurent import (BiLaurent, LaurentPoly, ResourceLimitError,
+                      format_bilaurent, format_poly, is_prime)
 
 
 #: The most crossings (braid letters) an input may have unless
@@ -30,10 +30,6 @@ DEFAULT_MAX_CROSSINGS = 24
 
 class UsageError(ValueError):
     pass
-
-
-class ResourceLimitError(RuntimeError):
-    """The input has more crossings (braid letters) than the limit."""
 
 
 def _cli_input(args) -> tuple[str, str]:
@@ -66,8 +62,8 @@ def _invariants(kind, text, n_list, max_crossings):
     fallback of `skein.homfly` reads it (ROADMAP item 8 stops building it
     in a benchmark change, as `bench/test_bench.py` asserts time spent in
     `pd_from_braid` on a braid); a PD code is read as a braid by Vogel's
-    algorithm, once, and refused when it has no planar realization.  Link
-    facts (components, writhe) are read off the braid.  Returns (the
+    algorithm, once, which refuses it when it has no planar realization.
+    Link facts (components, writhe) are read off the braid.  Returns (the
     report keys every report shares, the braid, HOMFLY, N -> quantum
     invariant)."""
     if kind == "braid":
@@ -87,8 +83,6 @@ def _invariants(kind, text, n_list, max_crossings):
         # Imported here: a process given only braids never loads it.
         from .vogel import braid_from_pd
         braid = braid_from_pd(diagram)
-        if braid is None:
-            raise ParseError("this PD code is not planar")
     P = skein.homfly(braid, diagram)
     m = len(closure_components(braid))
     quantum = {N: skein.quantum_sln(P, N, m) for N in n_list}
@@ -332,7 +326,7 @@ def cmd_check(args) -> int:
     return 0
 
 
-#: The header of a batch CSV; a row short of fields reads None for the rest.
+#: The header of a batch CSV, and the fields of each row, by position.
 BATCH_FIELDS = ("name", "input_type", "input")
 
 
@@ -342,31 +336,31 @@ def cmd_batch(args) -> int:
     # utf-8-sig drops the byte order mark that spreadsheets write first.
     try:
         with open(args.csv, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            header = [f.strip() for f in reader.fieldnames or ()]
-            if header != list(BATCH_FIELDS):
+            reader = csv.reader(fh)
+            if [f.strip() for f in next(reader, [])] != list(BATCH_FIELDS):
                 raise UsageError(
                     'batch CSV needs the header "name,input_type,input"')
-            reader.fieldnames = list(BATCH_FIELDS)
-            rows = list(reader)
+            rows = [row for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read {args.csv}: {exc}") from None
     reports = []
     for row in rows:
-        name = row["name"]
+        name, kind, text = (row + [None, None])[:3]
         try:
-            missing = [f for f in BATCH_FIELDS if row[f] is None]
-            if missing:
-                raise UsageError(f"row has no {' or '.join(missing)} field")
-            rep = build_check_report(row["input_type"].strip(), row["input"],
-                                     args.p, n_list, names,
-                                     args.max_crossings)
+            if len(row) > 3:
+                raise UsageError(f"row has {len(row)} fields, not 3; quote "
+                                 "an input that holds commas")
+            if len(row) < 3:
+                missing = " or ".join(BATCH_FIELDS[len(row):])
+                raise UsageError(f"row has no {missing} field")
+            rep = build_check_report(kind.strip(), text, args.p, n_list,
+                                     names, args.max_crossings)
             rep["name"] = name
             reports.append(rep)
         except Exception as exc:
             reports.append({
                 "name": name,
-                "input": {"type": row["input_type"], "value": row["input"]},
+                "input": {"type": kind, "value": text},
                 "error": f"{type(exc).__name__}: {exc}",
             })
     _emit(reports, "json", args.out)

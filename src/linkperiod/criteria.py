@@ -43,7 +43,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from .laurent import LaurentPoly, is_prime, quantum_integer, reduce
+from .laurent import (LaurentPoly, ResourceLimitError, is_prime,
+                      quantum_integer, reduce)
 
 #: Most components of a link: its report lists up to 2^m * m! tuples per hit.
 MAX_LINK_COMPONENTS = 4
@@ -97,7 +98,7 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
     if m > MAX_LINK_COMPONENTS:
-        raise ValueError(
+        raise ResourceLimitError(
             f"{m} components exceed the limit of {MAX_LINK_COMPONENTS}: the "
             "report lists every tuple of each matching orbit, up to 2^m * m! "
             "per hit")

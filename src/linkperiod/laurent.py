@@ -22,14 +22,40 @@ class InexactDivisionError(ArithmeticError):
     """Raised when a Laurent polynomial quotient does not exist exactly."""
 
 
-def is_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+class ResourceLimitError(RuntimeError):
+    """An input past a size limit, refused before the work it would take:
+    the crossing limit of the CLI, the state-sum table bound, the link
+    component bound and the bound of `is_prime`."""
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by the 13 primes up to 41, then strong probable-prime
+    tests to those 13 bases, which no composite below psi_13 passes
+    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+    2015).  n >= psi_13 is refused."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:
+        return n > 1
+    psi13 = 3_317_044_064_679_887_385_961_981
+    if n >= psi13:
+        raise ResourceLimitError(
+            f"{n} is not below {psi13}, the bound of the prime test")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -80,22 +80,12 @@ import itertools
 from math import comb
 
 from .diagram import BraidWord, writhe
-from .laurent import LaurentPoly, digit_width, unpack
+from .laurent import LaurentPoly, ResourceLimitError, digit_width, unpack
 
 #: The most table entries `brackets` holds at once.
 MAX_STATES = 2_000_000
 #: Letters per raise of the weights.
 ROOM = 24
-
-
-class StateResourceError(RuntimeError):
-    """The state-sum table went past MAX_STATES entries."""
-
-
-def labels_range(N: int) -> list[int]:
-    if N < 2:
-        raise ValueError(f"N must be >= 2: {N}")
-    return list(range(-N + 1, N, 2))
 
 
 # -- rank patterns ------------------------------------------------------------
@@ -151,20 +141,20 @@ def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
     """N -> sum over all states of the vertex weights times q^norm, for
     every N in `ns`, from one transfer pass (module docstring).
 
-    Raises StateResourceError when the table would hold more than
+    Raises ResourceLimitError when the table would hold more than
     MAX_STATES entries; the starting table is refused before it is
     built, with the largest N in the message.
     """
     ns = sorted(set(ns))
     if not ns:
         raise ValueError("need at least one N")
-    for N in ns:
-        labels_range(N)
+    if ns[0] < 2:
+        raise ValueError(f"N must be >= 2: {ns[0]}")
     top = ns[-1]
 
     def guard(size):
         if size > MAX_STATES:
-            raise StateResourceError(
+            raise ResourceLimitError(
                 f"more than {MAX_STATES} state-sum table entries on "
                 f"{b.text()!r} at N={top}")
 

@@ -19,7 +19,7 @@ circle along one ray from the axis.
 
 from __future__ import annotations
 
-from .diagram import BraidWord, Crossing, PlanarDiagram, cycles
+from .diagram import BraidWord, Crossing, ParseError, PlanarDiagram, cycles
 
 #: The positions of Crossing.pd_tuple() where an arc leaves the crossing.
 _OUT_POSITIONS = {1: (2, 3), -1: (1, 2)}
@@ -113,24 +113,25 @@ def _vogel_move(crossings, over, under, forward) -> list[Crossing]:
     return out
 
 
-def _braid_of_piece(crossings) -> tuple[int, list[int]] | None:
+def _braid_of_piece(crossings) -> tuple[int, list[int]]:
     """(strands, letters) of a braid with one strand per Seifert circle of
-    the connected piece, or None if the piece is not planar."""
+    the connected piece; a piece that is not planar is refused."""
     faces = _faces(crossings)
-    if len(faces) != len(crossings) + 2:
-        return None
-    succ, circle = _seifert_circles(crossings)
-    s = len(set(circle.values()))
-    # Each move lowers the height, at most (s - 1)(s - 2) / 2, by one.
-    for _ in range((s - 1) * (s - 2) // 2 + 1):
-        defect = _defect(faces, circle)
-        if defect is None:
-            letters = _read_braid(crossings, faces, succ, circle, s)
-            return None if letters is None else (s, letters)
-        crossings = _vogel_move(crossings, *defect)
-        faces = _faces(crossings)
+    if len(faces) == len(crossings) + 2:
         succ, circle = _seifert_circles(crossings)
-    return None
+        s = len(set(circle.values()))
+        # Each move lowers the height, at most (s - 1)(s - 2) / 2, by one.
+        for _ in range((s - 1) * (s - 2) // 2 + 1):
+            defect = _defect(faces, circle)
+            if defect is None:
+                letters = _read_braid(crossings, faces, succ, circle, s)
+                if letters is not None:
+                    return s, letters
+                break
+            crossings = _vogel_move(crossings, *defect)
+            faces = _faces(crossings)
+            succ, circle = _seifert_circles(crossings)
+    raise ParseError("this PD code is not planar")
 
 
 def _read_braid(crossings, faces, succ, circle, s) -> list[int] | None:
@@ -193,18 +194,17 @@ def _read_braid(crossings, faces, succ, circle, s) -> list[int] | None:
     return letters
 
 
-def braid_from_pd(d: PlanarDiagram) -> BraidWord | None:
+def braid_from_pd(d: PlanarDiagram) -> BraidWord:
     """A braid whose closure is the diagram's link, with one strand per
     Seifert circle and two letters more per Vogel move than the diagram
-    has crossings, or None for an empty or non-planar diagram.  Split
-    pieces and free loops go side by side on disjoint strands."""
+    has crossings.  Split pieces and free loops go side by side on
+    disjoint strands.  An empty or non-planar diagram raises ParseError."""
+    if not d.crossings and not d.free_loops:
+        raise ParseError("the diagram is empty")
     n = d.free_loops
     letters: list[int] = []
     for piece in _pieces(d.crossings):
-        braid = _braid_of_piece(piece)
-        if braid is None:
-            return None
-        strands, word = braid
+        strands, word = _braid_of_piece(piece)
         letters += [e + n if e > 0 else e - n for e in word]
         n += strands
-    return BraidWord(n, tuple(letters)) if n else None
+    return BraidWord(n, tuple(letters))

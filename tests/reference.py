@@ -41,11 +41,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from linkperiod import criteria, skein, skeinroute, statemodel
+from linkperiod import criteria, skein, skeinroute
 from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
                                _arc_cycles, closure_components, writhe)
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
-                                reduce)
+                                ResourceLimitError, reduce)
 
 
 def _add(acc: dict[int, int], w: dict[int, int], d: int, k: int = 1) -> None:
@@ -97,7 +97,7 @@ def slot_bracket(b: BraidWord, N: int) -> LaurentPoly:
     N^n * n! entries on n strands."""
     ident = tuple(range(b.n))
     table = {(L0, ident): {0: 1}
-             for L0 in itertools.product(statemodel.labels_range(N), repeat=b.n)}
+             for L0 in itertools.product(range(-N + 1, N, 2), repeat=b.n)}
     for e in b.letters:
         table = _slot_transfer(table, e)
     total: dict[int, int] = {}
@@ -499,7 +499,7 @@ def _enumerate_raw(b: BraidWord, N: int, max_states: int):
     """Yield (labels tuple, rules tuple) for every valid state, in a
     deterministic order (labels tried ascending, splice before flat)."""
     num_arcs, quads, signs, free = _arc_structure(b)
-    values = statemodel.labels_range(N)
+    values = range(-N + 1, N, 2)
     labels: list[int | None] = [None] * num_arcs
     rules: list[int] = [0] * len(quads)
     produced = 0
@@ -509,7 +509,7 @@ def _enumerate_raw(b: BraidWord, N: int, max_states: int):
         if fi == len(free):
             produced += 1
             if produced > max_states:
-                raise statemodel.StateResourceError(
+                raise ResourceLimitError(
                     f"more than {max_states} states on {b.text()!r}")
             yield tuple(labels), tuple(rules)
             return

@@ -352,6 +352,28 @@ class TestCrossingLimit:
         assert code == 0, err
 
 
+@pytest.mark.parametrize("argv, max_states, code, prefix", [
+    (["check", "-p", "3", "--braid", " ".join(["1"] * 25)], None, 2,
+     "computation error: ResourceLimitError: 25 crossings exceed the limit "
+     "of 24"),
+    (["invariant", "--oracle", "--braid", TREFOIL], 2, 2,
+     "computation error: ResourceLimitError: "),
+    (["check", "-p", "3", "--braid", "n=5; 1 1 2 2 3 3 4 4"], None, 2,
+     "computation error: ResourceLimitError: "),
+    (["check", "-p", "3317044064679887385961981", "--braid", TREFOIL], None,
+     2, "computation error: ResourceLimitError: "),
+    (["check", "-p", "3", "--pd", NON_PLANAR[0]], None, 1,
+     "error: this PD code is not planar"),
+], ids=["crossings", "state-table", "components", "prime-test", "non-planar"])
+def test_every_refusal(capsys, monkeypatch, argv, max_states, code, prefix):
+    """Each size limit raises ResourceLimitError and exits 2; a PD code
+    with no planar diagram exits 1."""
+    if max_states is not None:
+        monkeypatch.setattr(statemodel, "MAX_STATES", max_states)
+    got, out, err = run_main(argv, capsys)
+    assert (got, out) == (code, "") and err.startswith(prefix), err
+
+
 def test_braid_input_never_loads_vogel():
     # vogel is imported on the first PD input only, the skein route on the
     # first braid past skein.HECKE_MAX_TERMS and csv by batch; diagram's
@@ -497,6 +519,20 @@ class TestBatch:
         assert short["error"] == "UsageError: row has no input field"
         assert bare["error"] == \
             "UsageError: row has no input_type or input field"
+        assert trefoil["verdict"] == "undecided"
+
+    def test_extra_field_is_row_error(self, capsys, tmp_path):
+        # Unquoted, "1 1,1" is two fields; the row is refused rather than
+        # checked as the Hopf link "1 1".
+        path = tmp_path / "links.csv"
+        path.write_text("name,input_type,input\nt,braid,1 1,1\n"
+                        "trefoil,braid,1 1 1\n")
+        code, out, _ = run_main(["batch", str(path), "-p", "3"], capsys)
+        assert code == 0
+        t, trefoil = json.loads(out)
+        assert t == {"name": "t", "input": {"type": "braid", "value": "1 1"},
+                     "error": "UsageError: row has 4 fields, not 3; quote "
+                              "an input that holds commas"}
         assert trefoil["verdict"] == "undecided"
 
     def test_header_spaces_are_ignored(self, capsys, tmp_path):

@@ -8,7 +8,8 @@ import pytest
 
 from linkperiod import cli, criteria, skein
 from linkperiod.diagram import BraidWord, linking_tuple, power
-from linkperiod.laurent import LaurentPoly, quantum_integer, reduce
+from linkperiod.laurent import (LaurentPoly, ResourceLimitError,
+                                quantum_integer, reduce)
 from linkperiod.selftest import HOPF_Q2, TREFOIL_Q2, TREFOIL_Q3
 from reference import all_k_plus_candidates, all_tuple_link_candidates
 
@@ -193,7 +194,8 @@ class TestLinkCandidates:
         message = ("5 components exceed the limit of 4: the report lists "
                    "every tuple of each matching orbit, up to 2^m * m! per "
                    "hit")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ResourceLimitError,
+                           match=f"^{re.escape(message)}$"):
             criteria.link_candidates(HOPF_Q2, 3, 2, 5)
 
     @pytest.mark.parametrize("p, N, m, message", [

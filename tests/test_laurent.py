@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from linkperiod import laurent
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
-                                digit_width, format_bilaurent, format_poly,
-                                is_prime, quantum_integer, reduce, unpack)
+                                ResourceLimitError, digit_width,
+                                format_bilaurent, format_poly, is_prime,
+                                quantum_integer, reduce, unpack)
 from reference import exact_divide, parity_split, reduce_2p, reduce_plus
 
 Q = LaurentPoly.monomial
@@ -288,6 +290,30 @@ def test_is_prime_matches_a_sieve():
             sieve[d * d::d] = [False] * len(sieve[d * d::d])
     assert [p for p in range(-5, top + 1) if is_prime(p)] == \
         [p for p in range(top + 1) if sieve[p]]
+
+
+def test_is_prime_screens_small_numbers_without_a_power(monkeypatch):
+    # Below 43^2 trial division by the primes up to 41 decides, with no
+    # modular power: `check` tests a small p about a dozen times per op.
+    # The sieve test above checks the answers.
+    def no_pow(*args):
+        raise AssertionError("modular power below 43^2")
+    monkeypatch.setattr(laurent, "pow", no_pow, raising=False)
+    for n in range(-5, 43 * 43):
+        is_prime(n)
+
+
+def test_is_prime_on_large_numbers():
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 9 + 7)
+    # A strong pseudoprime to every base up to 37: base 41 exposes it.
+    assert not is_prime(399_165_290_221 * 798_330_580_441)
+    # Two prime factors near 10^12: trial division up to the root would
+    # take about 5 * 10^11 steps.
+    assert not is_prime((10 ** 12 + 39) * (10 ** 12 + 61))
+    psi13 = 3_317_044_064_679_887_385_961_981
+    assert not is_prime(psi13 + 1)
+    with pytest.raises(ResourceLimitError, match=f"not below {psi13}"):
+        is_prime(psi13)
 
 
 def test_types_never_compare_equal():

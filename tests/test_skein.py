@@ -6,9 +6,10 @@ import pytest
 from reference import hecke_homfly, termwise_specialize
 
 from linkperiod import skein, skeinroute
-from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
-                                _arc_cycles, closure_components, parse_pd,
-                                pd_from_braid, writhe)
+from linkperiod.diagram import (BraidWord, Crossing, ParseError,
+                                PlanarDiagram, _arc_cycles,
+                                closure_components, parse_pd, pd_from_braid,
+                                writhe)
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
                                 quantum_integer)
 from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
@@ -433,9 +434,10 @@ class TestBraidFromPd:
         return seen
 
     def test_non_planar_is_refused(self):
-        # The CLI turns None into a ParseError (tests/test_cli.py).
         for text in NON_PLANAR:
-            assert braid_from_pd(parse_pd(text)) is None
+            with pytest.raises(ParseError,
+                               match="^this PD code is not planar$"):
+                braid_from_pd(parse_pd(text))
 
     def test_term_limit_falls_back_to_the_given_diagram(self, monkeypatch):
         rng = random.Random(7300)
@@ -741,7 +743,8 @@ class TestDiagramFrontier:
     def test_empty_diagram_has_no_components(self):
         with pytest.raises(ValueError, match="no components"):
             skeinroute.homfly_diagram(PlanarDiagram((), 0))
-        assert braid_from_pd(PlanarDiagram((), 0)) is None
+        with pytest.raises(ParseError, match="empty"):
+            braid_from_pd(PlanarDiagram((), 0))
 
 
 def test_cache_reuse_is_consistent():
