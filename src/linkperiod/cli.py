@@ -136,11 +136,6 @@ class Context(NamedTuple):
     m: int                              # component count
 
 
-def _pm(residues, p: int) -> frozenset[int]:
-    """The residues and their negatives mod p."""
-    return frozenset(x for k in residues for x in (k % p, -k % p))
-
-
 def _quantum_minus(ctx: Context):
     if ctx.m == 1:
         per_n = {N: criteria.knot_candidates(f, ctx.p, N)
@@ -161,7 +156,8 @@ def _quantum_plus(ctx: Context):
              for N, f in ctx.quantum.items()}
     entry = {"per_n": {str(N): sorted(list(e) for e in s)
                        for N, s in per_n.items()}}
-    return entry, [_pm((k for k, _ in s), ctx.p) for s in per_n.values()]
+    return entry, [frozenset(k % ctx.p for k, _ in s)
+                   for s in per_n.values()]
 
 
 def _jones(ctx: Context):
@@ -176,8 +172,10 @@ def _p0(ctx: Context):
 
 def _alexander(ctx: Context):
     lams = classical.murasugi_candidates(skein.alexander(ctx.P), ctx.p)
-    # "r": 1 says the test ran at q = p^1; reports keep the key.
-    return {"r": 1, "candidates": sorted(lams)}, [_pm(lams, ctx.p)]
+    # "r": 1 says the test ran at q = p^1; reports keep the key.  Unlike
+    # the other criteria's sets, the lambdas are not closed under k -> -k.
+    closed = frozenset(x for k in lams for x in (k % ctx.p, -k % ctx.p))
+    return {"r": 1, "candidates": sorted(lams)}, [closed]
 
 
 class Criterion(NamedTuple):
@@ -209,7 +207,7 @@ def _check_options(args) -> tuple[list[int], list[str]]:
             raise UsageError(f"unknown criterion: {name}")
     if not is_prime(args.p):
         raise UsageError(f"p must be prime: {args.p}")
-    return n_list, names
+    return n_list, list(dict.fromkeys(names))    # a repeated name runs once
 
 
 def build_check_report(kind, text, p, n_list, names,

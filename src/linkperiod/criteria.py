@@ -10,32 +10,35 @@ Every candidate function returns a plain frozenset: residues k mod p
 (knots), (k, sign) pairs (knots, quantum-plus) or psi-tuples of residues
 (links).  The empty set reads "not p-periodic".
 
-Both quantum criteria are one search, by orbits, not by all p^m tuples.
 Modulo (p, q^p - 1) the candidate sum of psi is the product of the
-residues r_k of [N]_{q^k} over its coordinates k = psi_j.  Such a
-product does not depend on the order of the components, and r_{-k} =
-r_k because [N]_q is symmetric under q -> q^-1.  So the set of matching
-tuples is closed under permuting coordinates and under negating any one
-of them, and every orbit has exactly one non-decreasing representative
-in {0..p//2}^m.  `link_candidates` walks those representatives depth
-first from each r_k, sharing each prefix product, and expands each hit
-into its orbit.  At the last coordinate an O(N) probe computes one
-coefficient of prefix * r_k, at the target's lowest exponent, and the
-product is formed only when it matches.  So the C(p//2 + m, m)
-representatives cost at most as many probes and fewer than
-C(p//2 + m, m - 1) products in F_p[q]/(q^p - 1), plus one per hit: at
-p = 41, m = 4, 10,626 probes and 2,022 products, where p^m = 2,825,761.
-Target, residues and products are sparse maps from exponent mod p to
-nonzero coefficient, the form `laurent.reduce` returns; r_k has at most
-N terms, so a knot (m = 1) forms no product and costs O(p * N) time;
-its search reads each r_k once, in order, so only a link's search keeps
-the p//2 + 1 residues.
+residues r_k of [N]_{q^k} over its coordinates k = psi_j, and r_{-k} =
+r_k because [N]_q is symmetric under q -> q^-1.  `quantum_residues`
+builds r_k for k = 0..p//2 from the labels I_N, one at a time, as a
+sparse map from exponent mod p to nonzero coefficient, the form
+`laurent.reduce` returns, of at most N terms.  It is the one place that
+builds I_N, and so the one place that refuses N < 2, for both criteria.
+A knot has one coordinate: `knot_candidates` scans the residues once, in
+order, and keeps k and -k for each r_k equal to the target, in O(p * N)
+time, forming no product and holding one residue at a time.
+
+A link's product does not depend on the order of the components, so the
+set of matching tuples is closed under permuting coordinates and under
+negating any one of them, and every orbit has exactly one non-decreasing
+representative in {0..p//2}^m.  `link_candidates` keeps the p//2 + 1
+residues and walks those representatives depth first from each r_k,
+sharing each prefix product, and expands each hit into its orbit.  At
+the last coordinate an O(N) probe computes one coefficient of prefix *
+r_k, at the target's lowest exponent, and the product is formed only
+when it matches.  So the C(p//2 + m, m) representatives cost at most as
+many probes and fewer than C(p//2 + m, m - 1) products in
+F_p[q]/(q^p - 1), plus one per hit: at p = 41, m = 4, 10,626 probes and
+2,022 products, where p^m = 2,825,761.
 
 For odd p, q -> -q is a ring isomorphism from F_p[q]/(q^p + 1) onto
 F_p[q]/(q^p - 1) that sends [N]_{q^k} to (-1)^{k(N-1)} [N]_{q^k}.  So
-the quantum-plus criterion for f is the same search on +-f(-q), the two
-signs being two targets of one walk: each residue r it keeps stands for
-k = r and k = r + p, with the sign flipped when k(N-1) is odd.
+the quantum-plus criterion for f is the same scan with +-f(-q) as the
+two targets: a match at k stands for k, -k, k + p and -k + p, with the
+sign flipped when k(N-1) is odd.
 """
 
 from __future__ import annotations
@@ -72,29 +75,28 @@ def knot_candidates(inv: LaurentPoly, p: int, N: int,
     k in 0..2p-1 and sign "+" or "-".  An empty result reads "not
     p-periodic".
     """
+    if not is_prime(p) or plus and p == 2:
+        raise ValueError(
+            f"p must be {'an odd prime' if plus else 'prime'}: {p}")
     if not plus:
-        return frozenset(k for (k,) in link_candidates(inv, p, N, 1))
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime: {p}")
+        target = reduce(inv, p)
+        return frozenset(x for k, r in enumerate(quantum_residues(p, N))
+                         if r == target for x in (k, -k % p))
     target = reduce(LaurentPoly({e: -c if e % 2 else c  # f(-q)
                                  for e, c in inv.terms()}), p)
     negated = {e: p - c for e, c in target.items()}
-    hits = set()
-    for s, found in zip((1, -1), _orbit_search([target, negated], p, N, 1)):
-        for (r,) in found:
-            for k in (r, r + p):
-                sign = -s if k * (N - 1) % 2 else s
-                hits.add((k, "+" if sign > 0 else "-"))
-    return frozenset(hits)
+    # A match with s f(-q) reads sign s, flipped when i(N-1) is odd.
+    return frozenset((i, "+" if (s > 0) == (i * (N - 1) % 2 == 0) else "-")
+                     for k, r in enumerate(quantum_residues(p, N))
+                     for s, t in ((1, target), (-1, negated)) if r == t
+                     for i in (k, -k % p, k + p, -k % p + p))
 
 
 def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
     """All tuples psi in {0..p-1}^m whose candidate sum matches the link
-    invariant mod (p, q^p - 1); empty means "not p-periodic".
-
-    Only the non-decreasing tuples over {0..p//2} are tested; each hit
-    is expanded into its orbit under negating coordinates and permuting
-    components (see the module docstring)."""
+    invariant mod (p, q^p - 1); empty means "not p-periodic".  One orbit
+    search (module docstring) tests the non-decreasing tuples over
+    {0..p//2} and expands each hit into its orbit."""
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
     if m > MAX_LINK_COMPONENTS:
@@ -104,50 +106,39 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
             "per hit")
     if m < 1:
         raise ValueError("need at least one component")
-    return frozenset(_orbit_search([reduce(inv, p)], p, N, m)[0])
-
-
-def _orbit_search(targets: list[dict[int, int]], p: int, N: int,
-                  m: int) -> list[set[tuple[int, ...]]]:
-    """For each target, the psi-tuples whose product of residues equals it,
-    from one walk (module docstring).  Every target is probed at the first
-    one's lowest exponent, which +-f(-q) share."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2: {N}")
-    residues = quantum_residues(p, N)
-    if m > 1:
-        residues = list(residues)
-        probe = min(targets[0], default=0)
-        wants = {t.get(probe, 0) for t in targets}
-        probes = [[((probe - d) % p, c) for d, c in r.items()]
-                  for r in residues]
-    hits: list[set[tuple[int, ...]]] = [set() for _ in targets]
+    target = reduce(inv, p)
+    residues = list(quantum_residues(p, N))
+    probe = min(target, default=0)
+    want = target.get(probe, 0)
+    probes = [[((probe - d) % p, c) for d, c in r.items()] for r in residues]
+    hits: set[tuple[int, ...]] = set()
 
     def extend(prefix: dict[int, int], ks: tuple[int, ...]) -> None:
         if len(ks) == m:
-            for target, found in zip(targets, hits):
-                if prefix == target:
-                    signed = itertools.product(*({k, -k % p} for k in ks))
-                    found.update(perm for t in signed
-                                 for perm in itertools.permutations(t))
+            if prefix == target:
+                signed = itertools.product(*({k, -k % p} for k in ks))
+                hits.update(perm for t in signed
+                            for perm in itertools.permutations(t))
             return
         last = len(ks) == m - 1
         for k in range(ks[-1], len(residues)):
             if last and sum(prefix.get(e, 0) * c
-                            for e, c in probes[k]) % p not in wants:
+                            for e, c in probes[k]) % p != want:
                 continue
             extend(_cyclic_product(prefix, residues[k], p), ks + (k,))
 
     for k, r in enumerate(residues):
         extend(r, (k,))
-    return hits
+    return frozenset(hits)
 
 
 def quantum_residues(p: int, N: int) -> Iterator[dict[int, int]]:
     """r_k, the residue of [N]_{q^k} mod (p, q^p - 1), for k = 0..p//2 in
     order: k * I mod p -> multiplicity mod p over I in I_N, zeros dropped.
-    Yielded one at a time, so a knot's search, which reads each r_k
-    once, holds one of them at a time."""
+    Yielded one at a time, so a knot's scan holds one of them at a time;
+    N < 2 raises on the first one."""
+    if N < 2:
+        raise ValueError(f"N must be >= 2: {N}")
     for k in range(p // 2 + 1):
         r: dict[int, int] = {}
         for label in range(-N + 1, N, 2):

@@ -46,17 +46,21 @@ and z to x - x^-1 by one Horner pass from the top z power down, on one
 packed integer: each term is added with one shift, and the factor
 x - x^-1 = x^-1 (x^2 - 1) is (acc << 2C) - acc with the lowest exponent
 moved down by one, two integer operations whatever the width of the
-polynomial.  For k negative z powers the pass runs down to the lowest,
-and one divmod by (2^(2C) - 1)^k = (x^2 - 1)^k clears them; the quantum
-invariant is then multiplied by [N]_x, packed as the sum of 2^(2Cj) over
-j < N, and laurent.unpack decodes once.  The span + 1 digits before the
-division add up to at most D, the sum of |c| 2^(s + k) over the HOMFLY
-terms c a^r z^s.  A quotient digit sums them with weights at most
-C(span/2 + k - 1, k - 1), so it is at most D C(span/2 + k, k), and [N]
-makes that N times more.  C holds 2^k times this bound, so the remainder
-of the polynomial division by (x^2 - 1)^k, fewer than 2k digits below
-2^(C-2), is a multiple of (2^(2C) - 1)^k at x = 2^C only when it is
-zero: a nonzero integer remainder is exactly an inexact quotient.
+polynomial.  For k negative z powers the pass runs down to the lowest.
+One more shift and subtraction multiplies by x^2N - 1 (N = 1 for Jones
+and Alexander), and one divmod by (x^2 - 1)^(k+1) leaves x^(N-1) [N]_x
+times the specialization, in time linear in N, for laurent.unpack to
+decode once.  The span + 1 digits of the Horner result A add up to at
+most D, the sum of |c| 2^(s + k) over the HOMFLY terms c a^r z^s.  Write
+A = Q (x^2 - 1)^k + R, R of fewer than 2k digits.  A digit of Q sums
+those of A with weights at most C(span/2 + k - 1, k - 1), so it is at
+most D C(span/2 + k, k), one of Q [N] at most N times that, and C holds
+2^(k+1) times this bound.  The dividend is (x^2 - 1)^(k+1) Q [N] +
+(x^2 - 1) R [N]; at x = 2^C a prime factor of 2^(2C) - 1 divides [N] as
+often as it divides N (by lifting the exponent), so the quotient is
+exact only if (2^(2C) - 1)^k divides N R.  A digit of N R, at most
+N (D + 2^k times one of Q), is below 2^(C-1), so only R = 0 passes: a
+nonzero integer remainder is exactly an inexact quotient.
 
 Here x is q for the quantum invariant and s = sqrt(t) for the Jones and
 Alexander polynomials; alexander then halves the exponents into t.  A
@@ -207,17 +211,16 @@ def _specialize(P: BiLaurent, a_exp: int, N: int = 1) -> LaurentPoly:
                default=0) - low + k
     bound = (sum(abs(v) << (s + k) for (_, s), v in P._c.items())
              * comb(span // 2 + k, k) * N)
-    width = digit_width(bound << k)
+    width = digit_width(bound << (k + 1))
     acc = 0
     for s in range(top, -k - 1, -1):
         acc = (acc << 2 * width) - acc
         for e, v in by_power.get(s, ()):
             acc += v << width * (e - low - s - k)
-    x2m1 = (1 << 2 * width) - 1               # x^2 - 1
-    acc, rest = divmod(acc, x2m1 ** k)
+    acc = (acc << 2 * width * N) - acc        # times x^(N-1) [N]_x (x^2 - 1)
+    acc, rest = divmod(acc, ((1 << 2 * width) - 1) ** (k + 1))
     if rest:
         raise InexactDivisionError("quotient is not a Laurent polynomial")
-    acc *= ((1 << 2 * width * N) - 1) // x2m1  # x^(N-1) [N]_x
     return LaurentPoly(unpack(acc, width, low + k - (N - 1)))
 
 

@@ -17,7 +17,8 @@ the first crossing first reached on its under-strand is either switched
 crossing).  A descending diagram with k components is an unlink,
 delta^(k-1).  Diagrams wait in one level per crossing count, taken from
 the most crossings down, and a diagram equal up to arc renumbering to a
-waiting one adds to its coefficient.  Nothing is kept between calls.
+waiting one adds to its coefficient; one whose coefficient cancels
+leaves the frontier.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -118,12 +119,16 @@ def _smooth(crossings, idx, free_loops):
 
 
 def _push(levels, crossings, free_loops, coeff: BiLaurent) -> None:
-    """Add coeff times the diagram to the frontier, merging by key."""
+    """Add coeff times the diagram to the frontier, merging by key; as in
+    `_add`, a diagram whose coefficient cancels is dropped."""
     level = levels[len(crossings)]
     key = _canonical_key(crossings, free_loops)
     if key in level:
         crossings, free_loops, waiting = level[key]
         coeff = waiting + coeff
+        if coeff.is_zero():
+            del level[key]
+            return
     level[key] = (crossings, free_loops, coeff)
 
 

@@ -461,6 +461,19 @@ class TestCheck:
         assert code == 1
         assert out == "" and "--criteria" in err
 
+    def test_repeated_criterion_runs_once(self, capsys):
+        # Like --n, --criteria drops a repeated name: each criterion runs
+        # once, in the place of its first occurrence.
+        def check(criteria, fmt):
+            return run_main(["check", "--braid", "1 1", "-p", "3", "--criteria",
+                             criteria, "--format", fmt], capsys)
+
+        code, out, _ = check("p0,jones,p0", "text")
+        assert code == 0
+        assert out.count("note: criterion p0 skipped: knots only") == 1
+        assert check("p0,jones,p0", "json") == check("p0,jones", "json")
+        assert check("jones,jones", "json") == check("jones", "json")
+
 
 
 class TestBatch:

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from reference import hecke_homfly, termwise_specialize
 
-from linkperiod import skein, skeinroute
+from linkperiod import skein, skeinroute, statemodel
 from linkperiod.diagram import (BraidWord, Crossing, ParseError,
                                 PlanarDiagram, _arc_cycles,
                                 closure_components, parse_pd, pd_from_braid,
@@ -683,6 +683,18 @@ class TestSpecializeAgainstTermwise:
         assert max(c for _, c in inv.terms()) == 55252
         assert_same_values(P, 6, range(2, 11))
 
+    @pytest.mark.parametrize("b", [
+        TREFOIL, HOPF, BraidWord(4, (1, 1, 2, 2, 3, 3))],
+        ids=["trefoil", "hopf", "four-component"])
+    def test_large_n(self, b):
+        # x^2N - 1 goes into the one division by (x^2 - 1)^(k+1), k up to
+        # 3 here; [1000] has 1000 terms.
+        P = skein.homfly(b)
+        m = len(closure_components(b))
+        assert_same_values(P, m, (1000,))
+        assert skein.quantum_sln(P, 1000, m) == \
+            statemodel.invariant_statesums(b, [1000])[1000]
+
     @pytest.mark.parametrize("specialize", [
         skein.jones, lambda P: skein.quantum_sln(P, 3, 2)],
         ids=["jones", "quantum_sln"])
@@ -739,6 +751,24 @@ class TestDiagramFrontier:
         finally:
             tracemalloc.stop()
         assert peak < 500_000
+
+    def test_cancelled_coefficient_leaves_the_frontier(self, monkeypatch):
+        # Two skein steps reach one diagram of this closure with opposite
+        # coefficients: the diagram is dropped, not expanded times zero.
+        zero_products = []
+        mul = BiLaurent.__mul__
+
+        def spy(f, g):
+            if f.is_zero() or g.is_zero():
+                zero_products.append((f, g))
+            return mul(f, g)
+
+        b = BraidWord(3, (-1, -2, -1, 2, -1, 2, -2, 1))
+        monkeypatch.setattr(BiLaurent, "__mul__", spy)
+        P = homfly_of_diagram(b)
+        monkeypatch.undo()
+        assert zero_products == []
+        assert P == skein.homfly(b)
 
     def test_empty_diagram_has_no_components(self):
         with pytest.raises(ValueError, match="no components"):
