@@ -34,6 +34,14 @@ many probes and fewer than C(p//2 + m, m - 1) products in
 F_p[q]/(q^p - 1), plus one per hit: at p = 41, m = 4, 10,626 probes and
 2,022 products, where p^m = 2,825,761.
 
+Work limit.  A link's search refuses, with ResourceLimitError, on the two
+counts it spends, each against `laurent.MAX_WORK` read at call time: the
+C(p//2 + m, m) representatives it tests, before any residue is built,
+and the 2^m * m! tuples it lists per matching orbit, after the search and
+before any orbit is expanded.  So the component count has no bound of
+its own, and a link's p is bounded by the first count: m = 2, 3 and 4
+are refused from p = 4001, 457 and 163.
+
 For odd p, q -> -q is a ring isomorphism from F_p[q]/(q^p + 1) onto
 F_p[q]/(q^p - 1) that sends [N]_{q^k} to (-1)^{k(N-1)} [N]_{q^k}.  So
 the quantum-plus criterion for f is the same scan with +-f(-q) as the
@@ -45,12 +53,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from math import comb, factorial
 
+from . import laurent
 from .laurent import (LaurentPoly, ResourceLimitError, is_prime,
                       quantum_integer, reduce)
-
-#: Most components of a link: its report lists up to 2^m * m! tuples per hit.
-MAX_LINK_COMPONENTS = 4
 
 
 def rhs_sum(N: int, lambdas: tuple[int, ...]) -> LaurentPoly:
@@ -96,29 +103,28 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
     """All tuples psi in {0..p-1}^m whose candidate sum matches the link
     invariant mod (p, q^p - 1); empty means "not p-periodic".  One orbit
     search (module docstring) tests the non-decreasing tuples over
-    {0..p//2} and expands each hit into its orbit."""
+    {0..p//2} and expands each hit into its orbit.  Past the work limit
+    (module docstring) it raises ResourceLimitError."""
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
-    if m > MAX_LINK_COMPONENTS:
-        raise ResourceLimitError(
-            f"{m} components exceed the limit of {MAX_LINK_COMPONENTS}: the "
-            "report lists every tuple of each matching orbit, up to 2^m * m! "
-            "per hit")
     if m < 1:
         raise ValueError("need at least one component")
+    orbits = comb(p // 2 + m, m)
+    if orbits > laurent.MAX_WORK:
+        raise ResourceLimitError(
+            f"{orbits} orbits to test, C(p//2 + m, m) at p={p}, m={m}, "
+            f"exceed the work limit of {laurent.MAX_WORK}")
     target = reduce(inv, p)
     residues = list(quantum_residues(p, N))
     probe = min(target, default=0)
     want = target.get(probe, 0)
     probes = [[((probe - d) % p, c) for d, c in r.items()] for r in residues]
-    hits: set[tuple[int, ...]] = set()
+    hits: list[tuple[int, ...]] = []
 
     def extend(prefix: dict[int, int], ks: tuple[int, ...]) -> None:
         if len(ks) == m:
             if prefix == target:
-                signed = itertools.product(*({k, -k % p} for k in ks))
-                hits.update(perm for t in signed
-                            for perm in itertools.permutations(t))
+                hits.append(ks)
             return
         last = len(ks) == m - 1
         for k in range(ks[-1], len(residues)):
@@ -129,7 +135,14 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
 
     for k, r in enumerate(residues):
         extend(r, (k,))
-    return frozenset(hits)
+    tuples = len(hits) * 2 ** m * factorial(m)
+    if tuples > laurent.MAX_WORK:
+        raise ResourceLimitError(
+            f"{len(hits)} matching orbits of up to 2^m * m! tuples at m={m}, "
+            f"{tuples} in all, exceed the work limit of {laurent.MAX_WORK}")
+    return frozenset(perm for ks in hits
+                     for t in itertools.product(*({k, -k % p} for k in ks))
+                     for perm in itertools.permutations(t))
 
 
 def quantum_residues(p: int, N: int) -> Iterator[dict[int, int]]:

@@ -23,9 +23,13 @@ class InexactDivisionError(ArithmeticError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An input past a size limit, refused before the work it would take:
-    the crossing limit of the CLI, the state-sum table bound, the link
-    component bound and the bound of `is_prime`."""
+    """An input past a size limit: the crossing limit of the CLI, the
+    bound of `is_prime` and `MAX_WORK`."""
+
+
+#: The one work limit of the searches, read at call time: state-sum table
+#: entries, and the orbits a link search tests and the tuples it lists.
+MAX_WORK = 2_000_000
 
 
 def is_prime(n: int) -> bool:

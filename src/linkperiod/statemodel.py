@@ -71,7 +71,9 @@ three strands, 75 on four).  A current pattern is a rearrangement of its
 starting one, so the table never holds more than the sum over those
 patterns of n! / (m_0! ... m_(k-1)!) entries (55 on three strands, 1,077
 on four), whatever the braid length, and each letter maps every entry
-to at most two.
+to at most two.  `brackets` refuses a table of more than
+`laurent.MAX_WORK` entries: the starting table before it is built, and
+the table after each letter once that letter's work is done.
 """
 
 from __future__ import annotations
@@ -79,11 +81,10 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+from . import laurent
 from .diagram import BraidWord, writhe
 from .laurent import LaurentPoly, ResourceLimitError, digit_width, unpack
 
-#: The most table entries `brackets` holds at once.
-MAX_STATES = 2_000_000
 #: Letters per raise of the weights.
 ROOM = 24
 
@@ -141,9 +142,10 @@ def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
     """N -> sum over all states of the vertex weights times q^norm, for
     every N in `ns`, from one transfer pass (module docstring).
 
-    Raises ResourceLimitError when the table would hold more than
-    MAX_STATES entries; the starting table is refused before it is
-    built, with the largest N in the message.
+    Raises ResourceLimitError when the table holds more than
+    laurent.MAX_WORK entries, read at call time: the starting table is
+    refused before it is built, with the largest N in the message, and
+    the table is counted again after each letter.
     """
     ns = sorted(set(ns))
     if not ns:
@@ -153,9 +155,9 @@ def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
     top = ns[-1]
 
     def guard(size):
-        if size > MAX_STATES:
+        if size > laurent.MAX_WORK:
             raise ResourceLimitError(
-                f"more than {MAX_STATES} state-sum table entries on "
+                f"more than {laurent.MAX_WORK} state-sum table entries on "
                 f"{b.text()!r} at N={top}")
 
     n, L = b.n, len(b.letters)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from linkperiod import cli, skein, skeinroute, statemodel, vogel
+from linkperiod import cli, laurent, skein, skeinroute, statemodel, vogel
 from linkperiod.diagram import (BraidWord, PlanarDiagram, parse_braid,
                                 pd_from_braid)
 from test_skein import connected_sum
@@ -352,24 +352,25 @@ class TestCrossingLimit:
         assert code == 0, err
 
 
-@pytest.mark.parametrize("argv, max_states, code, prefix", [
+@pytest.mark.parametrize("argv, max_work, code, prefix", [
     (["check", "-p", "3", "--braid", " ".join(["1"] * 25)], None, 2,
      "computation error: ResourceLimitError: 25 crossings exceed the limit "
      "of 24"),
     (["invariant", "--oracle", "--braid", TREFOIL], 2, 2,
      "computation error: ResourceLimitError: "),
-    (["check", "-p", "3", "--braid", "n=5; 1 1 2 2 3 3 4 4"], None, 2,
+    (["check", "-p", "16001", "--braid", "1 1"], None, 2,
      "computation error: ResourceLimitError: "),
     (["check", "-p", "3317044064679887385961981", "--braid", TREFOIL], None,
      2, "computation error: ResourceLimitError: "),
     (["check", "-p", "3", "--pd", NON_PLANAR[0]], None, 1,
      "error: this PD code is not planar"),
-], ids=["crossings", "state-table", "components", "prime-test", "non-planar"])
-def test_every_refusal(capsys, monkeypatch, argv, max_states, code, prefix):
+], ids=["crossings", "state-table", "link-orbits", "prime-test",
+        "non-planar"])
+def test_every_refusal(capsys, monkeypatch, argv, max_work, code, prefix):
     """Each size limit raises ResourceLimitError and exits 2; a PD code
     with no planar diagram exits 1."""
-    if max_states is not None:
-        monkeypatch.setattr(statemodel, "MAX_STATES", max_states)
+    if max_work is not None:
+        monkeypatch.setattr(laurent, "MAX_WORK", max_work)
     got, out, err = run_main(argv, capsys)
     assert (got, out) == (code, "") and err.startswith(prefix), err
 
@@ -495,6 +496,23 @@ class TestBatch:
         _, out1, _ = run_main(["batch", str(path), "-p", "3"], capsys)
         _, out2, _ = run_main(["batch", str(path), "-p", "3"], capsys)
         assert out1 == out2
+
+    def test_link_past_the_work_limit_is_a_row_error(self, capsys, tmp_path):
+        # At p = 16001 a knot's scan is linear in p, while the Hopf link's
+        # search would test C(8000 + 2, 2) orbits; only its row fails.
+        path = tmp_path / "links.csv"
+        path.write_text("name,input_type,input\ntrefoil,braid,1 1 1\n"
+                        "hopf,braid,1 1\nfigure-eight,braid,n=3; 1 -2 1 -2\n")
+        code, out, _ = run_main(["batch", str(path), "-p", "16001"], capsys)
+        assert code == 0
+        trefoil, hopf, figure_eight = json.loads(out)
+        assert hopf == {
+            "name": "hopf", "input": {"type": "braid", "value": "1 1"},
+            "error": "ResourceLimitError: 32012001 orbits to test, "
+                     "C(p//2 + m, m) at p=16001, m=2, exceed the work limit "
+                     "of 2000000"}
+        assert trefoil["verdict"] == figure_eight["verdict"] == \
+            "not-16001-periodic"
 
     def test_bad_header(self, capsys, tmp_path):
         path = tmp_path / "links.csv"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -6,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from linkperiod import cli, criteria, skein
+from linkperiod import cli, criteria, laurent, skein
 from linkperiod.diagram import BraidWord, linking_tuple, power
 from linkperiod.laurent import (LaurentPoly, ResourceLimitError,
                                 quantum_integer, reduce)
@@ -190,13 +191,60 @@ class TestLinkCandidates:
         hits = criteria.link_candidates(inv, 3, 2, 2)
         assert (1, 1) in hits
 
-    def test_component_guard(self):
-        message = ("5 components exceed the limit of 4: the report lists "
-                   "every tuple of each matching orbit, up to 2^m * m! per "
-                   "hit")
+    def test_work_limit(self, monkeypatch):
+        # The orbits to test, C(8000 + 2, 2) for the Hopf link at
+        # p = 16001, refused before any residue is built; the tuples to
+        # list, 2^7 * 7! for each of 8 matching orbits of the 7-component
+        # control at p = 3, N = 3.
+        spy = mock.Mock(wraps=criteria.quantum_residues)
+        monkeypatch.setattr(criteria, "quantum_residues", spy)
+        orbits = ("32012001 orbits to test, C(p//2 + m, m) at p=16001, m=2, "
+                  "exceed the work limit of 2000000")
+        with pytest.raises(ResourceLimitError,
+                           match=f"^{re.escape(orbits)}$"):
+            criteria.link_candidates(HOPF_Q2, 16001, 2, 2)
+        assert spy.call_count == 0
+        w = power(BraidWord(7, (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6)), 3)
+        inv = skein.quantum_sln(skein.homfly(w), 3, 7)
+        tuples = ("8 matching orbits of up to 2^m * m! tuples at m=7, "
+                  "5160960 in all, exceed the work limit of 2000000")
+        with pytest.raises(ResourceLimitError,
+                           match=f"^{re.escape(tuples)}$"):
+            criteria.link_candidates(inv, 3, 3, 7)
+
+    @pytest.mark.parametrize("m, last, first",
+                             [(2, 3989, 4001), (3, 449, 457), (4, 157, 163)])
+    def test_orbit_count_bounds_p(self, monkeypatch, m, last, first):
+        # C(p//2 + m, m) passes 2,000,000 between these primes; the
+        # residues are stubbed, so the search itself never runs.
+        class Searched(Exception):
+            pass
+
+        def residues(p, N):
+            raise Searched
+        monkeypatch.setattr(criteria, "quantum_residues", residues)
+        with pytest.raises(Searched):
+            criteria.link_candidates(HOPF_Q2, last, 2, m)
+        with pytest.raises(ResourceLimitError, match=f"at p={first}, m={m},"):
+            criteria.link_candidates(HOPF_Q2, first, 2, m)
+
+    def test_tuple_count_comes_before_any_expansion(self, monkeypatch):
+        # The 5-component control at p = 3, N = 3 matches 6 orbits, each
+        # listing up to 2^5 * 5! = 3,840 tuples: 23,040 in all.
+        w = power(BraidWord(5, (1, 1, 2, 2, 3, 3, 4, 4)), 3)
+        inv = skein.quantum_sln(skein.homfly(w), 3, 5)
+        spy = mock.Mock(wraps=itertools.permutations)
+        monkeypatch.setattr(itertools, "permutations", spy)
+        monkeypatch.setattr(laurent, "MAX_WORK", 23_039)
+        message = ("6 matching orbits of up to 2^m * m! tuples at m=5, "
+                   "23040 in all, exceed the work limit of 23039")
         with pytest.raises(ResourceLimitError,
                            match=f"^{re.escape(message)}$"):
-            criteria.link_candidates(HOPF_Q2, 3, 2, 5)
+            criteria.link_candidates(inv, 3, 3, 5)
+        assert spy.call_count == 0
+        monkeypatch.setattr(laurent, "MAX_WORK", 23_040)
+        assert (1, 1, 1, 1, 1) in criteria.link_candidates(inv, 3, 3, 5)
+        assert spy.call_count > 0
 
     @pytest.mark.parametrize("p, N, m, message", [
         (4, 2, 2, "p must be prime: 4"),
@@ -228,6 +276,22 @@ class TestLinkCandidates:
                 inv = skein.quantum_sln(P, N, m)
                 hits = criteria.link_candidates(inv, p, N, m)
                 assert hits == all_tuple_link_candidates(inv, p, N, m), \
+                    (b.text(), p, N)
+                if q == p:
+                    assert tuple(x % p for x in linking_tuple(b)) in hits
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_five_components_match_all_tuple_oracle(self, p):
+        # At m = 5 the search equals trying all p^5 tuples (3,125 at
+        # p = 5), and w^p keeps its axis tuple.
+        rng = random.Random(149 + p)
+        for q in (1, p):
+            b = random_closure(rng, 5, (5, 6), (0, 8), q)
+            P = skein.homfly(b)
+            for N in (2, 3):
+                inv = skein.quantum_sln(P, N, 5)
+                hits = criteria.link_candidates(inv, p, N, 5)
+                assert hits == all_tuple_link_candidates(inv, p, N, 5), \
                     (b.text(), p, N)
                 if q == p:
                     assert tuple(x % p for x in linking_tuple(b)) in hits
@@ -283,6 +347,22 @@ class TestLinkCandidates:
                 psi = sorted(x % p for x in linking_tuple(wp))
                 for hits in rep["criteria"]["quantum-minus"]["per_n"].values():
                     assert psi in hits, (wp.text(), p)
+
+    @pytest.mark.parametrize("m", (5, 6))
+    @pytest.mark.parametrize("p", (3, 5))
+    def test_five_and_six_component_controls(self, m, p):
+        # The closure of (s1^2 s2^2 ... s_(m-1)^2)^p: m components, each
+        # linking the axis once, whose counts fit in the work limit.
+        w = BraidWord(m, tuple(g for g in range(1, m) for _ in range(2)))
+        wp = power(w, p)
+        rep = cli.build_check_report("braid", wp.text(), p, [2, 3],
+                                     list(cli.ALL_CRITERIA),
+                                     max_crossings=len(wp))
+        assert rep["verdict"] == "undecided"
+        per_n = rep["criteria"]["quantum-minus"]["per_n"]
+        assert set(per_n) == {"2", "3"}
+        for hits in per_n.values():
+            assert [1] * m in hits
 
 
 class TestPossibleLinking:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from linkperiod import skein, statemodel
+from linkperiod import laurent, skein, statemodel
 from linkperiod.diagram import BraidWord, linking_tuple, power, writhe
 from linkperiod.laurent import (LaurentPoly, ResourceLimitError,
                                 quantum_integer, unpack)
@@ -236,13 +236,13 @@ class TestLongBraids:
         # rearrangements of the patterns with 1, 2 and 3 blocks).
         b = self.WORDS[0]
         expected = statemodel.brackets(b, (3,))[3]
-        monkeypatch.setattr(statemodel, "MAX_STATES", 54)
+        monkeypatch.setattr(laurent, "MAX_WORK", 54)
         with pytest.raises(ResourceLimitError, match="N=3"):
             statemodel.brackets(b, (3,))[3]
-        monkeypatch.setattr(statemodel, "MAX_STATES", 55)
+        monkeypatch.setattr(laurent, "MAX_WORK", 55)
         assert statemodel.brackets(b, (3,))[3] == expected
         # The starting table is refused before it is built.
-        monkeypatch.setattr(statemodel, "MAX_STATES", 12)
+        monkeypatch.setattr(laurent, "MAX_WORK", 12)
 
         def no_patterns(n, blocks):
             raise AssertionError("starting table built past the guard")
@@ -257,7 +257,7 @@ class TestLongBraids:
 
     def test_resource_guard_names_largest_n(self, monkeypatch):
         # Three strands: 7 patterns with at most two blocks, 13 with three.
-        monkeypatch.setattr(statemodel, "MAX_STATES", 10)
+        monkeypatch.setattr(laurent, "MAX_WORK", 10)
         assert statemodel.brackets(BraidWord(3), [2])[2] == \
             quantum_integer(2) ** 3
         with pytest.raises(ResourceLimitError, match="N=4"):
