@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import __version__, classical, criteria, skein, statemodel
@@ -297,9 +299,73 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
+def _is_ints(values) -> bool:
+    return {*map(type, values)} == {int}
+
+
+def _is_pairs(values) -> bool:
+    return {*map(type, values)} == {list} and {*map(len, values)} == {2}
+
+
+def _int_lists(obj: list, inner: str):
+    """(the format of one item, the ints of all items in order) when obj
+    is a list of ints, of [int, int] pairs (`LaurentPoly.serialize`) or of
+    [[int, int], int] terms (`BiLaurent.serialize`), with its items on
+    lines that inner starts; else None.  Types are checked exactly, so a
+    bool is no int and a pair such as [k, "+"] is no pair of ints."""
+    cell = inner + "  "
+    if _is_ints(obj):
+        return "%d", tuple(obj)
+    if not _is_pairs(obj):
+        return None
+    flat = [*itertools.chain.from_iterable(obj)]
+    if _is_ints(flat):
+        return f"[{cell}%d,{cell}%d{inner}]", tuple(flat)
+    keys, values = flat[::2], flat[1::2]
+    if not (_is_ints(values) and _is_pairs(keys)):
+        return None
+    exps = [*itertools.chain.from_iterable(keys)]
+    if not _is_ints(exps):
+        return None
+    key = cell + "  "
+    return (f"[{cell}[{key}%d,{key}%d{cell}],{cell}%d{inner}]",
+            tuple(itertools.chain.from_iterable(
+                zip(exps[::2], exps[1::2], values))))
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for a
+    value on a line that pad starts (a newline and the indentation).
+    Strs, ints (type int exactly), lists and dicts with str keys are
+    written here, and the lists of `_int_lists` by one format string;
+    any other value, bools and None among them, goes to json.dumps."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return "%d" % obj
+    inner = pad + "  "
+    if kind is list:
+        ints = _int_lists(obj, inner)
+        if ints:
+            fmt, values = ints
+            body = ("," + inner).join([fmt] * len(obj)) % values
+            return f"[{inner}{body}{pad}]"
+        items, ends = [_json(x, inner) for x in obj], "[]"
+    elif kind is dict and {*map(type, obj)} <= {str}:
+        items = [encode_basestring_ascii(k) + ": " + _json(obj[k], inner)
+                 for k in sorted(obj)]
+        ends = "{}"
+    else:
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+
+
 def _emit(report, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        payload = _json(report) + "\n"
     else:
         buf = io.StringIO()
         _render_text(report, buf)

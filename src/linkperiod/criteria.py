@@ -37,10 +37,13 @@ F_p[q]/(q^p - 1), plus one per hit: at p = 41, m = 4, 10,626 probes and
 Work limit.  A link's search refuses, with ResourceLimitError, on the two
 counts it spends, each against `laurent.MAX_WORK` read at call time: the
 C(p//2 + m, m) representatives it tests, before any residue is built,
-and the 2^m * m! tuples it lists per matching orbit, after the search and
-before any orbit is expanded.  So the component count has no bound of
-its own, and a link's p is bounded by the first count: m = 2, 3 and 4
-are refused from p = 4001, 457 and 163.
+and the distinct tuples of the matching orbits, after the search and
+before any orbit is expanded.  An orbit whose coordinates take each
+value v c_v times holds m!/prod c_v! orderings, times 2 for each
+coordinate k with k != -k mod p, and is expanded one ordering at a
+time, so each tuple is formed once.  So the component count has no
+bound of its own, and a link's p is bounded by the first count: m = 2,
+3 and 4 are refused from p = 4001, 457 and 163.
 
 For odd p, q -> -q is a ring isomorphism from F_p[q]/(q^p + 1) onto
 F_p[q]/(q^p - 1) that sends [N]_{q^k} to (-1)^{k(N-1)} [N]_{q^k}.  So
@@ -135,14 +138,34 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
 
     for k, r in enumerate(residues):
         extend(r, (k,))
-    tuples = len(hits) * 2 ** m * factorial(m)
+    tuples = sum(_orbit_size(ks, p) for ks in hits)
     if tuples > laurent.MAX_WORK:
         raise ResourceLimitError(
-            f"{len(hits)} matching orbits of up to 2^m * m! tuples at m={m}, "
-            f"{tuples} in all, exceed the work limit of {laurent.MAX_WORK}")
-    return frozenset(perm for ks in hits
-                     for t in itertools.product(*({k, -k % p} for k in ks))
-                     for perm in itertools.permutations(t))
+            f"{len(hits)} matching orbits of {tuples} tuples in all at "
+            f"p={p}, m={m} exceed the work limit of {laurent.MAX_WORK}")
+    return frozenset(t for ks in hits for order in _orderings(ks)
+                     for t in itertools.product(*({k, -k % p} for k in order)))
+
+
+def _orbit_size(ks: tuple[int, ...], p: int) -> int:
+    """The tuples in the orbit of ks: its m!/prod c_v! orderings (c_v
+    the multiplicity of v), times 2 for each coordinate k with
+    k != -k mod p."""
+    size = factorial(len(ks))
+    for v in set(ks):
+        size //= factorial(ks.count(v))
+    return size << sum(k != -k % p for k in ks)
+
+
+def _orderings(ks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every distinct ordering of ks, once each: each distinct value
+    first, before each ordering of the rest."""
+    if not ks:
+        yield ()
+    for v in set(ks):
+        i = ks.index(v)
+        for rest in _orderings(ks[:i] + ks[i + 1:]):
+            yield (v,) + rest
 
 
 def quantum_residues(p: int, N: int) -> Iterator[dict[int, int]]:

@@ -13,9 +13,14 @@ substitution): adding is one integer addition, multiplying by the
 variable one shift.  While every |c_e| is at most the bound the width
 was chosen for (`digit_width`), `unpack` reads the signed digits back
 exactly, and the integer is 0 only for the zero polynomial.
+`digit_width` may give more bits than the bound needs, up to a machine
+integer of 1, 2, 4 or 8 bytes; a wider digit only strengthens each
+bound that a caller derives for its width.
 """
 
 from __future__ import annotations
+
+import sys
 
 
 class InexactDivisionError(ArithmeticError):
@@ -287,25 +292,39 @@ def reduce(f: LaurentPoly, p: int) -> dict[int, int]:
 
 
 def digit_width(bound: int) -> int:
-    """The fewest whole bytes of bits whose signed digits hold every
-    integer of absolute value at most bound."""
-    return -(-(bound.bit_length() + 1) // 8) * 8
+    """A width in whole bytes of bits whose signed digits hold every
+    integer of absolute value at most bound: the fewest such bytes, taken
+    up to 1, 2, 4 or 8 bytes when at most 8, so that `unpack` reads the
+    digits with one cast.  A wider digit holds a larger bound, so every
+    bound that a caller derives for a width holds at this one too."""
+    width = -(-(bound.bit_length() + 1) // 8) * 8
+    return width if width > 64 else 1 << (width - 1).bit_length()
+
+
+#: The unsigned memoryview format of each digit size in bytes it has.
+_FORMATS = {memoryview(bytes(8)).cast(c).itemsize: c for c in "BHILQ"}
 
 
 def unpack(x: int, width: int, low: int = 0) -> dict[int, int]:
     """The exponent -> coefficient map of a packed integer whose lowest
     digit stands for exponent `low`, in time linear in the size of x:
-    with 2^(width-1) added to every digit, the digits are byte slices."""
+    with 2^(width-1) added to every digit, the digits are unsigned, read
+    by one memoryview cast when a digit is a machine integer of 1, 2, 4
+    or 8 bytes (in the host's byte order), else as byte slices."""
     size, half = width // 8, 1 << (width - 1)
     count = x.bit_length() // width + 1
-    bias = int.from_bytes(half.to_bytes(size, "little") * count, "little")
-    raw = (x + bias).to_bytes(count * size, "little")
-    out = {}
-    for k in range(count):
-        c = int.from_bytes(raw[k * size:(k + 1) * size], "little") - half
-        if c:
-            out[low + k] = c
-    return out
+    fmt = _FORMATS.get(size)
+    order = sys.byteorder if fmt else "little"
+    bias = int.from_bytes(half.to_bytes(size, order) * count, order)
+    raw = (x + bias).to_bytes(count * size, order)
+    if fmt:
+        digits = memoryview(raw).cast(fmt)
+        if order == "big":                  # the lowest digit comes last
+            digits = digits[::-1]
+    else:
+        digits = (int.from_bytes(raw[k * size:(k + 1) * size], order)
+                  for k in range(count))
+    return {low + k: c - half for k, c in enumerate(digits) if c != half}
 
 
 def quantum_integer(N: int) -> LaurentPoly:

@@ -31,9 +31,10 @@ by at most one, and the trace turns T_w, of length l(u) + m-1-p, into
 z T_u times m-2-p generators), so blocks of L + 1 z-digits do not
 overlap.  The sum of the absolute values of all digits at most doubles
 per letter and grows at most 2^(m-1)-fold at level m (delta gives two
-terms, any other term meets at most m-2 generators), so B, the fewest
-whole bytes of bits whose signed digits hold 2^(L + n(n-1)/2), lets
-laurent.unpack decode P exactly, once, at the end.
+terms, any other term meets at most m-2 generators), so B, a
+laurent.digit_width whose signed digits hold 2^(L + n(n-1)/2), lets
+laurent.unpack decode P exactly, once, at the end; a B wider than the
+fewest whole bytes only strengthens each bound.
 
 A braid that goes past HECKE_MAX_TERMS takes the skein route
 (skeinroute) on a diagram of the same link: the one the caller gives,
@@ -47,11 +48,13 @@ packed integer: each term is added with one shift, and the factor
 x - x^-1 = x^-1 (x^2 - 1) is (acc << 2C) - acc with the lowest exponent
 moved down by one, two integer operations whatever the width of the
 polynomial.  For k negative z powers the pass runs down to the lowest.
-One more shift and subtraction multiplies by x^2N - 1 (N = 1 for Jones
-and Alexander), and one divmod by (x^2 - 1)^(k+1) leaves x^(N-1) [N]_x
-times the specialization, in time linear in N, for laurent.unpack to
-decode once.  The span + 1 digits of the Horner result A add up to at
-most D, the sum of |c| 2^(s + k) over the HOMFLY terms c a^r z^s.  Write
+One more shift and subtraction multiplies by x^2N - 1, and one divmod by
+(x^2 - 1)^(k+1) leaves x^(N-1) [N]_x times the specialization, in time
+linear in N, for laurent.unpack to decode once.  Jones and Alexander
+take N = 1, where x^2N - 1 is x^2 - 1 itself: they skip that product
+and divide by (x^2 - 1)^k alone, so a knot (k = 0) does not divide.
+The span + 1 digits of the Horner result A add up to at most D, the sum
+of |c| 2^(s + k) over the HOMFLY terms c a^r z^s.  Write
 A = Q (x^2 - 1)^k + R, R of fewer than 2k digits.  A digit of Q sums
 those of A with weights at most C(span/2 + k - 1, k - 1), so it is at
 most D C(span/2 + k, k), one of Q [N] at most N times that, and C holds
@@ -60,7 +63,8 @@ most D C(span/2 + k, k), one of Q [N] at most N times that, and C holds
 often as it divides N (by lifting the exponent), so the quotient is
 exact only if (2^(2C) - 1)^k divides N R.  A digit of N R, at most
 N (D + 2^k times one of Q), is below 2^(C-1), so only R = 0 passes: a
-nonzero integer remainder is exactly an inexact quotient.
+nonzero integer remainder is exactly an inexact quotient.  At N = 1
+the same holds with the common factor x^2 - 1 taken out of both sides.
 
 Here x is q for the quantum invariant and s = sqrt(t) for the Jones and
 Alexander polynomials; alexander then halves the exponents into t.  A
@@ -217,10 +221,14 @@ def _specialize(P: BiLaurent, a_exp: int, N: int = 1) -> LaurentPoly:
         acc = (acc << 2 * width) - acc
         for e, v in by_power.get(s, ()):
             acc += v << width * (e - low - s - k)
-    acc = (acc << 2 * width * N) - acc        # times x^(N-1) [N]_x (x^2 - 1)
-    acc, rest = divmod(acc, ((1 << 2 * width) - 1) ** (k + 1))
-    if rest:
-        raise InexactDivisionError("quotient is not a Laurent polynomial")
+    power = k
+    if N > 1:
+        acc = (acc << 2 * width * N) - acc    # times x^(N-1) [N]_x (x^2 - 1)
+        power += 1
+    if power:
+        acc, rest = divmod(acc, ((1 << 2 * width) - 1) ** power)
+        if rest:
+            raise InexactDivisionError("quotient is not a Laurent polynomial")
     return LaurentPoly(unpack(acc, width, low + k - (N - 1)))
 
 

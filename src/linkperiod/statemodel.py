@@ -55,7 +55,8 @@ right shift is exact (the digit it drops is 0); raising per block, not
 by L at once, keeps a weight near 2k digits after k letters.  Only the
 brackets must fit the signed digits (laurent.digit_width): N^n starting
 labellings and absolute coefficient sums at most tripling per letter
-give max(N)^n * 3^L.
+give max(N)^n * 3^L; a width that digit_width rounds up only
+strengthens that bound.
 
 Rows.  Row i of the table maps a starting pattern's number to the
 weight of the states now at pattern i.  Per generator used, the

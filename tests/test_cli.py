@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkperiod import cli, laurent, skein, skeinroute, statemodel, vogel
 from linkperiod.diagram import (BraidWord, PlanarDiagram, parse_braid,
@@ -477,8 +478,61 @@ class TestCheck:
 
 
 
+#: Strings with quotes, backslashes, control characters and non-ASCII
+#: text (surrogates included), which json escapes.
+STRINGS = st.text(st.sampled_from('"\\/\b\n\t\x00\x1f\x7f '
+                                  '\u00e9\u20ac\U0001f600\ud800')
+                  | st.characters(), max_size=8)
+INTS = st.integers() | st.integers(-1 << 200, 1 << 200)
+#: Lists of the shapes the writer formats in one step, and lists that
+#: miss a shape by one element: a bool, a str or a wrong length.
+SHAPED = (st.lists(INTS) | st.lists(st.lists(INTS, min_size=2, max_size=2))
+          | st.lists(st.tuples(st.lists(INTS, min_size=2, max_size=2), INTS)
+                     .map(list))
+          | st.lists(st.tuples(INTS, st.sampled_from("+-")).map(list))
+          | st.lists(st.lists(INTS | st.booleans(), min_size=1, max_size=3))
+          | st.lists(st.tuples(st.lists(INTS | st.booleans(), min_size=2,
+                                        max_size=3), INTS).map(list)))
+LEAVES = (STRINGS | INTS | st.booleans() | st.none()
+          | st.floats(allow_nan=False) | SHAPED)
+TREES = st.recursive(LEAVES, lambda children: (
+    st.lists(children, max_size=4)
+    | st.dictionaries(STRINGS, children, max_size=4)
+    | st.dictionaries(st.integers(), children, max_size=3)
+    | st.tuples(children, children)), max_leaves=30)
+
+
+class TestJsonWriter:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=400)
+    @given(TREES)
+    def test_equals_json_dumps(self, obj):
+        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], {"a": {}, "b": [], "c": [[]]}, [True, False, None, 1],
+        [[1, True]], [[[1, 2], False]], [[[1, True], 2]], [[1, 2, 3]],
+        [[1, "+"], [2, "-"]], {"\u00e9\n\"": [-(1 << 100), 0]},
+        [1.5, 2], {1: [1, 2], 2: {"x": [[1, 2]]}}, ((1, 2), [3]),
+    ])
+    def test_edges(self, obj):
+        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 class TestBatch:
     CSV = "name,input_type,input\ntrefoil,braid,1 1 1\nhopf,braid,1 1\nbad,braid,1 x\n"
+
+    def test_report_is_json_dumps(self, capsys, tmp_path):
+        # Reports and error rows, a None input among them, byte for byte
+        # as json.dumps(..., sort_keys=True, indent=2) writes them.
+        path = tmp_path / "links.csv"
+        path.write_text(self.CSV + "short,braid\nbare\nodd,knot,1 1 1\n")
+        code, out, _ = run_main(["batch", str(path), "-p", "3"], capsys)
+        assert code == 0
+        reports = json.loads(out)
+        assert [r["input"]["value"] for r in reports if "error" in r] == \
+            ["1 x", None, None, "1 1 1"]
+        assert out == json.dumps(reports, sort_keys=True, indent=2) + "\n"
 
     def test_batch_reports(self, capsys, tmp_path):
         path = tmp_path / "links.csv"

@@ -193,9 +193,9 @@ class TestLinkCandidates:
 
     def test_work_limit(self, monkeypatch):
         # The orbits to test, C(8000 + 2, 2) for the Hopf link at
-        # p = 16001, refused before any residue is built; the tuples to
-        # list, 2^7 * 7! for each of 8 matching orbits of the 7-component
-        # control at p = 3, N = 3.
+        # p = 16001, refused before any residue is built.  The 8 matching
+        # orbits of the 7-component control at p = 3, N = 3 hold all
+        # 3^7 = 2,187 tuples, not 8 * 2^7 * 7! = 5,160,960, and fit.
         spy = mock.Mock(wraps=criteria.quantum_residues)
         monkeypatch.setattr(criteria, "quantum_residues", spy)
         orbits = ("32012001 orbits to test, C(p//2 + m, m) at p=16001, m=2, "
@@ -206,11 +206,9 @@ class TestLinkCandidates:
         assert spy.call_count == 0
         w = power(BraidWord(7, (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6)), 3)
         inv = skein.quantum_sln(skein.homfly(w), 3, 7)
-        tuples = ("8 matching orbits of up to 2^m * m! tuples at m=7, "
-                  "5160960 in all, exceed the work limit of 2000000")
-        with pytest.raises(ResourceLimitError,
-                           match=f"^{re.escape(tuples)}$"):
-            criteria.link_candidates(inv, 3, 3, 7)
+        hits = criteria.link_candidates(inv, 3, 3, 7)
+        assert len(hits) == 3 ** 7
+        assert hits == all_tuple_link_candidates(inv, 3, 3, 7)
 
     @pytest.mark.parametrize("m, last, first",
                              [(2, 3989, 4001), (3, 449, 457), (4, 157, 163)])
@@ -229,22 +227,39 @@ class TestLinkCandidates:
             criteria.link_candidates(HOPF_Q2, first, 2, m)
 
     def test_tuple_count_comes_before_any_expansion(self, monkeypatch):
-        # The 5-component control at p = 3, N = 3 matches 6 orbits, each
-        # listing up to 2^5 * 5! = 3,840 tuples: 23,040 in all.
+        # The 5-component control at p = 3, N = 3 matches the 6 orbits of
+        # {0, 1}^5; the one with j ones holds C(5, j) * 2^j tuples, 3^5 =
+        # 243 in all.
         w = power(BraidWord(5, (1, 1, 2, 2, 3, 3, 4, 4)), 3)
         inv = skein.quantum_sln(skein.homfly(w), 3, 5)
-        spy = mock.Mock(wraps=itertools.permutations)
-        monkeypatch.setattr(itertools, "permutations", spy)
-        monkeypatch.setattr(laurent, "MAX_WORK", 23_039)
-        message = ("6 matching orbits of up to 2^m * m! tuples at m=5, "
-                   "23040 in all, exceed the work limit of 23039")
+        spy = mock.Mock(wraps=itertools.product)
+        monkeypatch.setattr(itertools, "product", spy)
+        monkeypatch.setattr(laurent, "MAX_WORK", 242)
+        message = ("6 matching orbits of 243 tuples in all at p=3, m=5 "
+                   "exceed the work limit of 242")
         with pytest.raises(ResourceLimitError,
                            match=f"^{re.escape(message)}$"):
             criteria.link_candidates(inv, 3, 3, 5)
         assert spy.call_count == 0
-        monkeypatch.setattr(laurent, "MAX_WORK", 23_040)
-        assert (1, 1, 1, 1, 1) in criteria.link_candidates(inv, 3, 3, 5)
+        monkeypatch.setattr(laurent, "MAX_WORK", 243)
+        hits = criteria.link_candidates(inv, 3, 3, 5)
         assert spy.call_count > 0
+        assert hits == all_tuple_link_candidates(inv, 3, 3, 5)
+        assert (1, 1, 1, 1, 1) in hits
+
+    @pytest.mark.parametrize("ks", [(0,), (1,), (0, 0, 1), (1, 1, 2, 2),
+                                    (0, 1, 2, 3), (2, 2, 2), (0, 1, 1, 2, 2)])
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_orbit_size_and_orderings(self, ks, p):
+        # Each ordering of ks once, and as many tuples in the orbit as
+        # the expansion of every permutation finds.
+        orderings = list(criteria._orderings(ks))
+        assert len(orderings) == len(set(orderings))
+        assert set(orderings) == set(itertools.permutations(ks))
+        if max(ks) <= p // 2:
+            orbit = {t for perm in itertools.permutations(ks)
+                     for t in itertools.product(*({k, -k % p} for k in perm))}
+            assert criteria._orbit_size(ks, p) == len(orbit)
 
     @pytest.mark.parametrize("p, N, m, message", [
         (4, 2, 2, "p must be prime: 4"),

@@ -349,12 +349,17 @@ class TestUnpack:
         assert unpack(0, width) == {}
         assert unpack(0, width, -7) == {}
 
-    @pytest.mark.parametrize("width", (8, 16, 24, 64, 136))
+    @pytest.mark.parametrize("width", range(8, 137, 8))
     def test_extreme_digits(self, width):
+        # Every digit size from 1 to 17 bytes: those of 1, 2, 4 and 8
+        # bytes are read by one cast, the others by byte slices.
         top = (1 << (width - 1)) - 1
+        rng = random.Random(width)
         for coeffs in ({0: top}, {0: -top}, {3: -top}, {0: top, 1: -top},
                        {0: -top, 1: top, 2: -top, 5: top},
-                       {e: (-1) ** e * top for e in range(9)}):
+                       {e: (-1) ** e * top for e in range(9)},
+                       {e: c for e in range(40)
+                        if (c := rng.randint(-top, top))}):
             assert unpack(packed(coeffs, width), width) == coeffs
             assert unpack(packed(coeffs, width), width, -4) == \
                 {e - 4: c for e, c in coeffs.items()}
@@ -370,7 +375,9 @@ class TestUnpack:
 
     @pytest.mark.parametrize("bound,width", [
         (0, 8), (1, 8), (127, 8), (128, 16), ((1 << 15) - 1, 16),
-        (1 << 15, 24), (1 << 62, 64), ((1 << 63) - 1, 64), (1 << 63, 72)])
+        (1 << 15, 32), (1 << 22, 32), (1 << 38, 64), (1 << 62, 64),
+        ((1 << 63) - 1, 64), (1 << 63, 72), (1 << 1534, 1536)])
     def test_digit_width(self, bound, width):
         assert digit_width(bound) == width
         assert bound < 1 << (width - 1)
+        assert width > 64 or width in (8, 16, 32, 64)
