@@ -308,11 +308,11 @@ def _is_pairs(values) -> bool:
 
 
 def _int_lists(obj: list, inner: str):
-    """(the format of one item, the ints of all items in order) when obj
-    is a list of ints, of [int, int] pairs (`LaurentPoly.serialize`) or of
-    [[int, int], int] terms (`BiLaurent.serialize`), with its items on
-    lines that inner starts; else None.  Types are checked exactly, so a
-    bool is no int and a pair such as [k, "+"] is no pair of ints."""
+    """(the format of one item, the values of all items in order) when obj
+    is a list of ints, of [int, int] pairs (`LaurentPoly.serialize`), of
+    [int, str] pairs (quantum-plus hits) or of [[int, int], int] terms
+    (`BiLaurent.serialize`), with its items on lines that inner starts;
+    else None.  Types are checked exactly, so a bool is no int."""
     cell = inner + "  "
     if _is_ints(obj):
         return "%d", tuple(obj)
@@ -322,6 +322,10 @@ def _int_lists(obj: list, inner: str):
     if _is_ints(flat):
         return f"[{cell}%d,{cell}%d{inner}]", tuple(flat)
     keys, values = flat[::2], flat[1::2]
+    if _is_ints(keys) and {*map(type, values)} == {str}:
+        pairs = zip(keys, map(encode_basestring_ascii, values))
+        return (f"[{cell}%d,{cell}%s{inner}]",
+                tuple(itertools.chain.from_iterable(pairs)))
     if not (_is_ints(values) and _is_pairs(keys)):
         return None
     exps = [*itertools.chain.from_iterable(keys)]
@@ -336,14 +340,16 @@ def _int_lists(obj: list, inner: str):
 def _json(obj, pad: str = "\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for a
     value on a line that pad starts (a newline and the indentation).
-    Strs, ints (type int exactly), lists and dicts with str keys are
-    written here, and the lists of `_int_lists` by one format string;
-    any other value, bools and None among them, goes to json.dumps."""
+    Strs, ints and bools (types checked exactly), lists and dicts with
+    str keys are written here, and the lists of `_int_lists` by one
+    format string; any other value, None among them, goes to json.dumps."""
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
     if kind is int:
         return "%d" % obj
+    if kind is bool:
+        return "true" if obj else "false"
     inner = pad + "  "
     if kind is list:
         ints = _int_lists(obj, inner)

@@ -514,6 +514,11 @@ class TestJsonWriter:
         [[1, True]], [[[1, 2], False]], [[[1, True], 2]], [[1, 2, 3]],
         [[1, "+"], [2, "-"]], {"\u00e9\n\"": [-(1 << 100), 0]},
         [1.5, 2], {1: [1, 2], 2: {"x": [[1, 2]]}}, ((1, 2), [3]),
+        [[1, "+"], [12, "-"]], [[0, "\u00e9\"%s"]], [[-1, ""]],
+        {"passes": True, "x": [False, True], "y": {"z": False}},
+        [1, True], ["+", 1], [[1, True], [2, False]], [["+", 1]],
+        [[1, "+"], ["-", 2]], [[1, "+"], [2, 3]], [[True, "+"]],
+        [[1, "+"], (2, "-")], [[1, "+", 3]],
     ])
     def test_edges(self, obj):
         assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)

@@ -80,6 +80,25 @@ class TestKnotCandidates:
         c = criteria.knot_candidates(TREFOIL_Q2, 3, 2, plus=True)
         assert c == frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
 
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+    def test_minus_matches_scan(self, p):
+        # Two random knots and a p-periodic one, w^p, against reducing r_k
+        # for every k in 0..p-1.  N = 2..8 takes in N = 0 and +-1 mod p,
+        # where the moments leave every k.
+        rng = random.Random(223 + p)
+        for q in (1, 1, p):
+            b = random_closure(rng, 1, (2, 4), (0, 8), q)
+            P = skein.homfly(b)
+            for N in range(2, 9):
+                inv = skein.quantum_sln(P, N, 1)
+                target = reduce(inv, p)
+                scan = frozenset(k for k in range(p) if target ==
+                                 reduce(criteria.rhs_sum(N, (k,)), p))
+                hits = criteria.knot_candidates(inv, p, N)
+                assert hits == scan, (b.text(), p, N)
+                if q == p:
+                    assert linking_tuple(b)[0] % p in hits
+
     @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
     def test_plus_matches_all_k_oracle(self, p):
         # Two random knots and a p-periodic one, w^p, against reducing all
@@ -89,7 +108,7 @@ class TestKnotCandidates:
         for q in (1, 1, p):
             b = random_closure(rng, 1, (2, 4), (0, 8), q)
             P = skein.homfly(b)
-            for N in (2, 3, 4, 5):
+            for N in range(2, 9):
                 inv = skein.quantum_sln(P, N, 1)
                 hits = criteria.knot_candidates(inv, p, N, plus=True)
                 assert hits == all_k_plus_candidates(inv, p, N), (b.text(), p, N)
@@ -282,12 +301,14 @@ class TestLinkCandidates:
     @pytest.mark.parametrize("p, m", ORACLE_CASES)
     def test_matches_all_tuple_oracle(self, p, m):
         # A random closure and a p-periodic one, w^p, for each (p, m);
-        # the periodic one must keep its axis linking tuple.
+        # the periodic one must keep its axis linking tuple.  N = 2..8
+        # takes in N = 0 and +-1 mod p at p <= 7, where the moments fix no
+        # sum of squares, and N = 0 mod p at m >= 2.
         rng = random.Random(109 + 100 * p + m)
         for q in (1, p):
             b = random_closure(rng, m, (2, 5), (0, 8), q)
             P = skein.homfly(b)
-            for N in (2, 3, 4):
+            for N in range(2, 9):
                 inv = skein.quantum_sln(P, N, m)
                 hits = criteria.link_candidates(inv, p, N, m)
                 assert hits == all_tuple_link_candidates(inv, p, N, m), \
@@ -378,6 +399,78 @@ class TestLinkCandidates:
         assert set(per_n) == {"2", "3"}
         for hits in per_n.values():
             assert [1] * m in hits
+
+
+class TestMomentPin:
+    """The moments t0, t1, t2 of the target, read through q -> 1 + u into
+    F_p[u]/(u^3), prune the searches; the exact comparison decides."""
+
+    @staticmethod
+    def moments(r: dict[int, int], p: int) -> tuple[int, int, int]:
+        return tuple(sum(c * f(e) for e, c in r.items()) % p
+                     for f in (lambda e: 1, lambda e: e,
+                               lambda e: e * (e - 1) // 2))
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17))
+    def test_residue_moments(self, p):
+        # r_k goes to N + sigma k^2 u^2, sigma = (N - 1) N (N + 1) / 6.
+        for N in range(2, 3 * p):
+            sigma = (N - 1) * N * (N + 1) // 6
+            for k, r in enumerate(criteria.quantum_residues(p, N)):
+                assert self.moments(r, p) == (N % p, 0, sigma * k * k % p)
+
+    def test_square_root(self):
+        # Every residue mod every odd prime below 200, and mod 7681 =
+        # 15 * 2^9 + 1 and 65537 = 2^16 + 1, whose Tonelli-Shanks loops
+        # run deepest.
+        for p in [p for p in range(3, 200) if laurent.is_prime(p)] + [7681,
+                                                                     65537]:
+            roots = {k * k % p: k for k in range(p // 2 + 1)}
+            for a in range(p):
+                assert criteria._sqrt(a, p) == roots.get(a), (a, p)
+
+    def test_pinned_search_probes_one_last_coordinate(self, monkeypatch):
+        # The 4-component control at p = 41, N = 2: c = N^3 sigma = 8, so
+        # each of the C(20 + 3, 3) prefixes of three coordinates is offered
+        # at most one last coordinate, and the search forms fewer products
+        # than with every last coordinate offered (the search before the
+        # pin: 2,022 products).
+        control = BraidWord(4, (1, 1, 2, 2, 3, 3) * 41)
+        inv = skein.quantum_sln(skein.homfly(control), 2, 4)
+        pinned = criteria._last_coordinates
+        offered = []
+
+        def spy_pin(*args):
+            lasts = pinned(*args)
+            return lambda s, lo: offered.append(lasts(s, lo)) or offered[-1]
+
+        def every(target, p, N, m):
+            return lambda s, lo: range(lo, p // 2 + 1)
+
+        counts = []
+        for pin in (spy_pin, every):
+            spy = mock.Mock(wraps=criteria._cyclic_product)
+            monkeypatch.setattr(criteria, "_cyclic_product", spy)
+            monkeypatch.setattr(criteria, "_last_coordinates", pin)
+            hits = criteria.link_candidates(inv, 41, 2, 4)
+            assert hits == frozenset(itertools.product((1, 40), repeat=4))
+            counts.append(spy.call_count)
+        assert len(offered) == math.comb(23, 3)
+        assert max(map(len, offered)) == 1
+        assert counts[0] < counts[1] == 2_022
+
+    def test_moments_that_cannot_match_build_no_residue(self, monkeypatch):
+        # The Hopf link has t0 = 4 = N^2 and t1 = 0 at p = 157, N = 2; a
+        # target with t1 != 0 (q times it) or t0 != N^m (three components)
+        # is answered before any residue is built.
+        spy = mock.Mock(wraps=criteria._cyclic_product)
+        monkeypatch.setattr(criteria, "_cyclic_product", spy)
+        shifted = HOPF_Q2 * LaurentPoly({1: 1})
+        assert criteria.link_candidates(shifted, 157, 2, 2) == frozenset()
+        assert criteria.link_candidates(HOPF_Q2, 157, 2, 3) == frozenset()
+        assert criteria.knot_candidates(TREFOIL_Q2 * LaurentPoly({1: 1}),
+                                        10007, 2) == frozenset()
+        assert spy.call_count == 0
 
 
 class TestPossibleLinking:
