@@ -485,12 +485,14 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built by the first `main` call and
-    shared by all later ones in the process.  Sharing it is sound because
-    `parse_args` only reads the parser: it fills a new Namespace on each
-    call, and every default is immutable (a str, an int, False, None or
-    the command function), so no call can see another's options."""
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand by name,
+    built by the first `main` call and shared by all later ones in the
+    process.  Sharing is sound because parsing only reads a parser: it
+    fills a new Namespace on each call, and every default is immutable (a
+    str, an int, False, None or the command function), so no call can see
+    another's options."""
     ap = argparse.ArgumentParser(
         prog="linkperiod",
         description="Quantum-invariant periodicity criteria for links")
@@ -514,12 +516,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run only checks whose name contains this"),
     }
 
+    commands = {}
     for name, cmd in COMMANDS.items():
-        sp = sub.add_parser(name, help=cmd.help)
+        sp = commands[name] = sub.add_parser(name, help=cmd.help)
         for arg in cmd.arguments:
             sp.add_argument(arg, **options[arg])
         sp.set_defaults(func=cmd.run)
-    return ap
+    return ap, commands
 
 
 def _join_input_values(argv: list[str]) -> list[str]:
@@ -537,9 +540,21 @@ def _join_input_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Runs one command line; returns its exit code.  An argv that starts
+    with a command's name is parsed by that command's parser alone, once,
+    as the top-level parse would hand it on, and words left over are
+    refused in the top-level parser's words; any other argv (none, -h, a
+    misspelt command) goes to the top-level parser."""
     argv = _join_input_values(sys.argv[1:] if argv is None else argv)
+    top, commands = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                top.error("unrecognized arguments: " + " ".join(extra))
+            args.command = argv[0]
+        else:
+            args = top.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -160,16 +160,6 @@ class PlanarDiagram(_Value):
         )
 
 
-def _arc_cycles(crossings) -> list[list[int]]:
-    """The arcs of each closed component in order along it, from its
-    smallest arc, the components ordered by that arc."""
-    nxt = {}
-    for c in crossings:
-        nxt[c.under_in] = c.under_out
-        nxt[c.over_in] = c.over_out
-    return cycles(dict(sorted(nxt.items())))
-
-
 def writhe(b: BraidWord) -> int:
     return sum(1 if e > 0 else -1 for e in b.letters)
 
@@ -182,13 +172,18 @@ def pd_from_braid(b: BraidWord) -> PlanarDiagram:
     arc in slot s (0-based) at the bottom has raw id s.  A letter emits
     its outputs left slot first: an output after the last letter on its
     slot wraps round the closure onto raw id s, any other takes the next
-    fresh id from n up.  Renumbering along the components then gives
-    arcs 1, 2, ...; slots no letter touches are crossing-free loops.
+    fresh id from n up.  The strand entering a crossing on the left
+    leaves it on the right and the other the reverse, which gives each
+    raw id its successor.  Renumbering along the components then gives
+    arcs 1, 2, ...: each component starts at its smallest raw id, that of
+    a slot some letter touches, and the components go in the order of
+    those ids; slots no letter touches are crossing-free loops.
     """
     last = {}                       # slot -> index of the last letter on it
     for i, e in enumerate(b.letters):
         last[abs(e) - 1] = last[abs(e)] = i
     arc = list(range(b.n))          # raw id of the arc now in each slot
+    succ = dict.fromkeys(sorted(last))  # raw id -> next; slot ids first
     fresh = itertools.count(b.n)
     raw = []
     for i, e in enumerate(b.letters):
@@ -197,19 +192,14 @@ def pd_from_braid(b: BraidWord) -> PlanarDiagram:
         for s in (j, j + 1):
             arc[s] = s if last[s] == i else next(fresh)
         out_l, out_r = arc[j], arc[j + 1]
-        if e > 0:
-            raw.append(Crossing(1, under_in=in_r, over_in=in_l,
-                                under_out=out_l, over_out=out_r))
-        else:
-            raw.append(Crossing(-1, under_in=in_l, over_in=in_r,
-                                under_out=out_r, over_out=out_l))
+        succ[in_l], succ[in_r] = out_r, out_l
+        raw.append((1, in_r, in_l, out_l, out_r) if e > 0
+                   else (-1, in_l, in_r, out_r, out_l))
     number = {a: i for i, a in
-              enumerate((a for cyc in _arc_cycles(raw) for a in cyc), 1)}
-    crossings = tuple(
-        Crossing(c.sign, number[c.under_in], number[c.over_in],
-                 number[c.under_out], number[c.over_out])
-        for c in raw
-    )
+              enumerate(itertools.chain.from_iterable(cycles(succ)), 1)}
+    crossings = tuple(Crossing(sign, number[a], number[b_], number[c],
+                               number[d])
+                      for sign, a, b_, c, d in raw)
     return PlanarDiagram(crossings, b.n - len(last))
 
 

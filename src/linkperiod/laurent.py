@@ -121,10 +121,12 @@ class _SparsePoly(_Value):
         # The subclasses' own __slots__ are empty.
         return (self._c,)
 
-    def _like(self, coeffs):
-        """A result of this type from a map with normalized keys and int
-        coefficients, dropping zeros; arithmetic skips the constructor."""
-        out = object.__new__(type(self))
+    @classmethod
+    def _like(cls, coeffs):
+        """A value of this type from a map with normalized keys and int
+        coefficients, dropping zeros; arithmetic and the readers of
+        `unpack` skip the constructor."""
+        out = object.__new__(cls)
         object.__setattr__(out, "_c", {k: v for k, v in coeffs.items() if v})
         return out
 

@@ -73,7 +73,7 @@ result is a bare coefficient map: cli names its variable in the report.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, inf
 
 from .diagram import BraidWord, PlanarDiagram, pd_from_braid, writhe
 from .laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
@@ -183,9 +183,9 @@ def _homfly_braid(b: BraidWord) -> BiLaurent:
         j, k = divmod(i, L + 1)         # the digit of a^(2j) z^k
         r, s = a0 + 2 * j, k - (n - 1)
         if mirrored:
-            r, v = -r, v * (-1) ** s
+            r, v = -r, -v if s % 2 else v
         P[(r, s)] = v
-    return BiLaurent(P)
+    return BiLaurent._like(P)
 
 
 def homfly(b: BraidWord, d: PlanarDiagram | None = None) -> BiLaurent:
@@ -206,21 +206,33 @@ def _specialize(P: BiLaurent, a_exp: int, N: int = 1) -> LaurentPoly:
     """[N]_x times P at a -> x^a_exp, z -> x - x^-1, by the Horner pass
     over z that the module docstring describes."""
     by_power: dict[int, list[tuple[int, int]]] = {}
+    bottom = mass = 0       # mass: sum of |v| 2^(s - bottom) so far
+    low, high = (inf, -inf) if P._c else (0, 0)     # min e, max e + s
     for (r, s), v in P._c.items():
-        by_power.setdefault(s, []).append((a_exp * r, v))
-    top, k = max(by_power, default=0), max(-min(by_power, default=0), 0)
-    low = min((e for terms in by_power.values() for e, _ in terms),
-              default=0) - (top + k)
-    span = max((e + s for s, terms in by_power.items() for e, _ in terms),
-               default=0) - low + k
-    bound = (sum(abs(v) << (s + k) for (_, s), v in P._c.items())
-             * comb(span // 2 + k, k) * N)
+        e = a_exp * r
+        terms = by_power.get(s)
+        if terms is None:
+            terms = by_power[s] = []
+            if s < bottom:
+                mass <<= bottom - s
+                bottom = s
+        terms.append((e, v))
+        mass += abs(v) << (s - bottom)
+        if e < low:
+            low = e
+        if e + s > high:
+            high = e + s
+    top, k = max(by_power, default=0), -bottom
+    low -= top + k
+    span = high - low + k
+    bound = mass * comb(span // 2 + k, k) * N
     width = digit_width(bound << (k + 1))
     acc = 0
     for s in range(top, -k - 1, -1):
         acc = (acc << 2 * width) - acc
+        base = low + s + k
         for e, v in by_power.get(s, ()):
-            acc += v << width * (e - low - s - k)
+            acc += v << width * (e - base)
     power = k
     if N > 1:
         acc = (acc << 2 * width * N) - acc    # times x^(N-1) [N]_x (x^2 - 1)
@@ -229,7 +241,7 @@ def _specialize(P: BiLaurent, a_exp: int, N: int = 1) -> LaurentPoly:
         acc, rest = divmod(acc, ((1 << 2 * width) - 1) ** power)
         if rest:
             raise InexactDivisionError("quotient is not a Laurent polynomial")
-    return LaurentPoly(unpack(acc, width, low + k - (N - 1)))
+    return LaurentPoly._like(unpack(acc, width, low + k - (N - 1)))
 
 
 def quantum_sln(P: BiLaurent, N: int, m: int = 1) -> LaurentPoly:
@@ -254,21 +266,17 @@ def alexander(P: BiLaurent) -> LaurentPoly:
     coefficient."""
     if P.z_min() < 0:
         raise ValueError("negative z-exponents: not a knot polynomial")
-    v = _specialize(P, 0)
-    if any(e % 2 != 0 for e in v.exponents()):
+    v = _specialize(P, 0)._c
+    if any(e % 2 for e in v):
         raise ValueError("odd half-powers of t: not a knot polynomial")
-    t_poly = {e // 2: c for e, c in v.terms()}
-    if not t_poly:
+    if not v:
         return LaurentPoly.zero()
-    shift = -min(t_poly)
-    t_poly = {e + shift: c for e, c in t_poly.items()}
-    if t_poly[max(t_poly)] < 0:
-        t_poly = {e: -c for e, c in t_poly.items()}
-    return LaurentPoly(t_poly)
+    low, sign = min(v), -1 if v[max(v)] < 0 else 1
+    return LaurentPoly._like({(e - low) // 2: sign * c for e, c in v.items()})
 
 
 def p0_part(P: BiLaurent) -> LaurentPoly:
     """The z-degree-zero coefficient polynomial of a knot's HOMFLY, in a."""
     if P.z_min() < 0:
         raise ValueError("negative z-exponents: not a knot polynomial")
-    return LaurentPoly({r: v for (r, s), v in P._c.items() if s == 0})
+    return LaurentPoly._like({r: v for (r, s), v in P._c.items() if s == 0})

@@ -194,7 +194,7 @@ def brackets(b: BraidWord, ns) -> dict[int, LaurentPoly]:
         if i in table[i]:
             sizes = tuple(map(r.count, range(max(r) + 1)))
             closed[sizes] = closed.get(sizes, 0) + table[i][i]
-    return {N: LaurentPoly(unpack(
+    return {N: LaurentPoly._like(unpack(
         sum(x * _ordered_sum(sizes, N, w) for sizes, x in closed.items()),
         w, -L - (N - 1) * n)) for N in ns}
 

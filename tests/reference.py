@@ -30,8 +30,8 @@ coefficient-jump test of `classical.traczyk_p0_candidates`, which reads
 its answer off the jump set, by testing every residue against the jumps.
 `braid_segments` merges the (row, slot) cells of a braid closure into
 arcs with a union-find over all k·n cells; `segment_pd` builds the
-closure's diagram on it, and checks the one pass over the letters of
-`diagram.pd_from_braid`.  The whole-state enumerator reads its arcs
+closure's diagram on it and numbers its arcs along `arc_cycles`, and
+checks the one pass over the letters of `diagram.pd_from_braid`.  The whole-state enumerator reads its arcs
 from `braid_segments` too.
 """
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from linkperiod import criteria, skein, skeinroute
 from linkperiod.diagram import (BraidWord, Crossing, PlanarDiagram,
-                               _arc_cycles, closure_components, writhe)
+                               closure_components, cycles, writhe)
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
                                 ResourceLimitError, reduce)
 
@@ -416,6 +416,16 @@ def braid_segments(b: BraidWord):
             for key in [(i, s)]}, crossing_slots
 
 
+def arc_cycles(crossings) -> list[list[int]]:
+    """The arcs of each closed component in order along it, from its
+    smallest arc, the components ordered by that arc."""
+    nxt = {}
+    for c in crossings:
+        nxt[c.under_in] = c.under_out
+        nxt[c.over_in] = c.over_out
+    return cycles(dict(sorted(nxt.items())))
+
+
 def segment_pd(b: BraidWord) -> PlanarDiagram:
     """`diagram.pd_from_braid` built on `braid_segments`: read the four
     arcs of each crossing off the (row, slot) cells, then renumber."""
@@ -440,7 +450,7 @@ def segment_pd(b: BraidWord) -> PlanarDiagram:
 
     # Renumber arcs 1, 2, ... consecutively along components.
     number = {a: i for i, a in
-              enumerate((a for cyc in _arc_cycles(raw) for a in cyc), 1)}
+              enumerate((a for cyc in arc_cycles(raw) for a in cyc), 1)}
     crossings = tuple(
         Crossing(c.sign, number[c.under_in], number[c.over_in],
                  number[c.under_out], number[c.over_out])

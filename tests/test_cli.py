@@ -724,18 +724,74 @@ def test_no_subcommand_is_usage_error():
     assert cli.main([]) == 1
 
 
+def run_full_parser(argv, capsys):
+    """(exit code, stdout, stderr) of the top-level parser's own
+    parse_args on an argv it refuses or answers with help."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser()[0].parse_args(argv)
+    out = capsys.readouterr()
+    return (1 if exc.value.code else 0), out.out, out.err
+
+
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["check", "--help"], ["invariant", "--help"], ["bogus"],
     ["check", "--braid", TREFOIL], ["batch"],
-    ["check", "--braid", TREFOIL, "-p", "3", "extra"]])
+    ["check", "--braid", TREFOIL, "-p", "3", "extra"],
+    ["invariant", "--braid", TREFOIL, "--format", "json", "x", "y"],
+    ["check", "--braid", TREFOIL, "-p", "3", "--", "extra"],
+    ["check", "-h"],
+    ["check", "--brai", TREFOIL, "-p", "3", "extra"],
+    ["chec", "--braid", TREFOIL, "-p", "3"],
+    ["check", "--braid", TREFOIL, "-p", "x"],
+    ["check", "--braid", TREFOIL, "-p", "3", "--bogus", "v", "w"],
+    ["invariant", "--braid", TREFOIL, "--format", "xml"],
+    ["batch", "a.csv", "b.csv", "-p", "3"]])
 def test_usage_output_matches_the_full_parser(capsys, argv):
     # main shares one parser between calls; a successful check in between
-    # must not change what the parser prints.
+    # must not change what the parser prints.  main parses a command's
+    # words with that command's parser alone, and must print and exit as
+    # the top-level parse_args does.
     got = run_main(argv, capsys)
     assert run_main(["check", "--braid", TREFOIL, "-p", "3"], capsys)[0] == 0
     assert got == run_main(argv, capsys)
-    assert got[0] == (0 if "--help" in argv else 1)
+    assert got[0] == (0 if {"-h", "--help"} & {*argv} else 1)
     assert got[1] or got[2]
+    assert got == run_full_parser(argv, capsys)
+
+
+def test_one_parse_per_command_line(capsys, monkeypatch, tmp_path):
+    # One parse_known_args call per valid argv, which the top-level
+    # parse_args would make twice (its own, then the command's), and the
+    # namespace that parse_args returns.
+    (tmp_path / "links.csv").write_text(TestBatch.CSV)
+    monkeypatch.chdir(tmp_path)
+    top = cli.build_parser()[0]
+    argvs = [
+        ["check", "--braid", TREFOIL, "-p", "3"],
+        ["check", "--brai", TREFOIL, "-p", "5", "--format", "json"],
+        ["invariant", "--pd", TREFOIL_PD, "--n", "2"],
+        ["batch", "-p", "3", "--", "links.csv"],
+        ["selftest", "--filter", "zzz"],
+    ]
+    expected = [vars(top.parse_args(argv)) for argv in argvs]
+    calls, namespaces = [], []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.prog)
+        result = parse_known_args(self, *args, **kwargs)
+        namespaces.append(vars(result[0]))
+        return result
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    for argv, want in zip(argvs, expected):
+        calls.clear()
+        namespaces.clear()
+        assert run_main(argv, capsys)[0] == (1 if argv[0] == "selftest" else 0)
+        assert calls == [f"linkperiod {argv[0]}"]
+        assert namespaces == [want]
+    calls.clear()
+    top.parse_args(argvs[0])
+    assert calls == ["linkperiod", "linkperiod check"]
 
 
 class TestOneParser:

@@ -1,15 +1,15 @@
 import random
 import sys
 import tracemalloc
+from math import comb
 
 import pytest
-from reference import hecke_homfly, termwise_specialize
+from reference import arc_cycles, hecke_homfly, termwise_specialize
 
 from linkperiod import skein, skeinroute, statemodel
 from linkperiod.diagram import (BraidWord, Crossing, ParseError,
-                                PlanarDiagram, _arc_cycles,
-                                closure_components, parse_pd, pd_from_braid,
-                                writhe)
+                                PlanarDiagram, closure_components, parse_pd,
+                                pd_from_braid, writhe)
 from linkperiod.laurent import (BiLaurent, InexactDivisionError, LaurentPoly,
                                 quantum_integer)
 from linkperiod.selftest import (FIG8_HOMFLY, FIGURE_EIGHT, HOPF, HOPF_HOMFLY,
@@ -388,7 +388,7 @@ class TestBraidFromPd:
             # The moves keep the link facts that cli reads off the braid.
             assert (writhe(b), len(closure_components(b))) == \
                 (sum(c.sign for c in d.crossings),
-                 len(_arc_cycles(d.crossings)) + d.free_loops)
+                 len(arc_cycles(d.crossings)) + d.free_loops)
             most = max(most, moves)
             assert skein.homfly(b, d) == expected
             if len(d.crossings) <= 10:
@@ -723,6 +723,106 @@ class TestSpecializeAgainstTermwise:
             for k in range(-5, 6):
                 assert skein._specialize(P, k) == termwise_specialize(
                     P, LaurentPoly.monomial(k), z)
+
+
+def assert_built_as_constructed(f, cls):
+    """f equals and hashes like cls(dict(f.terms())), and its map holds
+    int keys (pairs of ints for BiLaurent) and nonzero int values, types
+    checked exactly: the decoders of packed integers build their results
+    with `_like`, which skips the constructor's normalization."""
+    rebuilt = cls(dict(f.terms()))
+    assert f == rebuilt and hash(f) == hash(rebuilt)
+    for key, v in f._c.items():
+        parts = key if cls is BiLaurent else (key,)
+        assert type(parts) is tuple and len(parts) == (2 if cls is BiLaurent
+                                                       else 1)
+        assert {*map(type, parts)} == {int}
+        assert type(v) is int and v != 0
+
+
+def bound_term_by_term(P, a_exp, N):
+    """2^(k+1) D C(span/2 + k, k) N, the bound of the module docstring
+    that the width of `_specialize` holds, read term by term."""
+    terms = [(a_exp * r, s, v) for (r, s), v in P._c.items()]
+    top = max((s for _, s, _ in terms), default=0)
+    k = max(-min((s for _, s, _ in terms), default=0), 0)
+    low = min((e for e, _, _ in terms), default=0) - (top + k)
+    span = max((e + s for e, s, _ in terms), default=0) - low + k
+    D = sum(abs(v) << (s + k) for _, s, v in terms)
+    return D * comb(span // 2 + k, k) * N << (k + 1)
+
+
+class TestDecodedValues:
+    """HOMFLY, the specializations and the state sums are decoded from
+    packed integers straight into values; each is the value the
+    constructor would build."""
+
+    @staticmethod
+    def braids():
+        rng = random.Random(83)
+        return [UNKNOT, BraidWord(3), BraidWord(2, (-1, -1)),
+                BraidWord(3, (1, -2, -2, 1, -2))] + [
+            random_word(rng, 5, 14) for _ in range(80)]
+
+    def test_homfly(self):
+        mirrored = negative_z = 0
+        for b in self.braids():
+            P = skein.homfly(b)
+            assert_built_as_constructed(P, BiLaurent)
+            mirrored += 2 * sum(e < 0 for e in b.letters) > len(b)
+            negative_z += P.z_min() < 0
+        assert mirrored > 10 and negative_z > 10
+
+    def test_specializations(self):
+        cases = [(BiLaurent.zero(), 1)] + [
+            (skein.homfly(b), len(closure_components(b)))
+            for b in self.braids()]
+        for P, m in cases:
+            values = [skein.quantum_sln(P, N, m) for N in range(2, 6)]
+            values.append(skein.jones(P))
+            if m == 1:
+                values += [skein.alexander(P), skein.p0_part(P)]
+            for f in values:
+                assert_built_as_constructed(f, LaurentPoly)
+        zero = BiLaurent.zero()
+        assert skein.alexander(zero) == skein.jones(zero) == \
+            skein.quantum_sln(zero, 3) == LaurentPoly.zero()
+
+    def test_state_sums(self):
+        for b in self.braids():
+            if b.n <= 4 and len(b) <= 10:
+                for f in statemodel.brackets(b, [2, 3]).values():
+                    assert_built_as_constructed(f, LaurentPoly)
+
+    def test_width_holds_the_docstring_bound(self, monkeypatch):
+        # The width is read off the bound of the module docstring, summed
+        # in one pass over the terms; its value must be the term-by-term
+        # one, 2^k factor and exponent span included.
+        bounds = []
+        digit_width = skein.digit_width
+
+        def spy(bound):
+            bounds.append(bound)
+            return digit_width(bound)
+        polys = [(skein.homfly(b), len(closure_components(b)))
+                 for b in self.braids()]
+        # Terms whose parities differ, unlike a link's: the span is odd
+        # at even N, so a one-off span changes C(span/2 + k, k).
+        polys += [(BiLaurent({(1, 1): 2, (-2, 3): -1, (0, 5): 4}), 2),
+                  (skein.DELTA * BiLaurent({(0, 0): 1, (1, 1): 1}), 2)]
+        monkeypatch.setattr(skein, "digit_width", spy)
+        for P, m in polys:
+            for N in range(2, 9):
+                bounds.clear()
+                skein.quantum_sln(P, N, m)
+                assert bounds == [bound_term_by_term(P, -N, N)]
+            bounds.clear()
+            skein.jones(P)
+            assert bounds == [bound_term_by_term(P, 2, 1)]
+            if m == 1:
+                bounds.clear()
+                skein.alexander(P)
+                assert bounds == [bound_term_by_term(P, 0, 1)]
 
 
 class TestDiagramFrontier:
