@@ -13,7 +13,6 @@ import io
 import itertools
 import json
 import os
-import re
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
@@ -43,7 +42,8 @@ def _cli_input(args) -> tuple[str, str]:
 
 def _is_number(text: str) -> bool:
     """ASCII digits, as in braid and PD text, with surrounding whitespace."""
-    return re.fullmatch(r"[0-9]+", text.strip()) is not None
+    text = text.strip()
+    return text.isascii() and text.isdigit()
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -532,7 +532,7 @@ def _join_input_values(argv: list[str]) -> list[str]:
     joined: list[str] = []
     for word in argv:
         if joined and joined[-1] in ("--braid", "--pd") and \
-                re.match(r"-[0-9]", word):
+                word[:1] == "-" and _is_number(word[1:2]):
             joined[-1] += "=" + word
         else:
             joined.append(word)

@@ -12,12 +12,10 @@ Every candidate function returns a plain frozenset: residues k mod p
 
 Modulo (p, q^p - 1) the candidate sum of psi is the product of the
 residues r_k of [N]_{q^k} over its coordinates k = psi_j, and r_{-k} =
-r_k because [N]_q is symmetric under q -> q^-1.  `quantum_residues`
-builds r_k for the k it is given (by default k = 0..p//2) from the
-labels I_N, one at a time, as a sparse map from exponent mod p to
-nonzero coefficient, the form `laurent.reduce` returns, of at most N
-terms.  It is the one place that builds I_N, and so the one place that
-refuses N < 2, for both criteria.
+r_k because [N]_q is symmetric under q -> q^-1.  `quantum_residue`
+builds one r_k from the labels I_N, in O(N), as a sparse map from
+exponent mod p to nonzero coefficient, the form `laurent.reduce`
+returns, of at most N terms.
 
 Moments.  For odd p, q -> 1 + u is a ring map from F_p[q]/(q^p - 1)
 onto F_p[u]/(u^3), because (1 + u)^p = 1 + u^p.  It sends q^e to
@@ -38,28 +36,29 @@ moments fix no sum of squares, and every k is tried, at p = 2 (no such
 map) and where c = 0 mod p: N = 0 or +-1 mod p for p > 3 (mod 9 for
 p = 3), or N = 0 mod p with m >= 2.
 
-A knot has one coordinate: `knot_candidates` builds and compares the
-r_k of the one k that each target's moments leave, O(N + log^2 p) per
-N, and when they leave every k it scans the residues once, in order,
-in O(p * N), holding one residue at a time.  It keeps k and -k for
-each r_k equal to the target.
-
-A link's product does not depend on the order of the components, so the
-set of matching tuples is closed under permuting coordinates and under
-negating any one of them, and every orbit has exactly one non-decreasing
-representative in {0..p//2}^m.  `link_candidates` keeps the p//2 + 1
-residues and walks those representatives depth first from each r_k,
-sharing each prefix product, and expands each hit into its orbit.  Each
-of the C(p//2 + m - 1, m - 1) prefixes of m - 1 coordinates is offered
-the last coordinate that the moments leave, and its product is formed
-only when that root exists and is at least the prefix's last
-coordinate.  At the last coordinate an O(N) probe computes one
-coefficient of prefix * r_k, at the target's lowest exponent, and the
-product is formed only when it matches.  At p = 41, m = 4, N = 2 the
-1,771 prefixes leave 261 probes and 493 products in F_p[q]/(q^p - 1);
-offered every last coordinate, as where the moments fix nothing, the
-walk makes C(p//2 + m, m) = 10,626 probes and 2,022 products, and
-p^m = 2,825,761.
+The walk.  The product does not depend on the order of the
+components, so the set of matching tuples is closed under permuting
+coordinates and under negating any one of them, and every orbit has
+exactly one non-decreasing representative in {0..p//2}^m.  `_matches`,
+the one search of both criteria, walks those representatives depth
+first, sharing each prefix product; a knot is the m = 1 case, and
+`link_candidates` expands each hit into its orbit.  Each of the
+C(p//2 + m - 1, m - 1) prefixes of m - 1 coordinates is offered the
+last coordinate that the moments leave, and its product is formed only
+when that root exists and is at least the prefix's last coordinate.
+At the last coordinate an O(N) probe computes one coefficient of
+prefix * r_k, at the target's lowest exponent, and the product is
+formed only when it matches; with no prefix (m = 1) r_k is compared
+with the target directly, so a knot costs O(N + log^2 p) per N where
+the moments pin k, and O(p * N) where they leave every k.  At p = 41,
+m = 4, N = 2 the 1,771 prefixes leave 261 probes and 493 products in
+F_p[q]/(q^p - 1); offered every last coordinate, as where the moments
+fix nothing, the walk makes C(p//2 + m, m) = 10,626 probes and 2,022
+products, and p^m = 2,825,761.  The walk builds each r_k where it
+reads it, with `quantum_residue`, and keeps none between nodes: a knot
+holds one residue at a time, and a link the residues and prefix
+products of one path, m of each, not a table of p//2 + 1 residues.
+`_matches` refuses N < 2 before any answer, for both criteria.
 
 Work limit.  A link's search refuses, with ResourceLimitError, on the two
 counts it spends, each against `laurent.MAX_WORK` read at call time: the
@@ -74,16 +73,18 @@ bound of its own, and a link's p is bounded by the first count: m = 2,
 
 For odd p, q -> -q is a ring isomorphism from F_p[q]/(q^p + 1) onto
 F_p[q]/(q^p - 1) that sends [N]_{q^k} to (-1)^{k(N-1)} [N]_{q^k}.  So
-the quantum-plus criterion for f is the same test with +-f(-q) as the
-two targets, each with its own moments, and each r_k built once for
-both: a match at k stands for k, -k, k + p and -k + p, with the sign
-flipped when k(N-1) is odd.
+the quantum-plus criterion for f is the same walk on each of +-f(-q),
+with its own moments: a match at k stands for k, -k, k + p and -k + p,
+with the sign flipped when k(N-1) is odd.  The two targets' t0 are
+negatives, so both pass the t0 test only where N = 0 mod p; the moments
+then fix no k, and each walk builds all p//2 + 1 residues, so each
+is built twice.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from math import comb, factorial
 
 from . import laurent
@@ -117,24 +118,13 @@ def knot_candidates(inv: LaurentPoly, p: int, N: int,
         raise ValueError(
             f"p must be {'an odd prime' if plus else 'prime'}: {p}")
     if not plus:
-        targets = [(1, reduce(inv, p))]
-    else:
-        target = reduce(LaurentPoly({e: -c if e % 2 else c  # f(-q)
-                                     for e, c in inv.terms()}), p)
-        targets = [(1, target), (-1, {e: p - c for e, c in target.items()})]
-    # The targets of each k that the moments leave, each r_k built once.
-    # They leave every k only where N >= p - 1 or p <= 3, so the map is no
-    # larger than the invariant.
-    wanted: dict[int, list] = {}
-    for s, t in targets:
-        lasts = _last_coordinates(t, p, N, 1)
-        for k in lasts(0, 0) if lasts else ():
-            wanted.setdefault(k, []).append((s, t))
-    ks = sorted(wanted)
-    hits = [(k, s) for k, r in zip(ks, quantum_residues(p, N, ks))
-            for s, t in wanted[k] if r == t]
-    if not plus:
-        return frozenset(x for k, _ in hits for x in (k, -k % p))
+        return frozenset(x for (k,) in _matches(reduce(inv, p), p, N, 1)
+                         for x in (k, -k % p))
+    target = reduce(LaurentPoly({e: -c if e % 2 else c  # f(-q)
+                                 for e, c in inv.terms()}), p)
+    hits = [(k, s) for s, t in ((1, target),
+                                (-1, {e: p - c for e, c in target.items()}))
+            for (k,) in _matches(t, p, N, 1)]
     # A match with s f(-q) reads sign s, flipped when i(N-1) is odd.
     return frozenset((i, "+" if (s > 0) == (i * (N - 1) % 2 == 0) else "-")
                      for k, s in hits
@@ -143,11 +133,10 @@ def knot_candidates(inv: LaurentPoly, p: int, N: int,
 
 def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
     """All tuples psi in {0..p-1}^m whose candidate sum matches the link
-    invariant mod (p, q^p - 1); empty means "not p-periodic".  One orbit
-    search (module docstring) tests the non-decreasing tuples over
-    {0..p//2} whose last coordinate the target's moments leave, and
-    expands each hit into its orbit.  Past the work limit (module
-    docstring) it raises ResourceLimitError."""
+    invariant mod (p, q^p - 1); empty means "not p-periodic".  The walk
+    (module docstring) finds the non-decreasing tuples over {0..p//2}
+    that match, and each is expanded into its orbit.  Past the work limit
+    (module docstring) it raises ResourceLimitError."""
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
     if m < 1:
@@ -157,12 +146,25 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
         raise ResourceLimitError(
             f"{orbits} orbits to test, C(p//2 + m, m) at p={p}, m={m}, "
             f"exceed the work limit of {laurent.MAX_WORK}")
-    target = reduce(inv, p)
-    residues = quantum_residues(p, N)       # refuses N < 2 before any answer
+    hits = _matches(reduce(inv, p), p, N, m)
+    tuples = sum(_orbit_size(ks, p) for ks in hits)
+    if tuples > laurent.MAX_WORK:
+        raise ResourceLimitError(
+            f"{len(hits)} matching orbits of {tuples} tuples in all at "
+            f"p={p}, m={m} exceed the work limit of {laurent.MAX_WORK}")
+    return frozenset(t for ks in hits for order in _orderings(ks)
+                     for t in itertools.product(*({k, -k % p} for k in order)))
+
+
+def _matches(target: dict[int, int], p: int, N: int,
+             m: int) -> list[tuple[int, ...]]:
+    """The non-decreasing m-tuples over 0..p//2 whose product of residues
+    equals target, in the walk's order (module docstring)."""
+    if N < 2:
+        raise ValueError(f"N must be >= 2: {N}")
     lasts = _last_coordinates(target, p, N, m)
     if not lasts:
-        return frozenset()
-    residues = list(residues)
+        return []
     probe = min(target, default=0)
     want = target.get(probe, 0)
     hits: list[tuple[int, ...]] = []
@@ -173,26 +175,22 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
         squares; last: the last coordinates to try once m - 1 are set."""
         if len(ks) == m - 1:
             for k in last:
-                r = residues[k]
-                if sum(prefix.get((probe - d) % p, 0) * c
-                       for d, c in r.items()) % p == want \
-                        and _cyclic_product(prefix, r, p) == target:
+                r = quantum_residue(p, N, k)
+                if ks and sum(prefix.get((probe - d) % p, 0) * c
+                              for d, c in r.items()) % p != want:
+                    continue
+                if (_cyclic_product(prefix, r, p) if ks else r) == target:
                     hits.append(ks + (k,))
             return
-        for k in range(ks[-1] if ks else 0, len(residues)):
+        for k in range(ks[-1] if ks else 0, p // 2 + 1):
             tail = len(ks) < m - 2 or lasts(s + k * k, k)
             if tail:
-                extend(_cyclic_product(prefix, residues[k], p) if ks
-                       else residues[k], ks + (k,), s + k * k, tail)
+                r = quantum_residue(p, N, k)
+                extend(_cyclic_product(prefix, r, p) if ks else r,
+                       ks + (k,), s + k * k, tail)
 
     extend({0: 1}, (), 0, m > 1 or lasts(0, 0))
-    tuples = sum(_orbit_size(ks, p) for ks in hits)
-    if tuples > laurent.MAX_WORK:
-        raise ResourceLimitError(
-            f"{len(hits)} matching orbits of {tuples} tuples in all at "
-            f"p={p}, m={m} exceed the work limit of {laurent.MAX_WORK}")
-    return frozenset(t for ks in hits for order in _orderings(ks)
-                     for t in itertools.product(*({k, -k % p} for k in order)))
+    return hits
 
 
 def _last_coordinates(target: dict[int, int], p: int, N: int, m: int):
@@ -269,23 +267,14 @@ def _orderings(ks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield (v,) + rest
 
 
-def quantum_residues(p: int, N: int, ks: Iterable[int] | None = None
-                     ) -> Iterator[dict[int, int]]:
-    """r_k, the residue of [N]_{q^k} mod (p, q^p - 1), for each k of ks
-    (by default 0..p//2) in order: k * I mod p -> multiplicity mod p over
-    I in I_N, zeros dropped.  Yielded one at a time, so a knot's scan
-    holds one of them at a time; N < 2 raises at the call."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2: {N}")
-
-    def residues() -> Iterator[dict[int, int]]:
-        for k in range(p // 2 + 1) if ks is None else ks:
-            r: dict[int, int] = {}
-            for label in range(-N + 1, N, 2):
-                e = k * label % p
-                r[e] = r.get(e, 0) + 1
-            yield {e: c % p for e, c in r.items() if c % p}
-    return residues()
+def quantum_residue(p: int, N: int, k: int) -> dict[int, int]:
+    """r_k, the residue of [N]_{q^k} mod (p, q^p - 1): k * I mod p ->
+    multiplicity mod p over I in I_N, zeros dropped."""
+    r: dict[int, int] = {}
+    for label in range(-N + 1, N, 2):
+        e = k * label % p
+        r[e] = r.get(e, 0) + 1
+    return {e: c % p for e, c in r.items() if c % p}
 
 
 def _cyclic_product(f: dict[int, int], g: dict[int, int],

@@ -41,18 +41,23 @@ class BraidWord(_Value):
         return f"n={self.n}; " + " ".join(str(e) for e in self.letters)
 
 
+#: The optional strand-count header of braid text.
+_HEADER = re.compile(r"^n\s*=\s*([0-9]+)\s*;")
+
+
 def parse_braid(text: str) -> BraidWord:
     """Parse whitespace-separated letters, optionally led by "n=<strands>;".
     A letter is an optional minus sign and ASCII digits."""
     text = text.strip()
     n_declared = None
-    m = re.match(r"^n\s*=\s*([0-9]+)\s*;", text)
+    m = _HEADER.match(text)
     if m:
         n_declared = int(m.group(1))
         text = text[m.end():].strip()
     letters = []
     for tok in text.split():
-        if not re.fullmatch(r"-?[0-9]+", tok):
+        digits = tok[1:] if tok[:1] == "-" else tok
+        if not (digits.isascii() and digits.isdigit()):
             raise ParseError(f"malformed braid token: {tok!r}")
         e = int(tok)
         if e == 0:
@@ -203,9 +208,9 @@ def pd_from_braid(b: BraidWord) -> PlanarDiagram:
     return PlanarDiagram(crossings, b.n - len(last))
 
 
-#: One crossing of PD text; re compiles and caches it on the first parse.
-_PD_TOKEN = (r"X\[\s*([0-9]+)\s*,\s*([0-9]+)\s*,"
-             r"\s*([0-9]+)\s*,\s*([0-9]+)\s*\]")
+#: One crossing of PD text.
+_PD_TOKEN = re.compile(r"X\[\s*([0-9]+)\s*,\s*([0-9]+)\s*,"
+                       r"\s*([0-9]+)\s*,\s*([0-9]+)\s*\]")
 
 
 def parse_pd(text: str) -> PlanarDiagram:
@@ -220,7 +225,7 @@ def parse_pd(text: str) -> PlanarDiagram:
         raise ParseError("empty PD input")
     tuples = []
     pos = 0
-    for m in re.finditer(_PD_TOKEN, text):
+    for m in _PD_TOKEN.finditer(text):
         if text[pos:m.start()].strip():
             raise ParseError(f"malformed PD text near: {text[pos:m.start()].strip()!r}")
         tuples.append(tuple(int(g) for g in m.groups()))

@@ -115,8 +115,8 @@ class TestKnotCandidates:
 
     @pytest.mark.parametrize("plus", [False, True], ids=["minus", "plus"])
     def test_memory_linear_in_p(self, plus):
-        # The search keeps p/2 sparse residues of at most N terms each,
-        # not p/2 dense lists of p coefficients.
+        # Residues are sparse, of at most N terms each, not dense lists of
+        # p coefficients.
         tracemalloc.start()
         try:
             criteria.knot_candidates(TREFOIL_Q2, 2003, 2, plus)
@@ -127,9 +127,10 @@ class TestKnotCandidates:
 
     @pytest.mark.parametrize("plus", [False, True], ids=["minus", "plus"])
     def test_memory_flat_in_p(self, plus):
-        # A knot's search reads each residue once, in order, so it holds
-        # one at a time: at p = 200,003 it stays under the bound that
-        # p = 2,003 meets above; holding all p/2 residues takes about 30 MB.
+        # At p = 200,003 it stays under the bound that p = 2,003 meets
+        # above; holding all p/2 residues takes about 30 MB.  At N = 2 the
+        # moments pin k, so the walk builds at most one residue per target;
+        # test_unpinned_scan_memory_flat covers the scan of every k.
         tracemalloc.start()
         try:
             criteria.knot_candidates(TREFOIL_Q2, 200_003, 2, plus)
@@ -138,13 +139,49 @@ class TestKnotCandidates:
             tracemalloc.stop()
         assert peak < 2_000_000
 
+    @pytest.mark.parametrize("plus", [False, True], ids=["minus", "plus"])
+    @pytest.mark.parametrize("N", [502, 503])
+    def test_unpinned_scan_memory_flat(self, monkeypatch, N, plus):
+        # At N = -1 and 0 mod 503 the moments fix no k, so the walk reads
+        # every one of the 252 residues of up to N terms (twice for plus at
+        # N = 0 mod p, where both targets pass the t0 test).  It builds
+        # each where it reads it and keeps none; a table of them all takes
+        # about 8 MB.
+        inv = skein.quantum_sln(skein.homfly(BraidWord(2, (1, 1, 1))), N, 1)
+        residue, built = criteria.quantum_residue, []
+        monkeypatch.setattr(criteria, "quantum_residue",
+                            lambda p, N, k: built.append(k) or residue(p, N, k))
+        tracemalloc.start()
+        try:
+            criteria.knot_candidates(inv, 503, N, plus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 252 * (2 if plus and N == 503 else 1)
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+    def test_knot_is_one_component_link(self, p):
+        # A knot's residues are the first coordinates of its one-component
+        # link tuples: two random knots and two p-periodic ones, w^p.
+        rng = random.Random(227 + p)
+        for q in (1, 1, p, p):
+            b = random_closure(rng, 1, (2, 4), (0, 8), q)
+            P = skein.homfly(b)
+            for N in range(2, 9):
+                inv = skein.quantum_sln(P, N, 1)
+                link = criteria.link_candidates(inv, p, N, 1)
+                assert criteria.knot_candidates(inv, p, N) == \
+                    {t[0] for t in link}, (b.text(), p, N)
+
     def test_plus_builds_one_search(self, monkeypatch):
-        # Both signs of +-f(-q) are targets of one walk: one reduction and
-        # one set of residues per call.
+        # One reduction of f(-q) serves both targets +-f(-q).  At p = 3,
+        # N = 2 the moments pin the trefoil's one k, and only one of the
+        # two targets passes the t0 test, so one residue is built.
         spies = [mock.Mock(wraps=criteria.reduce),
-                 mock.Mock(wraps=criteria.quantum_residues)]
+                 mock.Mock(wraps=criteria.quantum_residue)]
         monkeypatch.setattr(criteria, "reduce", spies[0])
-        monkeypatch.setattr(criteria, "quantum_residues", spies[1])
+        monkeypatch.setattr(criteria, "quantum_residue", spies[1])
         c = criteria.knot_candidates(TREFOIL_Q2, 3, 2, plus=True)
         assert c == frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
         assert [spy.call_count for spy in spies] == [1, 1]
@@ -215,8 +252,8 @@ class TestLinkCandidates:
         # p = 16001, refused before any residue is built.  The 8 matching
         # orbits of the 7-component control at p = 3, N = 3 hold all
         # 3^7 = 2,187 tuples, not 8 * 2^7 * 7! = 5,160,960, and fit.
-        spy = mock.Mock(wraps=criteria.quantum_residues)
-        monkeypatch.setattr(criteria, "quantum_residues", spy)
+        spy = mock.Mock(wraps=criteria.quantum_residue)
+        monkeypatch.setattr(criteria, "quantum_residue", spy)
         orbits = ("32012001 orbits to test, C(p//2 + m, m) at p=16001, m=2, "
                   "exceed the work limit of 2000000")
         with pytest.raises(ResourceLimitError,
@@ -232,14 +269,15 @@ class TestLinkCandidates:
     @pytest.mark.parametrize("m, last, first",
                              [(2, 3989, 4001), (3, 449, 457), (4, 157, 163)])
     def test_orbit_count_bounds_p(self, monkeypatch, m, last, first):
-        # C(p//2 + m, m) passes 2,000,000 between these primes; the
-        # residues are stubbed, so the search itself never runs.
+        # C(p//2 + m, m) passes 2,000,000 between these primes; the walk
+        # is stubbed, so it never runs.  (The Hopf link fails t1 at these
+        # primes, so a stub of the residues would never be reached.)
         class Searched(Exception):
             pass
 
-        def residues(p, N):
+        def walk(target, p, N, m):
             raise Searched
-        monkeypatch.setattr(criteria, "quantum_residues", residues)
+        monkeypatch.setattr(criteria, "_matches", walk)
         with pytest.raises(Searched):
             criteria.link_candidates(HOPF_Q2, last, 2, m)
         with pytest.raises(ResourceLimitError, match=f"at p={first}, m={m},"):
@@ -293,9 +331,8 @@ class TestLinkCandidates:
     def test_residues_match_reduced_rhs_sum(self, p):
         # r_k is built from the labels directly, not by reducing rhs_sum.
         for N in range(2, 7):
-            residues = list(criteria.quantum_residues(p, N))
-            assert len(residues) == p // 2 + 1
-            for k, r in enumerate(residues):
+            for k in range(p // 2 + 1):
+                r = criteria.quantum_residue(p, N, k)
                 assert r == reduce(criteria.rhs_sum(N, (k,)), p), (p, N, k)
 
     @pytest.mark.parametrize("p, m", ORACLE_CASES)
@@ -416,7 +453,8 @@ class TestMomentPin:
         # r_k goes to N + sigma k^2 u^2, sigma = (N - 1) N (N + 1) / 6.
         for N in range(2, 3 * p):
             sigma = (N - 1) * N * (N + 1) // 6
-            for k, r in enumerate(criteria.quantum_residues(p, N)):
+            for k in range(p // 2 + 1):
+                r = criteria.quantum_residue(p, N, k)
                 assert self.moments(r, p) == (N % p, 0, sigma * k * k % p)
 
     def test_square_root(self):
