@@ -60,16 +60,17 @@ holds one residue at a time, and a link the residues and prefix
 products of one path, m of each, not a table of p//2 + 1 residues.
 `_matches` refuses N < 2 before any answer, for both criteria.
 
-Work limit.  A link's search refuses, with ResourceLimitError, on the two
-counts it spends, each against `laurent.MAX_WORK` read at call time: the
-C(p//2 + m, m) representatives it tests, before any residue is built,
-and the distinct tuples of the matching orbits, after the search and
-before any orbit is expanded.  An orbit whose coordinates take each
-value v c_v times holds m!/prod c_v! orderings, times 2 for each
-coordinate k with k != -k mod p, and is expanded one ordering at a
-time, so each tuple is formed once.  So the component count has no
-bound of its own, and a link's p is bounded by the first count: m = 2,
-3 and 4 are refused from p = 4001, 457 and 163.
+Work limit.  After the moments and before any residue is built,
+`_matches` refuses with ResourceLimitError when the nodes it will visit
+exceed `laurent.MAX_WORK`, read at call time: the C(p//2 + m - 1, m - 1)
+prefixes where the moments pin the last coordinate, else the C(p//2 + m,
+m) representatives.  Failed moments are answered at any p, and a pinned
+knot is never refused.  Pinned, m = 2, 3 and 4 are refused from p =
+4,000,037, 4001 and 457; unpinned, m = 1, 2, 3 and 4 from p = 4,000,037,
+4001, 457 and 163.  `link_candidates` also refuses, before expanding any
+orbit, past the limit on distinct tuples: an orbit whose coordinates take
+each value v c_v times holds m!/prod c_v! orderings, times 2 per k != -k
+mod p, each formed once.  The component count has no bound of its own.
 
 For odd p, q -> -q is a ring isomorphism from F_p[q]/(q^p + 1) onto
 F_p[q]/(q^p - 1) that sends [N]_{q^k} to (-1)^{k(N-1)} [N]_{q^k}.  So
@@ -84,7 +85,7 @@ is built twice.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from math import comb, factorial
 
 from . import laurent
@@ -112,8 +113,8 @@ def knot_candidates(inv: LaurentPoly, p: int, N: int,
     Modulo (p, q^p - 1) these are residues k in 0..p-1 (p = 2 allowed).
     With `plus`, modulo (p, q^p + 1) for odd p, they are (k, sign) pairs,
     k in 0..2p-1 and sign "+" or "-".  An empty result reads "not
-    p-periodic".
-    """
+    p-periodic".  Past the work limit (module docstring), reached only
+    where the moments fix no k, it raises ResourceLimitError."""
     if not is_prime(p) or plus and p == 2:
         raise ValueError(
             f"p must be {'an odd prime' if plus else 'prime'}: {p}")
@@ -136,16 +137,12 @@ def link_candidates(inv: LaurentPoly, p: int, N: int, m: int) -> frozenset:
     invariant mod (p, q^p - 1); empty means "not p-periodic".  The walk
     (module docstring) finds the non-decreasing tuples over {0..p//2}
     that match, and each is expanded into its orbit.  Past the work limit
-    (module docstring) it raises ResourceLimitError."""
+    (module docstring), on the walk or on the tuples, it raises
+    ResourceLimitError."""
     if not is_prime(p):
         raise ValueError(f"p must be prime: {p}")
     if m < 1:
         raise ValueError("need at least one component")
-    orbits = comb(p // 2 + m, m)
-    if orbits > laurent.MAX_WORK:
-        raise ResourceLimitError(
-            f"{orbits} orbits to test, C(p//2 + m, m) at p={p}, m={m}, "
-            f"exceed the work limit of {laurent.MAX_WORK}")
     hits = _matches(reduce(inv, p), p, N, m)
     tuples = sum(_orbit_size(ks, p) for ks in hits)
     if tuples > laurent.MAX_WORK:
@@ -162,9 +159,23 @@ def _matches(target: dict[int, int], p: int, N: int,
     equals target, in the walk's order (module docstring)."""
     if N < 2:
         raise ValueError(f"N must be >= 2: {N}")
-    lasts = _last_coordinates(target, p, N, m)
-    if not lasts:
+    squares = _last_coordinates(target, p, N, m)
+    if squares is None:
         return []
+    pinned = squares >= 0
+    nodes = comb(p // 2 + m - pinned, m - pinned)
+    if nodes > laurent.MAX_WORK:
+        raise ResourceLimitError(
+            f"{nodes} {'prefixes' if pinned else 'orbits'} to test, "
+            f"C(p//2 + {'m - 1, m - 1' if pinned else 'm, m'}) at p={p}, "
+            f"m={m}, exceed the work limit of {laurent.MAX_WORK}")
+
+    def lasts(s: int, lo: int) -> Sequence[int]:
+        """The last coordinates in lo..p//2 once the squares sum to s."""
+        if not pinned:
+            return range(lo, p // 2 + 1)
+        k = _sqrt(squares - s, p)
+        return (k,) if k is not None and k >= lo else ()
     probe = min(target, default=0)
     want = target.get(probe, 0)
     hits: list[tuple[int, ...]] = []
@@ -194,29 +205,18 @@ def _matches(target: dict[int, int], p: int, N: int,
 
 
 def _last_coordinates(target: dict[int, int], p: int, N: int, m: int):
-    """lasts(s, lo): the k in lo..p//2 that can end an m-tuple matching
-    target when its other coordinates' squares sum to s, read off the
-    moments t0, t1, t2 (module docstring): every k when the moments fix
-    no sum of squares, else the one square root they leave.  None when
-    no tuple can match."""
-    def every(s: int, lo: int) -> range:
-        return range(lo, p // 2 + 1)
+    """The sum mod p of the squares of a matching m-tuple, read off the
+    moments of target (module docstring): -1 when they fix none, so every
+    last coordinate is tried, and None when no tuple can match."""
     if p == 2:
-        return every
+        return -1
     t0 = t1 = t2 = 0
     for e, c in target.items():
         t0, t1, t2 = t0 + c, t1 + c * e, t2 + c * (e * (e - 1) >> 1)
     c = pow(N, m - 1, p) * ((N - 1) * N * (N + 1) // 6) % p
     if (t0 - pow(N, m, p)) % p or t1 % p or not c and t2 % p:
         return None
-    if not c:
-        return every
-    squares = t2 * pow(c, -1, p)
-
-    def lasts(s: int, lo: int) -> tuple[int, ...]:
-        k = _sqrt(squares - s, p)
-        return (k,) if k is not None and k >= lo else ()
-    return lasts
+    return t2 * pow(c, -1, p) % p if c else -1
 
 
 def _sqrt(a: int, p: int) -> int | None:

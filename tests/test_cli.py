@@ -359,14 +359,22 @@ class TestCrossingLimit:
      "of 24"),
     (["invariant", "--oracle", "--braid", TREFOIL], 2, 2,
      "computation error: ResourceLimitError: "),
-    (["check", "-p", "16001", "--braid", "1 1"], None, 2,
-     "computation error: ResourceLimitError: "),
+    (["check", "-p", "4001", "--n", "4001", "--braid", "1 1"], None, 2,
+     "computation error: ResourceLimitError: 2003001 orbits to test, "
+     "C(p//2 + m, m) at p=4001, m=2, exceed the work limit of 2000000\n"),
+    (["check", "-p", "4001", "--braid", "n=3;"], None, 2,
+     "computation error: ResourceLimitError: 2003001 prefixes to test, "
+     "C(p//2 + m - 1, m - 1) at p=4001, m=3, exceed the work limit of "
+     "2000000\n"),
+    (["check", "-p", "13", "--n", "13", "--braid", TREFOIL], 6, 2,
+     "computation error: ResourceLimitError: 7 orbits to test, "
+     "C(p//2 + m, m) at p=13, m=1, exceed the work limit of 6\n"),
     (["check", "-p", "3317044064679887385961981", "--braid", TREFOIL], None,
      2, "computation error: ResourceLimitError: "),
     (["check", "-p", "3", "--pd", NON_PLANAR[0]], None, 1,
      "error: this PD code is not planar"),
-], ids=["crossings", "state-table", "link-orbits", "prime-test",
-        "non-planar"])
+], ids=["crossings", "state-table", "link-orbits", "link-prefixes",
+        "knot-orbits", "prime-test", "non-planar"])
 def test_every_refusal(capsys, monkeypatch, argv, max_work, code, prefix):
     """Each size limit raises ResourceLimitError and exits 2; a PD code
     with no planar diagram exits 1."""
@@ -557,21 +565,24 @@ class TestBatch:
         assert out1 == out2
 
     def test_link_past_the_work_limit_is_a_row_error(self, capsys, tmp_path):
-        # At p = 16001 a knot's scan is linear in p, while the Hopf link's
-        # search would test C(8000 + 2, 2) orbits; only its row fails.
+        # At p = 4001 and N = 2, 3 the moments pin each walk's last
+        # coordinate.  The knots walk one prefix and the Hopf link fails
+        # them, while the 3-component unlink would walk C(2000 + 2, 2)
+        # prefixes; only its row fails.
         path = tmp_path / "links.csv"
         path.write_text("name,input_type,input\ntrefoil,braid,1 1 1\n"
-                        "hopf,braid,1 1\nfigure-eight,braid,n=3; 1 -2 1 -2\n")
-        code, out, _ = run_main(["batch", str(path), "-p", "16001"], capsys)
+                        "hopf,braid,1 1\nunlink,braid,n=3;\n"
+                        "figure-eight,braid,n=3; 1 -2 1 -2\n")
+        code, out, _ = run_main(["batch", str(path), "-p", "4001"], capsys)
         assert code == 0
-        trefoil, hopf, figure_eight = json.loads(out)
-        assert hopf == {
-            "name": "hopf", "input": {"type": "braid", "value": "1 1"},
-            "error": "ResourceLimitError: 32012001 orbits to test, "
-                     "C(p//2 + m, m) at p=16001, m=2, exceed the work limit "
-                     "of 2000000"}
-        assert trefoil["verdict"] == figure_eight["verdict"] == \
-            "not-16001-periodic"
+        trefoil, hopf, unlink, figure_eight = json.loads(out)
+        assert unlink == {
+            "name": "unlink", "input": {"type": "braid", "value": "n=3;"},
+            "error": "ResourceLimitError: 2003001 prefixes to test, "
+                     "C(p//2 + m - 1, m - 1) at p=4001, m=3, exceed the "
+                     "work limit of 2000000"}
+        assert trefoil["verdict"] == hopf["verdict"] == \
+            figure_eight["verdict"] == "not-4001-periodic"
 
     def test_bad_header(self, capsys, tmp_path):
         path = tmp_path / "links.csv"

@@ -80,6 +80,32 @@ class TestKnotCandidates:
         c = criteria.knot_candidates(TREFOIL_Q2, 3, 2, plus=True)
         assert c == frozenset({(1, "+"), (2, "-"), (4, "-"), (5, "+")})
 
+    def test_work_limit_refuses_only_unpinned(self, monkeypatch):
+        # T(2, 13), the closure of (s1)^13, at p = 13 under a limit of 1:
+        # at N = 13 the moments fix no k, and the 7 representatives are
+        # refused before any residue is built; at N = 2 they pin k, and
+        # the one prefix, the empty one, is walked.  The 2 strands link
+        # the axis twice.
+        P = skein.homfly(power(BraidWord(2, (1,)), 13))
+        pinned = skein.quantum_sln(P, 2, 1)
+        answers = [criteria.knot_candidates(pinned, 13, 2, plus)
+                   for plus in (False, True)]
+        monkeypatch.setattr(laurent, "MAX_WORK", 1)
+        spy = mock.Mock(wraps=criteria.quantum_residue)
+        monkeypatch.setattr(criteria, "quantum_residue", spy)
+        unpinned = skein.quantum_sln(P, 13, 1)
+        orbits = ("7 orbits to test, C(p//2 + m, m) at p=13, m=1, exceed "
+                  "the work limit of 1")
+        for plus in (False, True):
+            with pytest.raises(ResourceLimitError,
+                               match=f"^{re.escape(orbits)}$"):
+                criteria.knot_candidates(unpinned, 13, 13, plus)
+        assert spy.call_count == 0
+        assert [criteria.knot_candidates(pinned, 13, 2, plus)
+                for plus in (False, True)] == answers
+        assert {2, 11} <= answers[0]
+        assert answers[1] == all_k_plus_candidates(pinned, 13, 2)
+
     @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
     def test_minus_matches_scan(self, p):
         # Two random knots and a p-periodic one, w^p, against reducing r_k
@@ -248,17 +274,19 @@ class TestLinkCandidates:
         assert (1, 1) in hits
 
     def test_work_limit(self, monkeypatch):
-        # The orbits to test, C(8000 + 2, 2) for the Hopf link at
-        # p = 16001, refused before any residue is built.  The 8 matching
-        # orbits of the 7-component control at p = 3, N = 3 hold all
-        # 3^7 = 2,187 tuples, not 8 * 2^7 * 7! = 5,160,960, and fit.
+        # The 3-component unlink at p = 4001, N = 2: its moments pin the
+        # last coordinate, and its C(2000 + 2, 2) prefixes are refused
+        # before any residue is built.  The 8 matching orbits of the
+        # 7-component control at p = 3, N = 3 hold all 3^7 = 2,187
+        # tuples, not 8 * 2^7 * 7! = 5,160,960, and fit.
         spy = mock.Mock(wraps=criteria.quantum_residue)
         monkeypatch.setattr(criteria, "quantum_residue", spy)
-        orbits = ("32012001 orbits to test, C(p//2 + m, m) at p=16001, m=2, "
-                  "exceed the work limit of 2000000")
+        unlink = skein.quantum_sln(skein.homfly(BraidWord(3, ())), 2, 3)
+        prefixes = ("2003001 prefixes to test, C(p//2 + m - 1, m - 1) at "
+                    "p=4001, m=3, exceed the work limit of 2000000")
         with pytest.raises(ResourceLimitError,
-                           match=f"^{re.escape(orbits)}$"):
-            criteria.link_candidates(HOPF_Q2, 16001, 2, 2)
+                           match=f"^{re.escape(prefixes)}$"):
+            criteria.link_candidates(unlink, 4001, 2, 3)
         assert spy.call_count == 0
         w = power(BraidWord(7, (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6)), 3)
         inv = skein.quantum_sln(skein.homfly(w), 3, 7)
@@ -266,22 +294,63 @@ class TestLinkCandidates:
         assert len(hits) == 3 ** 7
         assert hits == all_tuple_link_candidates(inv, 3, 3, 7)
 
+    @pytest.mark.parametrize("p", (16001, 1_000_003))
+    def test_failed_moments_answer_at_any_p(self, monkeypatch, p):
+        # The Hopf link fails t1 at these primes, so the walk answers
+        # before it counts its nodes, and no residue is built, though its
+        # C(p//2 + 2, 2) orbits are past the limit.
+        spy = mock.Mock(wraps=criteria.quantum_residue)
+        monkeypatch.setattr(criteria, "quantum_residue", spy)
+        assert criteria.link_candidates(HOPF_Q2, p, 2, 2) == frozenset()
+        assert spy.call_count == 0
+
     @pytest.mark.parametrize("m, last, first",
-                             [(2, 3989, 4001), (3, 449, 457), (4, 157, 163)])
+                             [(1, 3999971, 4000037), (2, 3989, 4001),
+                              (3, 449, 457), (4, 157, 163)])
     def test_orbit_count_bounds_p(self, monkeypatch, m, last, first):
-        # C(p//2 + m, m) passes 2,000,000 between these primes; the walk
-        # is stubbed, so it never runs.  (The Hopf link fails t1 at these
-        # primes, so a stub of the residues would never be reached.)
+        # C(p//2 + m, m) passes 2,000,000 between these primes.  It counts
+        # the orbits of an m-component walk whose moments fix nothing and
+        # the prefixes of an (m + 1)-component walk whose moments pin the
+        # last coordinate.  The moments are stubbed, and the first
+        # residue ends the walk, so it never runs.
         class Searched(Exception):
             pass
 
-        def walk(target, p, N, m):
+        def build(p, N, k):
             raise Searched
-        monkeypatch.setattr(criteria, "_matches", walk)
-        with pytest.raises(Searched):
-            criteria.link_candidates(HOPF_Q2, last, 2, m)
-        with pytest.raises(ResourceLimitError, match=f"at p={first}, m={m},"):
-            criteria.link_candidates(HOPF_Q2, first, 2, m)
+        monkeypatch.setattr(criteria, "quantum_residue", build)
+        for walk, squares, n in (("orbits", -1, m),
+                                 ("prefixes", 0, m + 1)):
+            monkeypatch.setattr(criteria, "_last_coordinates",
+                                lambda target, p, N, m: squares)
+            with pytest.raises(Searched):
+                criteria.link_candidates(HOPF_Q2, last, 2, n)
+            with pytest.raises(ResourceLimitError,
+                               match=f"^{math.comb(first // 2 + m, m)} "
+                                     f"{walk} to test, .* at p={first}, "
+                                     f"m={n}, "):
+                criteria.link_candidates(HOPF_Q2, first, 2, n)
+
+    def test_limit_counts_prefixes_when_pinned(self, monkeypatch):
+        # The 3-component control at p = 41: 231 prefixes when the moments
+        # pin the last coordinate (N = 2), 1,771 orbits when they fix
+        # nothing (N = 41).  With the limit between the two counts the
+        # pinned walk answers in full, and the unpinned one is refused
+        # before any residue is built.
+        monkeypatch.setattr(laurent, "MAX_WORK", 231)
+        P = skein.homfly(power(BraidWord(3, (1, 1, 2, 2)), 41))
+        inv = skein.quantum_sln(P, 2, 3)
+        hits = criteria.link_candidates(inv, 41, 2, 3)
+        assert hits == all_tuple_link_candidates(inv, 41, 2, 3)
+        assert (1, 1, 1) in hits
+        spy = mock.Mock(wraps=criteria.quantum_residue)
+        monkeypatch.setattr(criteria, "quantum_residue", spy)
+        orbits = ("1771 orbits to test, C(p//2 + m, m) at p=41, m=3, "
+                  "exceed the work limit of 231")
+        with pytest.raises(ResourceLimitError,
+                           match=f"^{re.escape(orbits)}$"):
+            criteria.link_candidates(skein.quantum_sln(P, 41, 3), 41, 41, 3)
+        assert spy.call_count == 0
 
     def test_tuple_count_comes_before_any_expansion(self, monkeypatch):
         # The 5-component control at p = 3, N = 3 matches the 6 orbits of
@@ -475,26 +544,21 @@ class TestMomentPin:
         # pin: 2,022 products).
         control = BraidWord(4, (1, 1, 2, 2, 3, 3) * 41)
         inv = skein.quantum_sln(skein.homfly(control), 2, 4)
-        pinned = criteria._last_coordinates
-        offered = []
-
-        def spy_pin(*args):
-            lasts = pinned(*args)
-            return lambda s, lo: offered.append(lasts(s, lo)) or offered[-1]
-
-        def every(target, p, N, m):
-            return lambda s, lo: range(lo, p // 2 + 1)
-
+        sqrt = mock.Mock(wraps=criteria._sqrt)
+        monkeypatch.setattr(criteria, "_sqrt", sqrt)
         counts = []
-        for pin in (spy_pin, every):
+        for every in (False, True):
+            if every:
+                monkeypatch.setattr(criteria, "_last_coordinates",
+                                    lambda target, p, N, m: -1)
             spy = mock.Mock(wraps=criteria._cyclic_product)
             monkeypatch.setattr(criteria, "_cyclic_product", spy)
-            monkeypatch.setattr(criteria, "_last_coordinates", pin)
             hits = criteria.link_candidates(inv, 41, 2, 4)
             assert hits == frozenset(itertools.product((1, 40), repeat=4))
             counts.append(spy.call_count)
-        assert len(offered) == math.comb(23, 3)
-        assert max(map(len, offered)) == 1
+        # One square root, its one last coordinate, per prefix of the
+        # pinned walk, and none when every last coordinate is offered.
+        assert sqrt.call_count == math.comb(23, 3)
         assert counts[0] < counts[1] == 2_022
 
     def test_moments_that_cannot_match_build_no_residue(self, monkeypatch):
