@@ -544,8 +544,11 @@ class TestMomentPin:
         # pin: 2,022 products).
         control = BraidWord(4, (1, 1, 2, 2, 3, 3) * 41)
         inv = skein.quantum_sln(skein.homfly(control), 2, 4)
-        sqrt = mock.Mock(wraps=criteria._sqrt)
-        monkeypatch.setattr(criteria, "_sqrt", sqrt)
+        roots, sqrt = [], criteria._sqrt
+        monkeypatch.setattr(criteria, "_sqrt",
+                            lambda a, p: roots.append(sqrt(a, p)) or roots[-1])
+        residue = mock.Mock(wraps=criteria.quantum_residue)
+        monkeypatch.setattr(criteria, "quantum_residue", residue)
         counts = []
         for every in (False, True):
             if every:
@@ -555,11 +558,21 @@ class TestMomentPin:
             monkeypatch.setattr(criteria, "_cyclic_product", spy)
             hits = criteria.link_candidates(inv, 41, 2, 4)
             assert hits == frozenset(itertools.product((1, 40), repeat=4))
-            counts.append(spy.call_count)
-        # One square root, its one last coordinate, per prefix of the
-        # pinned walk, and none when every last coordinate is offered.
-        assert sqrt.call_count == math.comb(23, 3)
-        assert counts[0] < counts[1] == 2_022
+            counts.append((spy.call_count, residue.call_count))
+        # One square root per prefix, in the walk's order; a prefix whose
+        # root is at least its last coordinate builds its own residue and
+        # that of the root, and no other last coordinate.  The walk builds
+        # a residue for each of the 21 first coordinates and the C(22, 2)
+        # pairs, then two per such prefix.
+        prefixes = list(itertools.combinations_with_replacement(range(21), 3))
+        assert len(roots) == len(prefixes) == math.comb(23, 3)
+        offered = sum(k is not None and k >= ks[-1]
+                      for k, ks in zip(roots, prefixes))
+        assert offered > 0
+        assert counts[0][1] == 21 + math.comb(22, 2) + 2 * offered
+        # With every last coordinate offered, no square root is taken.
+        assert len(roots) == math.comb(23, 3)
+        assert counts[0][0] < counts[1][0] == 2_022
 
     def test_moments_that_cannot_match_build_no_residue(self, monkeypatch):
         # The Hopf link has t0 = 4 = N^2 and t1 = 0 at p = 157, N = 2; a
